@@ -1,26 +1,36 @@
 """N-particle jump-process approximation of the Boltzmann dynamics.
 
-Each particle carries a Poisson stream of collision candidates against
-companions drawn from the cloud itself.  Candidate counts use a global
-bounded rate 2*pi*H(theta_min)*Phi_cap*dt, where H is the kernel's angular
-tail integral and Phi_cap the velocity factor evaluated at the speed floor;
-each candidate is then thinned by the ratio of its pair's (floored) velocity
-factor to the cap, which realizes every pair's floored collision rate
-exactly.  Accepted candidates draw the jump coordinate z uniformly on
-[0, Phi*H(theta_min)] so the deviation angle follows the exact normalized
-tail law theta = G(U[0, H(theta_min)]) for every pair.
+Every pair collides at its floored rate 2*pi*H(theta_min)*Phi(max(r, v_floor)),
+where H is the kernel's angular tail integral, Phi the velocity factor and r
+the pair's relative speed.  Each event draws the deviation angle from the
+exact normalized tail law theta = G(U[0, H(theta_min)]) and a uniform azimuth.
+The two update modes realize these rates differently.
 
-Angles below theta_min are not simulated as jumps; ``nanbu`` mode replaces
-them with their analytic mean drift (the compensator with the residual
-(1-cos) mass below theta_min), averaged over a fresh companion subsample.
-``symmetric`` mode instead updates disjoint random pairs two-sidedly
-(v -> v', v* -> v*') which conserves momentum and energy exactly per event,
-and therefore applies no drift: exact invariants are its contract, the
-small-angle compensation is nanbu's.
+``nanbu`` mode gives every particle a Poisson stream of collision candidates
+against companions drawn from the cloud itself.  Candidate counts use the
+global bound 2*pi*H(theta_min)*Phi(v_floor)*dt, and each candidate is thinned
+by the ratio of its pair's floored velocity factor to that bound.  Only the
+owner jumps (v -> v'), so momentum and energy are conserved in expectation.
+Angles below theta_min are not simulated as jumps; they are replaced by their
+analytic mean drift (the compensator with the residual (1-cos) mass below
+theta_min), averaged over a fresh companion subsample.
+
+``symmetric`` mode updates disjoint random pairs two-sidedly (v -> v',
+v* -> v*'), which conserves momentum and energy exactly per event.  A
+deviation preserves |v - v*|, so a pair's floored rate is constant over the
+step: each pair's event count is drawn once per step as
+Poisson(2*pi*H(theta_min)*Phi(max(r, v_floor))*dt), with r taken at the start
+of the step, and no candidate is thinned.  This mode applies no drift: exact
+invariants are its contract, the small-angle compensation is nanbu's.
+
+In both modes ``rate_cap`` bounds the global rate 2*pi*H(theta_min)*
+Phi(v_floor)*dt.  In nanbu mode that is the expected candidate count per
+particle per step; in symmetric mode it is the largest expected event count
+of any pair.
 
 For the Coulomb kernel the angular support already starts at eps, so
-theta_min plays no role and the candidate rate is bounded by
-2*pi*H_eps(eps)*(v_floor+h_eps)^-3 without truncation.
+theta_min plays no role and the global rate is 2*pi*H_eps(eps)*
+(v_floor+h_eps)^-3 without truncation.
 """
 
 import functools
@@ -177,43 +187,38 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, lam, dt, drift_sub, rng):
     return X, events
 
 
-def _step_symmetric(X0, kernel, theta_eff, v_floor, lam, rng):
+def _step_symmetric(X0, kernel, theta_eff, v_floor, dt, rng):
     n = X0.shape[0]
     X = X0.copy()
-    phi_cap = _phi_cap(kernel, v_floor)
     H_max = kernel.tail.H(theta_eff)
     half = n // 2
     perm = rng.permutation(n)
     ia, ib = perm[:2 * half:2], perm[1:2 * half:2]
-    counts = rng.poisson(lam, size=half)
-    events = 0
+    # deviate preserves |va - vb|, so each pair's rate is fixed for the step
+    r = np.linalg.norm(X0[ia] - X0[ib], axis=1)
+    counts = rng.poisson(
+        2.0 * np.pi * H_max * _phi_floored(kernel, r, v_floor) * dt)
     for rnd in range(int(counts.max()) if half else 0):
         act = np.where(counts > rnd)[0]
-        if act.size == 0:
-            break
         a, b = ia[act], ib[act]
-        Va, Vb = X[a], X[b]
-        r = np.linalg.norm(Va - Vb, axis=1)
-        accept = rng.random(act.size) * phi_cap <= \
-            _phi_floored(kernel, r, v_floor)
         u_z = rng.random(act.size)
         phi_ang = rng.uniform(0.0, 2.0 * np.pi, act.size)
-        if not np.any(accept):
-            continue
-        a, b = a[accept], b[accept]
-        theta = kernel.tail.G(u_z[accept] * H_max)
-        va, vb, _ = deviate(X[a], X[b], theta, phi_ang[accept])
-        X[a], X[b] = va, vb
-        events += int(a.size)
-    return X, events
+        theta = kernel.tail.G(u_z * H_max)
+        X[a], X[b], _ = deviate(X[a], X[b], theta, phi_ang)
+    return X, int(counts.sum())
 
 
 def step(cloud, config, rng):
     """Advance the cloud by one time step dt.
 
-    Raises StabilityError when the expected candidate count per particle
-    exceeds config.rate_cap (use a smaller dt or a larger v_floor), and
-    InstabilityError if any velocity turns non-finite.
+    nanbu mode thins per-particle candidate streams drawn at the global
+    rate lam = 2*pi*H(theta_min)*Phi(v_floor)*dt; symmetric mode draws each
+    disjoint pair's event count directly from its own floored rate, which
+    never exceeds lam.  Raises StabilityError when lam exceeds
+    config.rate_cap (use a smaller dt or a larger v_floor): in nanbu mode
+    lam is the expected candidate count per particle, in symmetric mode the
+    largest expected event count per pair.  Raises InstabilityError if any
+    velocity turns non-finite.
     """
     if cloud.n != config.n:
         raise ParameterError(
@@ -225,15 +230,15 @@ def step(cloud, config, rng):
         _phi_cap(kernel, v_floor) * config.dt
     if lam > config.rate_cap:
         raise StabilityError(
-            f"expected {lam:.3g} collision candidates per particle per step "
-            f"(cap {config.rate_cap:.3g}); decrease dt or raise v_floor")
+            f"expected {lam:.3g} collisions per step at the speed floor "
+            f"(rate_cap {config.rate_cap:.3g}); decrease dt or raise v_floor")
 
     if config.update_mode == "nanbu":
         Xn, events = _step_nanbu(cloud.velocities, kernel, theta_eff, v_floor,
                                  lam, config.dt, config.drift_subsample, rng)
     else:
         Xn, events = _step_symmetric(cloud.velocities, kernel, theta_eff,
-                                     v_floor, lam, rng)
+                                     v_floor, config.dt, rng)
 
     bad = ~np.all(np.isfinite(Xn), axis=1)
     if np.any(bad):

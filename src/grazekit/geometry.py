@@ -45,6 +45,18 @@ def _norm(X):
     return np.sqrt(np.sum(X * X, axis=-1))
 
 
+def _cross(a, b):
+    """a x b over the last axis, in np.cross's operation order (so the
+    result is bit-identical) without its per-call axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(a.shape)
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def frame(X):
     """Deterministic orthogonal frame (I, J) attached to X, each of norm
     |X|, both orthogonal to X and to each other, with (X^, I, J)
@@ -57,9 +69,9 @@ def frame(X):
     Xh = X / r[..., None]
     k = np.argmin(np.abs(Xh), axis=-1)
     e = np.eye(3)[k]
-    C = np.cross(e, Xh)
+    C = _cross(e, Xh)
     I0 = C / _norm(C)[..., None]
-    J0 = np.cross(Xh, I0)
+    J0 = _cross(Xh, I0)
     x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
     s = np.where(x0 != 0.0, np.sign(x0),
                  np.where(x1 != 0.0, np.sign(x1), np.sign(x2)))

@@ -24,6 +24,7 @@ verification reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -191,7 +192,7 @@ class SoftKernel:
         r = np.asarray(r, dtype=float)
         return np.power(r, self.gamma)
 
-    @property
+    @functools.cached_property
     def tail(self) -> TailInverse:
         return _soft_tail(self.c_nu, self.nu)
 
@@ -230,7 +231,7 @@ class GrazingKernel:
     def phi(self, r):
         return self.base.phi(r)
 
-    @property
+    @functools.cached_property
     def tail(self) -> TailInverse:
         return _grazing_tail(self.base.tail, self.eps)
 
@@ -285,7 +286,7 @@ class CoulombKernel:
         r = np.asarray(r, dtype=float)
         return np.power(r + self.h_eps, -3.0)
 
-    @property
+    @functools.cached_property
     def tail(self) -> TailInverse:
         return _coulomb_tail(self.k_c, self.eps)
 

@@ -1,5 +1,6 @@
 """Snapshot schedule handling shared by the two particle simulators."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +51,11 @@ def snapshot_diagnostics(cloud: ParticleCloud) -> dict:
 def run_schedule(cloud, step_fn, T, dt, schedule=None):
     """Advance a cloud with ``step_fn`` and snapshot at the scheduled times.
 
-    Steps have fixed length dt; each requested snapshot is emitted at the
+    Steps have fixed length dt; each requested snapshot s is emitted after
+    ceil((s - t0)/dt) steps from the starting cloud's time t0, i.e. at the
     first step boundary at or after it (choose dt so the times of interest
-    sit on the grid).  An empty or None schedule means a single snapshot at
+    sit on the grid).  Steps are counted as integers, so rounding in the
+    accumulated cloud.time never adds a step.  An empty or None schedule means a single snapshot at
     the horizon T.  T = 0 returns the initial cloud only.
     """
     if not (T >= 0.0) or not np.isfinite(T):
@@ -65,9 +68,11 @@ def run_schedule(cloud, step_fn, T, dt, schedule=None):
         raise ParameterError("snapshot times must lie in [0, T]")
 
     traj = Trajectory()
-    tol = 1e-9 * max(dt, 1e-300)
+    t0, taken = cloud.time, 0
     for s in targets:
-        while cloud.time < s - tol:
+        need = math.ceil((s - t0) / dt - 1e-9)
+        while taken < need:
             cloud = step_fn(cloud)
+            taken += 1
         traj.append(cloud)
     return traj

@@ -18,18 +18,23 @@ def pair_cloud(r):
     return ParticleCloud(velocities=v)
 
 
-@pytest.mark.parametrize("mode,scale", [("symmetric", 1.0), ("nanbu", 2.0)])
-def test_single_pair_rate_law(mode, scale):
+@pytest.mark.parametrize("mode,scale,r0", [
+    pytest.param("symmetric", 1.0, 2.0, id="symmetric-1.0"),
+    pytest.param("nanbu", 2.0, 2.0, id="nanbu-2.0"),
+    pytest.param("symmetric", 1.0, 0.2, id="symmetric-1.0-below-floor"),
+])
+def test_single_pair_rate_law(mode, scale, r0):
     # mean accepted events over 10^4 one-step trials must sit within 3
-    # standard errors of 2*pi*H(theta_min)*Phi(r)*dt; in nanbu mode both
-    # particles own independent candidate streams, hence the factor 2
+    # standard errors of 2*pi*H(theta_min)*Phi(max(r, v_floor))*dt; in nanbu
+    # mode both particles own independent candidate streams, hence the
+    # factor 2
     kern = GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 4)
     theta_min = kern.eps / 8.0
-    r0, dt = 2.0, 0.05
+    v_floor, dt = 0.5, 0.05
     lam_pair = 2.0 * np.pi * float(kern.tail.H(theta_min)) * \
-        float(kern.phi(r0)) * dt
+        float(kern.phi(max(r0, v_floor))) * dt
     cfg = BoltzmannConfig(kernel=kern, n=2, dt=dt, T=dt, theta_min=theta_min,
-                          v_floor=0.5, update_mode=mode)
+                          v_floor=v_floor, update_mode=mode)
     trials = 10_000
     counts = np.empty(trials)
     for k in range(trials):

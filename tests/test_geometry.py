@@ -76,6 +76,48 @@ def test_frame_axis_aligned_input():
     assert np.linalg.norm(J5) == pytest.approx(5.0, rel=1e-12)
 
 
+def _frame_np_cross(X):
+    # frame() as written with np.cross, the reference for its inline cross
+    r = np.sqrt(np.sum(X * X, axis=-1))
+    Xh = X / r[..., None]
+    e = np.eye(3)[np.argmin(np.abs(Xh), axis=-1)]
+    C = np.cross(e, Xh)
+    I0 = C / np.sqrt(np.sum(C * C, axis=-1))[..., None]
+    J0 = np.cross(Xh, I0)
+    x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
+    s = np.where(x0 != 0.0, np.sign(x0),
+                 np.where(x1 != 0.0, np.sign(x1), np.sign(x2)))
+    return (s * r)[..., None] * I0, (s * r)[..., None] * J0
+
+
+@pytest.mark.parametrize("case", ["random", "axis-aligned", "negative",
+                                  "huge", "tiny", "mixed-scale"])
+def test_frame_cross_bit_identical_to_np_cross(case):
+    rng = np.random.default_rng(10)
+    if case == "random":
+        X = rand_vecs(rng, 5000)
+    elif case == "axis-aligned":
+        X = np.concatenate([np.eye(3), -np.eye(3), 7.5 * np.eye(3),
+                            [[1.0, 1.0, 0.0], [0.0, -2.0, 2.0],
+                             [3.0, 0.0, -3.0], [1.0, 1.0, 1.0]]])
+    elif case == "negative":
+        X = -np.abs(rand_vecs(rng, 5000))
+    elif case == "huge":
+        X = rng.normal(size=(2000, 3)) * 1e150
+    elif case == "tiny":
+        X = rng.normal(size=(2000, 3)) * 1e-150
+    else:
+        X = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(
+            -140, 140, size=(2000, 3))
+    I, J = G.frame(X)
+    I_ref, J_ref = _frame_np_cross(X)
+    assert np.array_equal(I, I_ref)
+    assert np.array_equal(J, J_ref)
+    # the cross itself, on inputs with no frame structure
+    A, B = rand_vecs(rng, 1000, spread=60.0), rand_vecs(rng, 1000, spread=60.0)
+    assert np.array_equal(G._cross(A, B), np.cross(A, B))
+
+
 # ---------------------------------------------------------------------------
 # gamma
 
@@ -136,6 +178,9 @@ def test_deviate_conservation_bulk():
     r2 = np.sum((v - vs) ** 2, axis=1)
     target = 0.5 * (1 - np.cos(th)) * r2
     assert np.max(np.abs(np.sum(a * a, axis=1) - target) / r2) < 1e-12
+    # the relative speed is invariant: |v' - v*'| = |v - v*|
+    rel = np.linalg.norm(vp - vsp, axis=1) / np.sqrt(r2)
+    assert np.max(np.abs(rel - 1.0)) < 1e-12
     # v' - v is exactly the returned displacement
     np.testing.assert_array_equal(vp, v + a)
     np.testing.assert_array_equal(vsp, vs - a)
