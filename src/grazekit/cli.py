@@ -98,6 +98,12 @@ _INITIAL_KEYS = ("initial_name", "initial_sigma2", "initial_sigma2_cold",
                  "initial_radius")
 _PLAN_KEYS = ("tanaka", "level", "eta", "truncation_m", "normal_fallback",
               "subdivision_n", "w2_mode")
+# Particle-solver keys the coupled integrator never reads: the coupled
+# commands take no flag for them and reject them from a config file.
+_COUPLED_IGNORED_KEYS = ("update_mode", "drift_subsample", "rate_cap",
+                         "pairing", "m")
+# rate-sweep derives dt from each eps's subdivision as well
+_SWEEP_IGNORED_KEYS = ("dt",) + _COUPLED_IGNORED_KEYS
 
 
 def build_parser():
@@ -124,15 +130,15 @@ def build_parser():
 
     cr = subs.add_parser("coupled-run", parents=[common],
                          help="one coupled Boltzmann/Landau trajectory pair")
-    _add_flags(cr, _KERNEL_KEYS + _BOLTZ_KEYS + ("pairing", "m", "reg_delta")
-               + _INITIAL_KEYS + _PLAN_KEYS)
+    _add_flags(cr, _KERNEL_KEYS + ("n", "dt", "T", "theta_min", "v_floor",
+                                   "reg_delta") + _INITIAL_KEYS + _PLAN_KEYS)
 
     rs = subs.add_parser("rate-sweep", parents=[common],
                          help="coupled-distance sweep over a decreasing "
                               "eps grid")
     _add_flags(rs, ("family", "gamma", "nu", "h_eps", "eps_list", "seeds",
-                    "n", "dt", "T", "update_mode", "pairing", "m", "p",
-                    "tanaka", "level", "normal_fallback", "w2_mode"))
+                    "n", "T", "p", "tanaka", "level", "normal_fallback",
+                    "w2_mode"))
 
     vk = subs.add_parser("verify-kernels", parents=[common],
                          help="angular-kernel property table")
@@ -176,6 +182,15 @@ def _require(cfg, *keys):
             raise ParameterError(
                 f"missing required field '{key}' (flag {flag})")
     return [cfg[k] for k in keys]
+
+
+def _reject(cfg, keys, command):
+    """Refuse config keys the command would silently ignore."""
+    present = [k for k in keys if k in cfg]
+    if present:
+        raise ParameterError(
+            f"{command} ignores field(s) {', '.join(map(repr, present))}; "
+            "remove them from the config")
 
 
 def _echo(cfg):
@@ -248,6 +263,7 @@ def _cmd_simulate_landau(cfg, out_dir):
 
 
 def _cmd_coupled_run(cfg, out_dir):
+    _reject(cfg, _COUPLED_IGNORED_KEYS, "coupled-run")
     kernel = _build_kernel(cfg)
     n, T = _require(cfg, "n", "T")
     seed = cfg.get("seed", 0)
@@ -258,14 +274,9 @@ def _cmd_coupled_run(cfg, out_dir):
         dt = 0.5 * float(np.min(np.diff(sub.slab_bounds())))
     bc = BoltzmannConfig(
         kernel=kernel, n=n, dt=dt, T=T, theta_min=cfg.get("theta_min"),
-        v_floor=cfg.get("v_floor"),
-        update_mode=cfg.get("update_mode", "nanbu"), seed=seed,
-        drift_subsample=cfg.get("drift_subsample", 64),
-        rate_cap=cfg.get("rate_cap", 1e4))
-    lc = LandauConfig(
-        gamma=kernel.gamma, n=n, dt=dt, T=T,
-        pairing=cfg.get("pairing", "subsampled"), m=cfg.get("m", 64),
-        reg_delta=cfg.get("reg_delta"), seed=seed)
+        v_floor=cfg.get("v_floor"), seed=seed)
+    lc = LandauConfig(gamma=kernel.gamma, n=n, dt=dt, T=T,
+                      reg_delta=cfg.get("reg_delta"), seed=seed)
     plan = CouplingPlan(
         seed=seed, subdivision=sub, tanaka=cfg.get("tanaka", True),
         level=cfg.get("level", "gaussian"), eta=cfg.get("eta"),
@@ -283,6 +294,7 @@ def _cmd_coupled_run(cfg, out_dir):
 
 
 def _cmd_rate_sweep(cfg, out_dir):
+    _reject(cfg, _SWEEP_IGNORED_KEYS, "rate-sweep")
     family, eps_list, n, T = _require(cfg, "family", "eps_list", "n", "T")
     if family not in ("grazing", "coulomb"):
         raise ParameterError("rate-sweep needs family 'grazing' or 'coulomb'")
@@ -296,15 +308,9 @@ def _cmd_rate_sweep(cfg, out_dir):
     else:
         kernel0 = kernel_from_params("coulomb", eps=eps_list[0],
                                      h_eps=cfg.get("h_eps"))
-    dt0 = cfg.get("dt", T)  # placeholder; the sweep derives dt per eps
-    bc_t = BoltzmannConfig(
-        kernel=kernel0, n=n, dt=dt0, T=T,
-        update_mode=cfg.get("update_mode", "nanbu"), seed=seed,
-        drift_subsample=cfg.get("drift_subsample", 64),
-        rate_cap=cfg.get("rate_cap", 1e4))
-    lc_t = LandauConfig(gamma=kernel0.gamma, n=n, dt=dt0, T=T,
-                        pairing=cfg.get("pairing", "subsampled"),
-                        m=cfg.get("m", 64), seed=seed)
+    # dt = T is a placeholder: the sweep derives dt per eps
+    bc_t = BoltzmannConfig(kernel=kernel0, n=n, dt=T, T=T, seed=seed)
+    lc_t = LandauConfig(gamma=kernel0.gamma, n=n, dt=T, T=T, seed=seed)
     report = rate_sweep(
         bc_t, lc_t, eps_list, seeds, p=cfg.get("p", 5),
         tanaka=cfg.get("tanaka", True), level=cfg.get("level", "gaussian"),

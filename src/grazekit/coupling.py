@@ -30,10 +30,17 @@ the measured gap.  A Tanaka azimuth rotation phi0 aligns the Landau pair
 frame with the Boltzmann pair frame when the toggle is on.  Per-pair
 candidate counts above normal_fallback switch to their conditional Gaussian
 aggregate (same moments), keeping cost bounded at small eps.
+
+rate_sweep builds and checks every (eps, seed) cell first, then runs the
+cells on every core in the process's CPU affinity (a forked process pool;
+in-process with one core or one cell).  Each cell draws only from streams
+keyed by its own seed and slab, so the report does not depend on the core
+count.
 """
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +52,7 @@ from .errors import InstabilityError, ParameterError
 from .geometry import frame, phi_zero
 from .kernels import CoulombKernel, GrazingKernel, r_eta, residual_k
 from .landau import LandauConfig
-from .metrics import w2_exact
+from .metrics import _W2_SIZE_GUARD, w2_exact
 from .particles import ParticleCloud, sample_initial
 
 __all__ = ["Subdivision", "build_subdivision", "CouplingPlan", "CoupledResult",
@@ -243,20 +250,20 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
             acc(th * cos_p), acc(th * sin_p))
 
 
-def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
-                w2_mode="none"):
-    """Run both systems through the plan's slabs from a shared initial cloud.
-
-    Returns the paired-L2 distance at t=0 and at every slab boundary, plus
-    m2 of both sides; w2_mode "terminal" adds the exact assignment W2 at the
-    final time, "all" at every boundary ("none" leaves NaN).
-    """
+def _check_run(boltz_config, landau_config, plan, initial_cloud, w2_mode):
+    """Every precondition of a coupled run, checked before any slab stream
+    is built.  Returns the slabs, the matching window [lo_win, eta] and the
+    resolved velocity floor."""
     if w2_mode not in ("none", "terminal", "all"):
         raise ParameterError("w2_mode must be 'none', 'terminal' or 'all'")
     kernel = boltz_config.kernel
     n = initial_cloud.n
     if boltz_config.n != n or landau_config.n != n:
         raise ParameterError("both configs must match the initial cloud size")
+    if w2_mode != "none" and n > _W2_SIZE_GUARD:
+        raise ParameterError(
+            f"w2_mode {w2_mode!r} needs the exact W2, guarded at "
+            f"N <= {_W2_SIZE_GUARD}; got n={n}")
     if abs(kernel.gamma - landau_config.gamma) > 1e-12:
         raise ParameterError(
             f"kernel gamma {kernel.gamma} != Landau gamma {landau_config.gamma}")
@@ -276,6 +283,30 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
     eta = min(eta, sup_hi)
     if not lo_win < eta:
         raise ParameterError(f"matching window [{lo_win}, {eta}] is empty")
+
+    v_floor = boltz_config.v_floor
+    if v_floor is None:
+        v_floor = 1e-3 * np.sqrt(initial_cloud.m2())
+    if not isinstance(kernel, CoulombKernel) and not v_floor > 0.0:
+        raise ParameterError("soft/grazing coupling needs v_floor > 0 "
+                             "(the collision rate is unbounded otherwise)")
+    return slabs, lo_win, eta, v_floor
+
+
+def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
+                w2_mode="none"):
+    """Run both systems through the plan's slabs from a shared initial cloud.
+
+    Returns the paired-L2 distance at t=0 and at every slab boundary, plus
+    m2 of both sides; w2_mode "terminal" adds the exact assignment W2 at the
+    final time, "all" at every boundary ("none" leaves NaN).
+    """
+    slabs, lo_win, eta, v_floor = _check_run(
+        boltz_config, landau_config, plan, initial_cloud, w2_mode)
+    kernel = boltz_config.kernel
+    n = initial_cloud.n
+    sub = plan.subdivision
+    sup_hi = kernel.support[1]
 
     mom = _window_moments(kernel, lo_win, eta)
     mass_w, mu1 = mom["mass"], mom["one_cos"] / mom["mass"]
@@ -297,12 +328,6 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
     # total (1-cos) drift mass: compensated window + large jumps + sub-window
     k_full = np.pi * (mom["one_cos"] + one_cos_lg) + k_res
 
-    v_floor = boltz_config.v_floor
-    if v_floor is None:
-        v_floor = 1e-3 * np.sqrt(initial_cloud.m2())
-    if not isinstance(kernel, CoulombKernel) and not v_floor > 0.0:
-        raise ParameterError("soft/grazing coupling needs v_floor > 0 "
-                             "(the collision rate is unbounded otherwise)")
     delta = landau_config.reg_delta
     if delta is None:
         delta = 1e-3 * np.sqrt(initial_cloud.m2())
@@ -477,19 +502,77 @@ def _fit_line(x, y):
         float(intercept)
 
 
+# The cells of the running sweep, set only while rate_sweep runs them.
+# Forked workers inherit it, so a cell crosses no pickle on the way in: a
+# kernel whose tail has been cached does not pickle.
+_CELLS = None
+
+
+def _run_cell(index):
+    bc, lc, plan, cloud, w2_mode = _CELLS[index]
+    return index, coupled_run(bc, lc, plan, cloud, w2_mode=w2_mode)
+
+
+def _process_count(n_cells):
+    """One process per core in this process's CPU affinity, at most one
+    per cell."""
+    cores = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1
+    return min(cores, n_cells)
+
+
+def _run_cells(cells, order):
+    """coupled_run on every cell; results come back in cell order.
+
+    With more than one process the cells run in a forked process pool, one
+    cell per task, started in the given order, and a cell's exception
+    reaches the caller with its type and message (a worker that dies raises
+    BrokenProcessPool instead of hanging).  In-process they run in cell
+    order, which keeps the one-process peak memory of a grid-order run.
+    Every cell draws only from streams keyed by its own seed, so the
+    results do not depend on the process count or the order."""
+    global _CELLS
+    results = [None] * len(cells)
+    processes = _process_count(len(cells))
+    _CELLS = cells
+    try:
+        if processes <= 1:
+            for i, res in map(_run_cell, range(len(cells))):
+                results[i] = res
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(processes, mp_context=ctx) as pool:
+                futures = [pool.submit(_run_cell, c) for c in order]
+                try:
+                    for done in as_completed(futures):
+                        i, res = done.result()
+                        results[i] = res
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    finally:
+        _CELLS = None
+    return results
+
+
 def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
                tanaka=True, level="gaussian", w2_mode="none", h_profile=None,
                normal_fallback=100_000):
     """Coupled-distance sweep over a decreasing eps grid.
 
-    Per (eps, seed): rebuild the kernel at eps, derive the window eta, the
-    subdivision resolution n, the diffusion truncation M and the floors from
-    the recipe with moment exponent p, run the coupled integrator, and
-    record the terminal paired-L2.  Soft families fit log(distance) against
-    log(eps); Coulomb against log(1/log(1/eps)).  The verdict is
-    "decreasing" when the mean distances strictly decrease along the grid
-    (Coulomb: do not increase beyond 2 paired standard errors), otherwise
-    "inconclusive".
+    Per (eps, seed) cell: rebuild the kernel at eps, derive the window eta,
+    the subdivision resolution n, the diffusion truncation M and the floors
+    from the recipe with moment exponent p, run the coupled integrator, and
+    record the terminal paired-L2.  Every cell is built and checked before
+    any runs, so a bad grid point fails before any compute.  The cells then
+    run on every core in this process's CPU affinity, smallest eps first;
+    the report is identical to a one-core run.  Soft families fit
+    log(distance) against log(eps); Coulomb against log(1/log(1/eps)).  The
+    verdict is "decreasing" when the mean distances strictly decrease along
+    the grid (Coulomb: do not increase beyond 2 paired standard errors),
+    otherwise "inconclusive".
     """
     eps_list = tuple(float(e) for e in eps_list)
     seeds = tuple(int(s) for s in seeds)
@@ -518,14 +601,9 @@ def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
                                 n, rngstreams.stream(s, "coupled-init"))
               for s in seeds}
 
-    shape = (len(eps_list), len(seeds))
-    dist = np.empty(shape)
-    sup_dist = np.empty(shape)
-    w2 = np.full(shape, np.nan)
-    drift_b = np.empty(shape)
-    drift_l = np.empty(shape)
-    series = {}
-    for i, eps in enumerate(eps_list):
+    # build: every cell's inputs in grid order, each checked up front
+    cells = []
+    for eps in eps_list:
         if family == "grazing":
             kern = GrazingKernel(gamma=kernel0.gamma, nu=kernel0.nu, eps=eps)
             eta = kern.support[1]
@@ -541,7 +619,7 @@ def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
         n_sub = max(1, round(small ** -expo))
         sub = build_subdivision(h, T, n_sub)
         dtv = 0.5 * min(b - a for a, b in sub.slab_bounds())
-        for j, s in enumerate(seeds):
+        for s in seeds:
             cloud = clouds[s]
             m2_0 = cloud.m2()
             m_trunc = math.sqrt(2.0 * m2_0) * small ** (-2.0 / (2.0 * p + 3.0)) \
@@ -566,13 +644,32 @@ def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
             plan = CouplingPlan(seed=s, subdivision=sub, tanaka=tanaka,
                                 level=level, eta=eta, truncation_m=m_trunc,
                                 normal_fallback=normal_fallback)
-            res = coupled_run(bc, lc, plan, cloud, w2_mode=w2_mode)
-            series[(eps, s)] = res
-            dist[i, j] = res.paired_l2[-1]
-            sup_dist[i, j] = res.sup_paired_l2
-            w2[i, j] = res.w2[-1]
-            drift_b[i, j] = res.m2_boltz[-1] / m2_0 - 1.0
-            drift_l[i, j] = res.m2_landau[-1] / m2_0 - 1.0
+            _check_run(bc, lc, plan, cloud, w2_mode)
+            cells.append((bc, lc, plan, cloud, w2_mode))
+
+    # run: a pool starts the costliest cells (smallest eps, last row) first
+    n_seeds = len(seeds)
+    order = [i * n_seeds + j for i in reversed(range(len(eps_list)))
+             for j in range(n_seeds)]
+    results = _run_cells(cells, order)
+
+    # fill, in grid order
+    shape = (len(eps_list), n_seeds)
+    dist = np.empty(shape)
+    sup_dist = np.empty(shape)
+    w2 = np.full(shape, np.nan)
+    drift_b = np.empty(shape)
+    drift_l = np.empty(shape)
+    series = {}
+    for c, res in enumerate(results):
+        i, j = divmod(c, n_seeds)
+        m2_0 = clouds[seeds[j]].m2()
+        series[(eps_list[i], seeds[j])] = res
+        dist[i, j] = res.paired_l2[-1]
+        sup_dist[i, j] = res.sup_paired_l2
+        w2[i, j] = res.w2[-1]
+        drift_b[i, j] = res.m2_boltz[-1] / m2_0 - 1.0
+        drift_l[i, j] = res.m2_landau[-1] / m2_0 - 1.0
 
     means = dist.mean(axis=1)
     stderrs = dist.std(axis=1, ddof=1) / math.sqrt(len(seeds))

@@ -3,9 +3,9 @@
 Every stochastic component of the package draws from a Philox generator keyed
 by (seed, stream name, indices...). Philox is counter-based, so streams with
 distinct keys are independent and any stream can be reconstructed without
-replaying the others -- this is what makes runs bit-reproducible and, in
-principle, parallelizable across particles/pairs/seeds without
-synchronization.
+replaying the others -- this is what makes runs bit-reproducible, and what
+lets coupling.rate_sweep run its (eps, seed) cells in separate processes
+with output identical to a one-process run.
 
 The stream name is hashed to a stable 32-bit tag; indices (step, slab,
 particle, ...) are folded into the spawn key unchanged.

@@ -193,6 +193,44 @@ def test_rate_sweep_usage_errors(tmp_path):
     assert not os.path.exists(out)  # usage errors leave no artifacts
 
 
+COUPLED_RUN = ["coupled-run", "--family", "grazing", "--gamma", "-0.5",
+               "--nu", "0.6", "--eps", "pi/8", "--n", "48", "--T", "0.3",
+               "--subdivision-n", "2"]
+RATE_SWEEP = ["rate-sweep", "--family", "grazing", "--gamma", "-0.5",
+              "--nu", "0.6", "--eps-list", "pi/2,pi/4,pi/8,pi/16",
+              "--n", "48", "--T", "0.3"]
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (COUPLED_RUN, "update_mode", "symmetric"),
+    (COUPLED_RUN, "drift_subsample", 2),
+    (COUPLED_RUN, "rate_cap", 1e9),
+    (COUPLED_RUN, "pairing", "full"),
+    (COUPLED_RUN, "m", 3),
+    (RATE_SWEEP, "dt", 1e-5),
+    (RATE_SWEEP, "update_mode", "symmetric"),
+    (RATE_SWEEP, "drift_subsample", 2),
+    (RATE_SWEEP, "rate_cap", 1e9),
+    (RATE_SWEEP, "pairing", "full"),
+    (RATE_SWEEP, "m", 3),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_coupled_commands_reject_solver_options(tmp_path, base, key, value):
+    # the coupled integrator reads none of these: no flag, no config key
+    out = tmp_path / "never"
+    flag = "--" + key.replace("_", "-")
+    assert main(base + [flag, str(value), "--out-dir", str(out)]) == 2
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(base + ["--config", cfg, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_coupled_run_keeps_dt_gate(tmp_path):
+    # dt is still checked against the subdivision slabs
+    out = tmp_path / "never"
+    assert main(COUPLED_RUN + ["--dt", "0.4", "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_fit_rate_inconclusive_exits_1(tmp_path):
     rows = ["eps,seed,t,paired_l2,w2,m2_boltz,m2_landau"]
     for eps, base in ((0.5, 0.2), (0.25, 0.4)):  # grows as eps shrinks

@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from grazekit import rngstreams
+from grazekit import artifacts, coupling, rngstreams
 from grazekit.boltzmann import BoltzmannConfig
 from grazekit.coupling import (CouplingPlan, Subdivision, build_subdivision,
                                coupled_run, rate_sweep)
-from grazekit.errors import ParameterError
+from grazekit.errors import InstabilityError, ParameterError
 from grazekit.kernels import CoulombKernel, GrazingKernel, SoftKernel
 from grazekit.landau import LandauConfig
 from grazekit.particles import sample_initial
@@ -290,3 +290,80 @@ def test_subdivision_dataclass_shape():
     assert len(bounds) == len(sub.grid)
     assert sub.T == 0.5
     assert np.all(sub.widths > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# early preconditions and the parallel sweep
+# ---------------------------------------------------------------------------
+
+def count_streams(monkeypatch):
+    """Record the name of every stream built from here on."""
+    names = []
+    original = rngstreams.stream
+
+    def counted(seed, name, *indices):
+        names.append(name)
+        return original(seed, name, *indices)
+
+    monkeypatch.setattr(rngstreams, "stream", counted)
+    return names
+
+
+@pytest.mark.parametrize("w2_mode", ["terminal", "all"])
+def test_w2_size_guard_fails_before_slab_compute(monkeypatch, w2_mode):
+    bc, lc, sub, cloud = grazing_setup(4097)
+    names = count_streams(monkeypatch)
+    with pytest.raises(ParameterError, match="4096"):
+        coupled_run(bc, lc, CouplingPlan(seed=3, subdivision=sub), cloud,
+                    w2_mode=w2_mode)
+    with pytest.raises(ParameterError, match="4096"):
+        rate_sweep(bc, lc, [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16],
+                   range(10), w2_mode=w2_mode)
+    assert names and not [m for m in names if m.startswith("slab-")]
+
+
+def small_grazing_sweep():
+    # the size of the CLI rate-sweep test: n = 48, 4 eps, 10 seeds
+    bc = BoltzmannConfig(kernel=GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 2),
+                         n=48, dt=0.3, T=0.3)
+    lc = LandauConfig(gamma=-0.5, n=48, dt=0.3, T=0.3)
+    return rate_sweep(bc, lc, [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16],
+                      range(10))
+
+
+def test_sweep_pool_is_byte_identical_to_serial(monkeypatch):
+    texts = {}
+    for processes in (2, 1):
+        monkeypatch.setattr(coupling, "_process_count",
+                            lambda n_cells, k=processes: k)
+        rep = small_grazing_sweep()
+        texts[processes] = (artifacts.sweep_csv_text(rep),
+                            artifacts.sweep_summary_json_text(rep))
+        assert list(rep.series) == [(e, s) for e in rep.eps_list
+                                    for s in rep.seeds]
+    assert texts[2] == texts[1]
+
+
+def test_sweep_cell_errors_surface_unchanged(monkeypatch):
+    original = coupling.coupled_run
+
+    def unstable(bc, lc, plan, cloud, **kw):
+        if plan.seed == 3 and bc.kernel.eps == np.pi / 8:
+            raise InstabilityError("non-finite state after slab 1 (first "
+                                   "indices [4, 9])",
+                                   indices=np.array([4, 9]))
+        return original(bc, lc, plan, cloud, **kw)
+
+    monkeypatch.setattr(coupling, "coupled_run", unstable)
+    raised = {}
+    for processes in (2, 1):
+        monkeypatch.setattr(coupling, "_process_count",
+                            lambda n_cells, k=processes: k)
+        with pytest.raises(InstabilityError) as info:
+            small_grazing_sweep()
+        raised[processes] = info.value
+    assert type(raised[2]) is type(raised[1]) is InstabilityError
+    assert str(raised[2]) == str(raised[1])
+    assert np.array_equal(raised[2].indices, raised[1].indices)
+    assert raised[2].indices.tolist() == [4, 9]
+    assert coupling._CELLS is None  # the handle lives only while cells run
