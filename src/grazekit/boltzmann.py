@@ -11,6 +11,12 @@ against companions drawn from the cloud itself.  Candidate counts use the
 global bound 2*pi*H(theta_min)*Phi(v_floor)*dt, and each candidate is thinned
 by the ratio of its pair's floored velocity factor to that bound.  Only the
 owner jumps (v -> v'), so momentum and energy are conserved in expectation.
+The candidates run in rounds: round k tests one candidate of every particle
+holding more than k, so until the smallest count every particle takes part.
+A round draws the companions, then one thinning uniform per candidate, then
+a jump coordinate and an azimuth per accepted candidate; it works on
+component-first (3, n) copies of the cloud, so each 3-vector step is a few
+whole-array operations (see geometry).
 Angles below theta_min are not simulated as jumps; they are replaced by their
 analytic mean drift (the compensator with the residual (1-cos) mass below
 theta_min), averaged over a fresh companion subsample.
@@ -40,7 +46,7 @@ import numpy as np
 
 from . import rngstreams
 from .errors import InstabilityError, ParameterError, StabilityError
-from .geometry import deviate, jump_c
+from .geometry import _jump_c, _norm, _safe, deviate, row_norm
 from .kernels import CoulombKernel, GrazingKernel, SoftKernel, residual_k
 from .particles import ParticleCloud, sample_initial  # noqa: F401  (re-export)
 from .trajectory import run_schedule
@@ -145,44 +151,49 @@ def _fresh_companions(rng, owners, n):
 
 def _step_nanbu(X0, kernel, theta_eff, v_floor, lam, dt, drift_sub, rng):
     n = X0.shape[0]
-    X = X0.copy()
     phi_cap = _phi_cap(kernel, v_floor)
     H_max = kernel.tail.H(theta_eff)
     counts = rng.poisson(lam, size=n)
+    # component-first copies (3, n): W0 is the step-start cloud the
+    # companions come from, X the owners' velocities, updated in place
+    W0 = X0.T.copy()
+    X = W0.copy()
+    everyone = np.arange(n)
+    all_active = int(counts.min())
     events = 0
-    for rnd in range(int(counts.max()) if n else 0):
-        owners = np.where(counts > rnd)[0]
-        if owners.size == 0:
-            break
-        comp = _fresh_companions(rng, owners, n)
-        W = X0[comp]
-        V = X[owners]
-        r = np.linalg.norm(V - W, axis=1)
+    for rnd in range(int(counts.max())):
+        if rnd < all_active:
+            owners, V = everyone, X
+        else:
+            owners = (counts > rnd).nonzero()[0]
+            V = X.take(owners, 1)
+        D = V - W0.take(_fresh_companions(rng, owners, n), 1)
+        r = _norm(D)
         accept = rng.random(owners.size) * phi_cap <= \
             _phi_floored(kernel, r, v_floor)
-        if not np.any(accept):
+        acc = accept.nonzero()[0]
+        if acc.size == 0:
             continue
-        idx = owners[accept]
-        V, W, r = V[accept], W[accept], r[accept]
-        # z uniform on [0, Phi(r) H(theta_min)]; jump_c divides by the same
-        # Phi(r), so the angle law is the exact normalized tail law
+        idx = owners[acc]
+        D, ok, rs = _safe(D.take(acc, 1), r[acc])
+        # z uniform on [0, Phi(r) H(theta_min)]; the jump divides by the
+        # same Phi(r), so the angle law is the exact normalized tail law
         with np.errstate(over="ignore", invalid="ignore"):
-            rs = np.where(r > 0.0, r, 1.0)
-            z = rng.random(idx.size) * kernel.phi(rs) * H_max
-            z = np.where(r > 0.0, z, 0.0)
+            phi_r = kernel.phi(rs)
+            z = rng.random(idx.size) * phi_r * H_max
             phi_ang = rng.uniform(0.0, 2.0 * np.pi, idx.size)
-            X[idx] = V + jump_c(kernel, V, W, z, phi_ang)
+            X[:, idx] += _jump_c(kernel, D, ok, rs, phi_r, z, phi_ang)
         events += int(idx.size)
+    X = np.ascontiguousarray(X.T)
 
     # analytic drift for the compensated small-angle tail
     k_res = _residual_cached(kernel, float(theta_eff))
     if k_res > 0.0:
         m = min(drift_sub, n - 1)
         J = rng.integers(0, n - 1, size=(n, m))
-        J[J >= np.arange(n)[:, None]] += 1
-        Z = X[:, None, :] - X0[J]
-        r = np.linalg.norm(Z, axis=2)
-        phi_fl = _phi_floored(kernel, r, v_floor)
+        J[J >= everyone[:, None]] += 1
+        Z = X[:, None, :] - X0.take(J, 0)
+        phi_fl = _phi_floored(kernel, row_norm(Z), v_floor)
         X -= k_res * dt * np.mean(phi_fl[:, :, None] * Z, axis=1)
     return X, events
 
@@ -195,7 +206,7 @@ def _step_symmetric(X0, kernel, theta_eff, v_floor, dt, rng):
     perm = rng.permutation(n)
     ia, ib = perm[:2 * half:2], perm[1:2 * half:2]
     # deviate preserves |va - vb|, so each pair's rate is fixed for the step
-    r = np.linalg.norm(X0[ia] - X0[ib], axis=1)
+    r = row_norm(X0[ia] - X0[ib])
     counts = rng.poisson(
         2.0 * np.pi * H_max * _phi_floored(kernel, r, v_floor) * dt)
     for rnd in range(int(counts.max()) if half else 0):

@@ -98,12 +98,32 @@ _INITIAL_KEYS = ("initial_name", "initial_sigma2", "initial_sigma2_cold",
                  "initial_radius")
 _PLAN_KEYS = ("tanaka", "level", "eta", "truncation_m", "normal_fallback",
               "subdivision_n", "w2_mode")
-# Particle-solver keys the coupled integrator never reads: the coupled
-# commands take no flag for them and reject them from a config file.
-_COUPLED_IGNORED_KEYS = ("update_mode", "drift_subsample", "rate_cap",
-                         "pairing", "m")
-# rate-sweep derives dt from each eps's subdivision as well
-_SWEEP_IGNORED_KEYS = ("dt",) + _COUPLED_IGNORED_KEYS
+# The config keys each command reads, and so its flags.  Any other key
+# (beyond version, seed and out_dir) is refused rather than ignored.
+_COMMAND_KEYS = {
+    "simulate-boltzmann": (_KERNEL_KEYS + _BOLTZ_KEYS + _INITIAL_KEYS
+                           + ("schedule",)),
+    "simulate-landau": _LANDAU_KEYS + _INITIAL_KEYS + ("schedule",),
+    "coupled-run": (_KERNEL_KEYS + ("n", "dt", "T", "theta_min", "v_floor",
+                                    "reg_delta") + _INITIAL_KEYS + _PLAN_KEYS),
+    "rate-sweep": ("family", "gamma", "nu", "h_eps", "eps_list", "seeds", "n",
+                   "T", "p", "tanaka", "level", "normal_fallback", "w2_mode"),
+    "verify-kernels": ("family", "gamma", "nu", "eps_list", "h_eps"),
+    "verify-geometry": ("samples",),
+    "verify-appendix": ("samples", "t_list"),
+    "fit-rate": ("family",),
+}
+_COMMON_KEYS = ("version", "seed", "out_dir")
+_COMMAND_HELP = {
+    "simulate-boltzmann": "Nanbu/symmetric Boltzmann particle run",
+    "simulate-landau": "regularized Landau particle run",
+    "coupled-run": "one coupled Boltzmann/Landau trajectory pair",
+    "rate-sweep": "coupled-distance sweep over a decreasing eps grid",
+    "verify-kernels": "angular-kernel property table",
+    "verify-geometry": "collision-geometry identity table",
+    "verify-appendix": "Gronwall and Poisson-vs-Gaussian checks",
+    "fit-rate": "refit a rate from an existing sweep CSV",
+}
 
 
 def build_parser():
@@ -119,45 +139,13 @@ def build_parser():
                              "else $GRAZEKIT_OUT_DIR, else '.')")
     common.add_argument("--seed", dest="seed", type=int, default=None)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sb = subs.add_parser("simulate-boltzmann", parents=[common],
-                         help="Nanbu/symmetric Boltzmann particle run")
-    _add_flags(sb, _KERNEL_KEYS + _BOLTZ_KEYS + _INITIAL_KEYS + ("schedule",))
-
-    sl = subs.add_parser("simulate-landau", parents=[common],
-                         help="regularized Landau particle run")
-    _add_flags(sl, _LANDAU_KEYS + _INITIAL_KEYS + ("schedule",))
-
-    cr = subs.add_parser("coupled-run", parents=[common],
-                         help="one coupled Boltzmann/Landau trajectory pair")
-    _add_flags(cr, _KERNEL_KEYS + ("n", "dt", "T", "theta_min", "v_floor",
-                                   "reg_delta") + _INITIAL_KEYS + _PLAN_KEYS)
-
-    rs = subs.add_parser("rate-sweep", parents=[common],
-                         help="coupled-distance sweep over a decreasing "
-                              "eps grid")
-    _add_flags(rs, ("family", "gamma", "nu", "h_eps", "eps_list", "seeds",
-                    "n", "T", "p", "tanaka", "level", "normal_fallback",
-                    "w2_mode"))
-
-    vk = subs.add_parser("verify-kernels", parents=[common],
-                         help="angular-kernel property table")
-    _add_flags(vk, ("family", "gamma", "nu", "eps_list", "h_eps"))
-
-    vg = subs.add_parser("verify-geometry", parents=[common],
-                         help="collision-geometry identity table")
-    _add_flags(vg, ("samples",))
-
-    va = subs.add_parser("verify-appendix", parents=[common],
-                         help="Gronwall and Poisson-vs-Gaussian checks")
-    _add_flags(va, ("samples", "t_list"))
-
-    fr = subs.add_parser("fit-rate", parents=[common],
-                         help="refit a rate from an existing sweep CSV")
-    fr.add_argument("--input", required=True,
-                    help="sweep CSV (eps,seed,t,paired_l2,...)")
-    _add_flags(fr, ("family",))
-
+    for command, keys in _COMMAND_KEYS.items():
+        sub = subs.add_parser(command, parents=[common],
+                              help=_COMMAND_HELP[command])
+        if command == "fit-rate":
+            sub.add_argument("--input", required=True,
+                             help="sweep CSV (eps,seed,t,paired_l2,...)")
+        _add_flags(sub, keys)
     return parser
 
 
@@ -184,12 +172,12 @@ def _require(cfg, *keys):
     return [cfg[k] for k in keys]
 
 
-def _reject(cfg, keys, command):
+def _check_fields(cfg, command):
     """Refuse config keys the command would silently ignore."""
-    present = [k for k in keys if k in cfg]
-    if present:
+    unread = sorted(set(cfg) - set(_COMMAND_KEYS[command]) - set(_COMMON_KEYS))
+    if unread:
         raise ParameterError(
-            f"{command} ignores field(s) {', '.join(map(repr, present))}; "
+            f"{command} does not read field(s) {', '.join(map(repr, unread))}; "
             "remove them from the config")
 
 
@@ -263,7 +251,6 @@ def _cmd_simulate_landau(cfg, out_dir):
 
 
 def _cmd_coupled_run(cfg, out_dir):
-    _reject(cfg, _COUPLED_IGNORED_KEYS, "coupled-run")
     kernel = _build_kernel(cfg)
     n, T = _require(cfg, "n", "T")
     seed = cfg.get("seed", 0)
@@ -294,7 +281,6 @@ def _cmd_coupled_run(cfg, out_dir):
 
 
 def _cmd_rate_sweep(cfg, out_dir):
-    _reject(cfg, _SWEEP_IGNORED_KEYS, "rate-sweep")
     family, eps_list, n, T = _require(cfg, "family", "eps_list", "n", "T")
     if family not in ("grazing", "coulomb"):
         raise ParameterError("rate-sweep needs family 'grazing' or 'coulomb'")
@@ -561,6 +547,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = _merge_options(args)
+        _check_fields(cfg, args.command)
         out_dir = args.out_dir or default_out_dir(cfg)
         if args.command == "fit-rate":
             return _cmd_fit_rate(cfg, out_dir, args.input)

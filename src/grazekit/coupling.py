@@ -49,7 +49,7 @@ from scipy import integrate
 from . import rngstreams
 from .boltzmann import BoltzmannConfig, _theta_min_eff
 from .errors import InstabilityError, ParameterError
-from .geometry import frame, phi_zero
+from .geometry import frame, phi_zero, row_norm
 from .kernels import CoulombKernel, GrazingKernel, r_eta, residual_k
 from .landau import LandauConfig
 from .metrics import _W2_SIZE_GUARD, w2_exact
@@ -350,8 +350,8 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
 
         X = V - V[comp]
         Z = Y - Y[comp]
-        rX = np.linalg.norm(X, axis=1)
-        rZ = np.linalg.norm(Z, axis=1)
+        rX = row_norm(X)
+        rZ = row_norm(Z)
         phi_v = np.asarray(kernel.phi(np.maximum(rX, v_floor)), dtype=float)
         phi_l = np.maximum(rZ, delta) ** gamma
 
@@ -422,7 +422,7 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
         cos0, sin0 = np.cos(phi0), np.sin(phi0)
         u2r = cos0 * u2 - sin0 * u3
         u3r = sin0 * u2 + cos0 * u3
-        diff_ok = okZ & (np.linalg.norm(Y[comp], axis=1) < m_trunc)
+        diff_ok = okZ & (row_norm(Y[comp]) < m_trunc)
         if np.any(diff_ok):
             i_z, j_z = frame(Z[diff_ok])
             amp = np.sqrt(delta_t * phi_l[diff_ok] * r_eta_win)

@@ -1,8 +1,10 @@
 """Collision geometry: orthogonal frames, spherical deviations, and the
 jump displacement functions driven by a kernel's tail inverse.
 
-All functions are vectorized over leading axes; a velocity is the last
-axis of length 3. The deterministic frame attached to a relative velocity
+All public functions are vectorized over leading axes; a velocity is the
+last axis of length 3. Internally they work on component-first (3, ...)
+stacks (see below), which the Boltzmann round loop also uses directly.
+The deterministic frame attached to a relative velocity
 X is built from the coordinate axis least aligned with X:
 
     I0 = normalize(e_k x X^),   J0 = X^ x I0,
@@ -11,7 +13,8 @@ X is built from the coordinate axis least aligned with X:
 with s the sign of the first nonzero component of X. The triple
 (X^, I, J) is right-handed for every X (J = X^ x I exactly), which is
 what lets a plane rotation phi_zero align the frames of two nearby
-vectors. Under negation, I(-X) = I(X) and J(-X) = -J(X), both bit-exact.
+vectors. Under negation, I(-X) = I(X) and J(-X) = -J(X), both exact (a
+zero component may change sign).
 (A frame with both members odd cannot be right-handed everywhere: the
 handedness flip it forces is a reflection, which no rotation phi_zero can
 absorb, and the alignment bound fails for pairs straddling the flip set.
@@ -28,6 +31,7 @@ from .errors import DegenerateInputError
 from .kernels import k_constant, residual_k, theta_moment
 
 __all__ = [
+    "row_norm",
     "frame",
     "gamma_vec",
     "gamma_from_frame",
@@ -41,20 +45,97 @@ __all__ = [
 ]
 
 
+# Every routine below works on component-first stacks of shape (3, ...):
+# X[0], X[1], X[2] hold one component of all rows, so a 3-vector formula
+# costs a few whole-array operations instead of reductions and gathers along
+# a length-3 axis.  Each expression keeps numpy's operation order (np.sum
+# and np.linalg.norm over a length-3 axis add left to right from +0,
+# np.cross is a1 b2 - a2 b1, ...), so every result is bit-identical to the
+# row-wise form, signed zeros included.
+
+# a x b = a[i+1] b[i-1] - a[i-1] b[i+1]: take(_NP) stacks (a[i+1], a[i-1]),
+# take(_PN) stacks (b[i-1], b[i+1]), and _E_NP.take(k, 2) stacks
+# (e_k[i+1], e_k[i-1]) for the coordinate axis e_k
+_NP = np.array([[1, 2, 0], [2, 0, 1]])
+_PN = _NP[::-1].copy()
+_E_NP = np.eye(3)[_NP]
+_E0 = np.array([1.0, 0.0, 0.0])
+
+
+def _cols(X):
+    """Component-first view (3, ...) of a (..., 3) array."""
+    return X.T if X.ndim <= 2 else np.moveaxis(X, -1, 0)
+
+
+def _rows(Xc):
+    """The (..., 3) view of a component-first stack."""
+    return Xc.T if Xc.ndim <= 2 else np.moveaxis(Xc, 0, -1)
+
+
+def _stack(X, *per_row):
+    """Component-first stack of X, broadcast against per-row arrays whose
+    shape may extend X's leading shape."""
+    X = np.asarray(X, dtype=float)
+    lead = np.broadcast_shapes(X.shape[:-1], *map(np.shape, per_row))
+    if lead != X.shape[:-1]:
+        X = np.broadcast_to(X, lead + (3,))
+    return _cols(X)
+
+
 def _norm(X):
-    return np.sqrt(np.sum(X * X, axis=-1))
+    """Row norms of a component-first stack, sqrt((x0 x0 + x1 x1) + x2 x2):
+    np.linalg.norm's order (its +0 start is a no-op, a square is never -0)."""
+    S = X * X
+    return np.sqrt(S[0] + S[1] + S[2])
+
+
+def _dot(A, B):
+    """Row dot products of component-first stacks in np.sum's order; the
+    trailing + 0.0 is np.sum's +0 start, which turns an all-negative-zero
+    sum into +0."""
+    P = A * B
+    return P[0] + P[1] + P[2] + 0.0
+
+
+def _cross_c(a, b):
+    """a x b of component-first stacks, in np.cross's operation order."""
+    P = a.take(_NP, 0) * b.take(_PN, 0)
+    return P[0] - P[1]
 
 
 def _cross(a, b):
-    """a x b over the last axis, in np.cross's operation order (so the
-    result is bit-identical) without its per-call axis handling."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(a.shape)
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    """a x b over the last axis of (..., 3) arrays: _cross_c in row form,
+    bit-identical to np.cross."""
+    return _rows(_cross_c(_cols(a), _cols(b)))
+
+
+def row_norm(X):
+    """|X| over the last axis of a (..., 3) array, bit-identical to
+    np.linalg.norm(X, axis=-1)."""
+    return _norm(_cols(np.asarray(X, dtype=float)))
+
+
+def _frame(X, r):
+    """(I, J) of a component-first stack X with row norms r > 0."""
+    Xh = X / r
+    # e_k is the coordinate axis least aligned with X (the first on ties)
+    k = np.abs(Xh).argmin(axis=0)
+    P = _E_NP.take(k, 2) * Xh.take(_PN, 0)
+    I0 = P[0] - P[1]  # e_k x X^, normalized below
+    I0 /= _norm(I0)
+    J0 = _cross_c(Xh, I0)
+    # s * |X| with s the sign of the first nonzero component
+    x0, x1, x2 = X
+    scale = np.copysign(
+        r, np.where(x0 != 0.0, x0, np.where(x1 != 0.0, x1, x2)))
+    return scale * I0, scale * J0
+
+
+def _checked_norm(X):
+    r = _norm(X)
+    if np.any(r == 0.0):
+        raise DegenerateInputError("frame of a zero vector is undefined")
+    return r
 
 
 def frame(X):
@@ -62,21 +143,9 @@ def frame(X):
     |X|, both orthogonal to X and to each other, with (X^, I, J)
     right-handed. Raises DegenerateInputError on any zero vector.
     """
-    X = np.asarray(X, dtype=float)
-    r = _norm(X)
-    if np.any(r == 0.0):
-        raise DegenerateInputError("frame of a zero vector is undefined")
-    Xh = X / r[..., None]
-    k = np.argmin(np.abs(Xh), axis=-1)
-    e = np.eye(3)[k]
-    C = _cross(e, Xh)
-    I0 = C / _norm(C)[..., None]
-    J0 = _cross(Xh, I0)
-    x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
-    s = np.where(x0 != 0.0, np.sign(x0),
-                 np.where(x1 != 0.0, np.sign(x1), np.sign(x2)))
-    scale = (s * r)[..., None]
-    return scale * I0, scale * J0
+    Xc = _stack(X)
+    I, J = _frame(Xc, _checked_norm(Xc))
+    return _rows(I), _rows(J)
 
 
 def gamma_from_frame(I, J, phi):
@@ -87,23 +156,28 @@ def gamma_from_frame(I, J, phi):
 
 def gamma_vec(X, phi):
     """In-plane deviation direction of norm |X|, orthogonal to X."""
-    I, J = frame(X)
-    return gamma_from_frame(I, J, phi)
-
-
-def _displacement(X, theta, phi, r_sq=None):
-    """a = -((1-cos theta)/2) X + (sin(theta)/2) Gamma(X, phi), with zero
-    rows of X contributing zero (no frame needed there)."""
-    X = np.asarray(X, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    r2 = np.sum(X * X, axis=-1) if r_sq is None else r_sq
-    ok = r2 > 0.0
-    Xsafe = np.where(ok[..., None], X, np.array([1.0, 0.0, 0.0]))
-    G = gamma_vec(Xsafe, phi)
-    a = (-(0.5 * (1.0 - np.cos(theta)))[..., None] * Xsafe
-         + (0.5 * np.sin(theta))[..., None] * G)
-    return np.where(ok[..., None], a, 0.0)
+    Xc = _stack(X, phi)
+    I, J = _frame(Xc, _checked_norm(Xc))
+    return _rows(np.cos(phi) * I + np.sin(phi) * J)
+
+
+def _safe(X, r):
+    """(X with zero rows replaced by e_0, ok = r > 0, r or 1) for a
+    component-first stack X with row norms r."""
+    ok = r > 0.0
+    e0 = _E0.reshape((3,) + (1,) * ok.ndim)
+    return np.where(ok, X, e0), ok, np.where(ok, r, 1.0)
+
+
+def _displacement(X, ok, rs, theta, phi):
+    """a = -((1-cos theta)/2) X + (sin(theta)/2) Gamma(X, phi) of a
+    component-first stack X already passed through _safe; rows where ok is
+    False contribute zero."""
+    I, J = _frame(X, rs)
+    G = np.cos(phi) * I + np.sin(phi) * J
+    a = (0.5 * np.sin(theta)) * G - (0.5 * (1.0 - np.cos(theta))) * X
+    return np.where(ok, a, 0.0)
 
 
 def deviate(v, v_star, theta, phi):
@@ -116,7 +190,11 @@ def deviate(v, v_star, theta, phi):
     """
     v = np.asarray(v, dtype=float)
     v_star = np.asarray(v_star, dtype=float)
-    a = _displacement(v - v_star, theta, phi)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    X = _stack(v - v_star, theta, phi)
+    X, ok, rs = _safe(X, _norm(X))
+    a = _rows(_displacement(X, ok, rs, theta, phi))
     return v + a, v_star - a, a
 
 
@@ -129,49 +207,51 @@ def phi_zero(X, Y):
     |Gamma(X, phi) - Gamma(Y, phi + phi_0)| <= 3 |X - Y| for all phi
     (empirically the constant is 1).
     """
-    IX, JX = frame(X)
-    IY, JY = frame(Y)
-    a = np.sum(IX * IY, axis=-1) + np.sum(JX * JY, axis=-1)
-    b = np.sum(IX * JY, axis=-1) - np.sum(JX * IY, axis=-1)
+    Xc, Yc = _stack(X), _stack(Y)
+    IX, JX = _frame(Xc, _checked_norm(Xc))
+    IY, JY = _frame(Yc, _checked_norm(Yc))
+    a = _dot(IX, IY) + _dot(JX, JY)
+    b = _dot(IX, JY) - _dot(JX, IY)
     return np.arctan2(b, a)
 
 
-def _theta_from_z(kernel, r, z):
-    """Deviation angle G(z / Phi(r)) with zero standing in where the
-    relative speed vanishes (the caller masks those rows out)."""
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ok = r > 0.0
-    rs = np.where(ok, r, 1.0)
-    theta = kernel.tail.G(z / kernel.phi(rs))
-    return np.where(ok, theta, 0.0)
+def _theta_from_z(kernel, ok, phi_r, z):
+    """Deviation angle G(z / phi_r), phi_r = Phi(|X|) where ok, with zero
+    standing in where the relative speed vanishes."""
+    return np.where(ok, kernel.tail.G(z / phi_r), 0.0)
+
+
+def _jump_c(kernel, X, ok, rs, phi_r, z, phi):
+    """jump_c of a component-first stack X = v - v* already passed through
+    _safe, with phi_r = Phi(rs)."""
+    theta = _theta_from_z(kernel, ok, phi_r, z)
+    return _displacement(X, ok, rs, theta, phi)
 
 
 def jump_c(kernel, v, v_star, z, phi):
     """Displacement a[v, v*, G(z/Phi(|v-v*|)), phi]: the full collision
     jump at jump coordinate z. Zero when v = v* or when the angle maps to
     zero (beyond a Coulomb kernel's support)."""
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    X = v - v_star
-    r2 = np.sum(X * X, axis=-1)
-    theta = _theta_from_z(kernel, np.sqrt(r2), z)
-    return _displacement(X, theta, phi, r_sq=r2)
+    z = np.asarray(z, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    X = _stack(np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float),
+               z, phi)
+    X, ok, rs = _safe(X, _norm(X))
+    return _rows(_jump_c(kernel, X, ok, rs, kernel.phi(rs), z, phi))
 
 
 def jump_d(kernel, v, v_star, z, phi):
     """Small-angle linearization (1/2) G(z/Phi) Gamma(v-v*, phi) of the
     collision jump (no radial contraction, angle applied linearly)."""
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    X = v - v_star
-    r2 = np.sum(X * X, axis=-1)
-    ok = r2 > 0.0
-    theta = _theta_from_z(kernel, np.sqrt(r2), z)
-    Xsafe = np.where(ok[..., None], X, np.array([1.0, 0.0, 0.0]))
-    G = gamma_vec(Xsafe, np.asarray(phi, dtype=float))
-    d = (0.5 * theta)[..., None] * G
-    return np.where(ok[..., None], d, 0.0)
+    z = np.asarray(z, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    X = _stack(np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float),
+               z, phi)
+    X, ok, rs = _safe(X, _norm(X))
+    theta = _theta_from_z(kernel, ok, kernel.phi(rs), z)
+    I, J = _frame(X, rs)
+    d = (0.5 * theta) * (np.cos(phi) * I + np.sin(phi) * J)
+    return _rows(np.where(ok, d, 0.0))
 
 
 def compensator_drift(kernel, v, v_star, theta_min):
@@ -183,7 +263,7 @@ def compensator_drift(kernel, v, v_star, theta_min):
     v = np.asarray(v, dtype=float)
     v_star = np.asarray(v_star, dtype=float)
     X = v - v_star
-    r = _norm(X)
+    r = row_norm(X)
     ok = r > 0.0
     rs = np.where(ok, r, 1.0)
     k_res = residual_k(kernel, float(theta_min))
@@ -231,7 +311,7 @@ def jump_identity_report(kernel, pairs, *, n_phi: int = 32) -> dict:
     pairs = np.asarray(pairs, dtype=float)
     v, v_star = pairs[:, 0, :], pairs[:, 1, :]
     X = v - v_star
-    r = _norm(X)
+    r = row_norm(X)
     Phi = kernel.phi(r)
     k = k_constant(kernel)
     m4 = theta_moment(kernel, 4.0)
@@ -282,7 +362,7 @@ def coulomb_floor_perturbation_report(eps: float, h_list, pairs,
     pairs = np.asarray(pairs, dtype=float)
     v, v_star = pairs[:, 0, :], pairs[:, 1, :]
     X = v - v_star
-    r = _norm(X)
+    r = row_norm(X)
     base = CoulombKernel(eps, h_eps=0.0)
     tail = base.tail
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi

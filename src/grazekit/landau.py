@@ -25,6 +25,7 @@ import numpy as np
 
 from . import rngstreams
 from .errors import DegenerateInputError, InstabilityError, ParameterError
+from .geometry import row_norm
 from .particles import ParticleCloud
 from .trajectory import run_schedule
 
@@ -98,20 +99,28 @@ class LandauCoefficients:
             raise ParameterError("reg_delta must be >= 0")
 
     def _floored(self, Z):
-        r = np.linalg.norm(Z, axis=-1)
-        return np.maximum(r, self.reg_delta)
+        return np.maximum(row_norm(Z), self.reg_delta)
 
     def drift(self, Z):
         """b_delta for a (..., 3) array of separations."""
+        return self._drift(Z, self._floored(Z))
+
+    def noise(self, Z, dB):
+        """sigma_delta(Z) @ dB for matching (..., 3) arrays."""
+        return self._noise(Z, dB, self._floored(Z))
+
+    def terms(self, Z, dB):
+        """(drift(Z), noise(Z, dB)) from one evaluation of the floored |Z|."""
         rf = self._floored(Z)
+        return self._drift(Z, rf), self._noise(Z, dB, rf)
+
+    def _drift(self, Z, rf):
         w = np.zeros_like(rf)
         alive = rf > 0.0
         w[alive] = rf[alive] ** self.gamma
         return -2.0 * w[..., None] * Z
 
-    def noise(self, Z, dB):
-        """sigma_delta(Z) @ dB for matching (..., 3) arrays."""
-        rf = self._floored(Z)
+    def _noise(self, Z, dB, rf):
         pref = np.zeros_like(rf)
         alive = rf > 0.0
         pref[alive] = rf[alive] ** (self.gamma / 2.0)
@@ -170,8 +179,9 @@ def _step_full(X, coeffs, dt, rng, block=256):
         hi = min(lo + block, n)
         Z = X[lo:hi, None, :] - X[None, :, :]
         dB = rng.normal(scale=np.sqrt(dt), size=Z.shape)
-        drift[lo:hi] = coeffs.drift(Z).sum(axis=1)
-        noise[lo:hi] = coeffs.noise(Z, dB).sum(axis=1)
+        db, ns = coeffs.terms(Z, dB)
+        drift[lo:hi] = db.sum(axis=1)
+        noise[lo:hi] = ns.sum(axis=1)
     scale = n - 1
     return X + (dt / scale) * drift + noise / np.sqrt(scale), n * (n - 1)
 
@@ -182,8 +192,9 @@ def _step_subsampled(X, coeffs, dt, m, rng):
     J[J >= np.arange(n)[:, None]] += 1
     Z = X[:, None, :] - X[J]
     dB = rng.normal(scale=np.sqrt(dt), size=Z.shape)
-    drift = coeffs.drift(Z).sum(axis=1)
-    noise = coeffs.noise(Z, dB).sum(axis=1)
+    db, ns = coeffs.terms(Z, dB)
+    drift = db.sum(axis=1)
+    noise = ns.sum(axis=1)
     return X + (dt / m) * drift + noise / np.sqrt(m), n * m
 
 
@@ -197,8 +208,7 @@ def _step_conservative(X, coeffs, dt, m, rng):
         a, b = perm[:2 * half:2], perm[1:2 * half:2]
         Z = X[a] - X[b]
         dB = rng.normal(scale=np.sqrt(dt), size=(half, 3))
-        db = coeffs.drift(Z)
-        ns = coeffs.noise(Z, dB)
+        db, ns = coeffs.terms(Z, dB)
         drift[a] += db
         drift[b] -= db
         noise[a] += ns

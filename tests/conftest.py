@@ -1,0 +1,7 @@
+"""Shared test settings: property tests draw the same examples every run."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from grazekit import rngstreams
+from grazekit import boltzmann, rngstreams
 from grazekit.boltzmann import BoltzmannConfig, run, step
+from grazekit.geometry import jump_c
 from grazekit.errors import ParameterError, StabilityError
 from grazekit.kernels import CoulombKernel, GrazingKernel, SoftKernel, r_eta
 from grazekit.particles import ParticleCloud, sample_initial
@@ -211,3 +212,91 @@ def test_run_schedule_and_diagnostics():
     assert np.array_equal(traj0.clouds[0].velocities, c0.velocities)
     with pytest.raises(ParameterError):
         run(cfg, c0, schedule=[0.2])
+
+
+def _reference_step_nanbu(X0, kernel, theta_eff, v_floor, lam, dt, drift_sub,
+                          rng):
+    # the row-wise round loop the column form replaced, kept as its oracle
+    B = boltzmann
+    n = X0.shape[0]
+    X = X0.copy()
+    phi_cap = B._phi_cap(kernel, v_floor)
+    H_max = kernel.tail.H(theta_eff)
+    counts = rng.poisson(lam, size=n)
+    events = 0
+    for rnd in range(int(counts.max()) if n else 0):
+        owners = np.where(counts > rnd)[0]
+        if owners.size == 0:
+            break
+        comp = B._fresh_companions(rng, owners, n)
+        W = X0[comp]
+        V = X[owners]
+        r = np.linalg.norm(V - W, axis=1)
+        accept = rng.random(owners.size) * phi_cap <= \
+            B._phi_floored(kernel, r, v_floor)
+        if not np.any(accept):
+            continue
+        idx = owners[accept]
+        V, W, r = V[accept], W[accept], r[accept]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rs = np.where(r > 0.0, r, 1.0)
+            z = rng.random(idx.size) * kernel.phi(rs) * H_max
+            z = np.where(r > 0.0, z, 0.0)
+            phi_ang = rng.uniform(0.0, 2.0 * np.pi, idx.size)
+            X[idx] = V + jump_c(kernel, V, W, z, phi_ang)
+        events += int(idx.size)
+
+    k_res = B._residual_cached(kernel, float(theta_eff))
+    if k_res > 0.0:
+        m = min(drift_sub, n - 1)
+        J = rng.integers(0, n - 1, size=(n, m))
+        J[J >= np.arange(n)[:, None]] += 1
+        Z = X[:, None, :] - X0[J]
+        r = np.linalg.norm(Z, axis=2)
+        phi_fl = B._phi_floored(kernel, r, v_floor)
+        X -= k_res * dt * np.mean(phi_fl[:, :, None] * Z, axis=1)
+    return X, events
+
+
+def _duplicated_cloud(n, seed):
+    # every velocity eight times, so candidates at r = 0 occur (and are
+    # always accepted: the floored rate is the cap there)
+    base = sample_initial(GAUSS, n // 8, rngstreams.stream(seed, "init-dup"))
+    return np.repeat(base.velocities, 8, axis=0)
+
+
+@pytest.mark.parametrize("kernel, theta_eff, v_floor, lam, dup", [
+    pytest.param(GrazingKernel(-0.5, 0.6, np.pi / 8), np.pi / 512, 1e-3,
+                 40.0, False, id="grazing"),
+    pytest.param(SoftKernel(-1.0, 0.6), np.pi / 256, 0.1, 40.0, False,
+                 id="soft"),
+    pytest.param(CoulombKernel(0.1, h_eps=0.5), 0.1, 0.0, 40.0, False,
+                 id="coulomb"),
+    pytest.param(GrazingKernel(-0.5, 0.6, np.pi / 8), np.pi / 512, 0.5,
+                 40.0, True, id="grazing-duplicates"),
+    pytest.param(SoftKernel(-0.5, 0.6), np.pi / 256, 0.5, 0.7, True,
+                 id="soft-small-lambda"),
+])
+def test_nanbu_step_matches_row_oracle(kernel, theta_eff, v_floor, lam, dup):
+    # the column-form round loop must give the same bytes and event count
+    # as the row-wise loop, on both the all-owners rounds (below
+    # counts.min()) and the tail rounds
+    n = 48
+    if dup:
+        X0 = _duplicated_cloud(n, 3)
+    else:
+        X0 = sample_initial(GAUSS, n, rngstreams.stream(4, "init-or")).velocities
+    dt = 0.02
+    # large lam: all-owners rounds, then tail rounds; small lam: tail only
+    counts = rngstreams.stream(5, "oracle").poisson(lam, size=n)
+    assert (counts.min() > 0) == (lam > 1.0)
+    assert counts.max() > counts.min()
+    X_new, ev_new = boltzmann._step_nanbu(
+        X0, kernel, theta_eff, v_floor, lam, dt, 16,
+        rngstreams.stream(5, "oracle"))
+    X_ref, ev_ref = _reference_step_nanbu(
+        X0, kernel, theta_eff, v_floor, lam, dt, 16,
+        rngstreams.stream(5, "oracle"))
+    assert ev_new == ev_ref > 0
+    assert X_new.flags.c_contiguous and X_new.shape == X_ref.shape
+    assert X_new.tobytes() == X_ref.tobytes()

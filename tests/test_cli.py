@@ -224,6 +224,33 @@ def test_coupled_commands_reject_solver_options(tmp_path, base, key, value):
     assert not out.exists()
 
 
+SIMULATE_BOLTZMANN = ["simulate-boltzmann", "--family", "grazing",
+                      "--gamma", "-0.5", "--nu", "0.6", "--eps", "pi/8",
+                      "--n", "48", "--dt", "0.05", "--T", "0.1"]
+SIMULATE_LANDAU = ["simulate-landau", "--gamma", "-1.5", "--n", "32",
+                   "--dt", "0.05", "--T", "0.1"]
+
+
+@pytest.mark.parametrize("base, keys", [
+    (RATE_SWEEP, {"v_floor": 0.3, "initial_name": "uniform-ball",
+                  "schedule": [0.1]}),
+    (SIMULATE_LANDAU, {"update_mode": "symmetric"}),
+    (SIMULATE_BOLTZMANN, {"pairing": "full"}),
+], ids=["rate-sweep", "simulate-landau", "simulate-boltzmann"])
+def test_config_keys_a_command_never_reads_exit_2(tmp_path, base, keys,
+                                                   capsys):
+    # a config key outside the command's own set is refused, not echoed
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path, **keys)
+    assert main(base + ["--config", cfg, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert all(repr(k) in err for k in keys)
+    # the same command without the stray keys runs
+    if base is not RATE_SWEEP:
+        assert main(base + ["--out-dir", str(out)]) == 0
+
+
 def test_coupled_run_keeps_dt_gate(tmp_path):
     # dt is still checked against the subdivision slabs
     out = tmp_path / "never"
