@@ -206,7 +206,7 @@ def _step_symmetric(X0, kernel, theta_eff, v_floor, dt, rng):
     perm = rng.permutation(n)
     ia, ib = perm[:2 * half:2], perm[1:2 * half:2]
     # deviate preserves |va - vb|, so each pair's rate is fixed for the step
-    r = row_norm(X0[ia] - X0[ib])
+    r = row_norm(X0.take(ia, 0) - X0.take(ib, 0))
     counts = rng.poisson(
         2.0 * np.pi * H_max * _phi_floored(kernel, r, v_floor) * dt)
     for rnd in range(int(counts.max()) if half else 0):
@@ -215,7 +215,7 @@ def _step_symmetric(X0, kernel, theta_eff, v_floor, dt, rng):
         u_z = rng.random(act.size)
         phi_ang = rng.uniform(0.0, 2.0 * np.pi, act.size)
         theta = kernel.tail.G(u_z * H_max)
-        X[a], X[b], _ = deviate(X[a], X[b], theta, phi_ang)
+        X[a], X[b], _ = deviate(X.take(a, 0), X.take(b, 0), theta, phi_ang)
     return X, int(counts.sum())
 
 

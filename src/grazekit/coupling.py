@@ -232,22 +232,87 @@ class CoupledResult:
         return float(np.max(self.paired_l2))
 
 
-def _angle_sums(rng, counts, kernel, z_lo, mass, n):
-    """Per-particle sums of (1-cos th), sin th cos/sin ph, th cos/sin ph
-    over `counts` draws from the window tail law; z in [z_lo, z_lo+mass]."""
-    owners = np.repeat(np.arange(n), counts)
-    tot = owners.size
-    th = np.asarray(kernel.tail.G(z_lo + mass * rng.random(tot)))
-    ph = rng.uniform(0.0, 2.0 * np.pi, tot)
-    sin_t, cos_p, sin_p = np.sin(th), np.cos(ph), np.sin(ph)
+# The jump sampler works on blocks of whole particles of about _BLOCK draws,
+# so a block's temporaries stay in cache; a particle with more draws gets a
+# block of its own.  A block with at least _CHAIN draws per particle adds
+# its sums through interleaved (particle, sum) bins, which breaks the chain
+# of dependent adds into one bin; a sparser block takes one bincount per sum.
+_BLOCK = 16384
+_CHAIN = 32
 
-    def acc(w):
-        # bincount yields int64 when owners is empty; keep float semantics
-        return np.bincount(owners, weights=w,
-                           minlength=n).astype(np.float64, copy=False)
 
-    return (acc(1.0 - np.cos(th)), acc(sin_t * cos_p), acc(sin_t * sin_p),
-            acc(th * cos_p), acc(th * sin_p))
+def _blocks(counts, tot):
+    """(p0, p1, s0, s1) per block: particles p0..p1-1 own draws s0..s1-1.
+    A block starts at a particle with draws and ends at a particle
+    boundary."""
+    ends = np.cumsum(counts)
+    s0 = 0
+    while s0 < tot:
+        p0 = int(ends.searchsorted(s0, "right"))
+        p1 = max(int(ends.searchsorted(s0 + _BLOCK, "right")), p0 + 1)
+        s1 = int(ends[p1 - 1])
+        yield p0, p1, s0, s1
+        s0 = s1
+
+
+def _cos_sin(ph):
+    """np.cos(ph) and np.sin(ph) for azimuths in [0, 2 pi), evaluated in
+    the order of 255 buckets of ph.
+
+    libm's sin and cos branch on the argument's range, and random azimuths
+    mispredict those branches; in bucket order they do not.  The values go
+    back to the input order, so the bytes are those of np.cos and np.sin."""
+    # a stable argsort of uint8 keys is a radix sort
+    order = np.argsort((ph * (255.0 / (2.0 * np.pi))).astype(np.uint8),
+                       kind="stable")
+    sorted_ph = ph.take(order)
+    cos_p, sin_p = np.empty_like(ph), np.empty_like(ph)
+    cos_p[order] = np.cos(sorted_ph)
+    sin_p[order] = np.sin(sorted_ph)
+    return cos_p, sin_p
+
+
+def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
+    """Per-particle sums of (1-cos th), sin th cos/sin ph and, with
+    theta_sums, th cos/sin ph over `counts` draws from the window tail law;
+    z in [z_lo, z_lo+mass].  Returns a (5, n) array, (3, n) without
+    theta_sums.
+
+    Draw order: rng.random(total) gives every draw's z coordinate, particle
+    by particle; then each block of L draws takes its azimuths from
+    rng.uniform(0, 2 pi, L), in block order.  These are the Philox words of
+    one uniform(total) call, and the generator ends in the same state.
+    Each particle's sums add its terms in draw order from +0.0, as one
+    bincount over all draws would, so the bytes do not depend on the
+    blocks."""
+    k = 5 if theta_sums else 3
+    tot = int(np.sum(counts))
+    u = rng.random(tot)
+    sums = np.zeros((k, n))
+    for p0, p1, s0, s1 in _blocks(counts, tot):
+        nb, size = p1 - p0, s1 - s0
+        th = np.asarray(kernel.tail.G(z_lo + mass * u[s0:s1]))
+        cos_p, sin_p = _cos_sin(rng.uniform(0.0, 2.0 * np.pi, size))
+        sin_t = np.sin(th)
+        interleave = size >= _CHAIN * nb
+        # w[:, j] is term j, held draw-major when interleaved
+        w = np.empty((size, k)) if interleave else np.empty((k, size)).T
+        np.subtract(1.0, np.cos(th), out=w[:, 0])
+        np.multiply(sin_t, cos_p, out=w[:, 1])
+        np.multiply(sin_t, sin_p, out=w[:, 2])
+        if theta_sums:
+            np.multiply(th, cos_p, out=w[:, 3])
+            np.multiply(th, sin_p, out=w[:, 4])
+        if interleave:
+            slots = np.repeat(np.arange(k * nb).reshape(nb, k),
+                              counts[p0:p1], axis=0)
+            sums[:, p0:p1] = np.bincount(slots.ravel(), w.ravel(),
+                                         k * nb).reshape(nb, k).T
+        else:
+            owners = np.repeat(np.arange(nb), counts[p0:p1])
+            for j in range(k):
+                sums[j, p0:p1] = np.bincount(owners, w[:, j], nb)
+    return sums
 
 
 def _check_run(boltz_config, landau_config, plan, initial_cloud, w2_mode):
@@ -348,8 +413,9 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
         comp += comp >= np.arange(n)
         rng_j = plan.jump_stream(k)
 
-        X = V - V[comp]
-        Z = Y - Y[comp]
+        Vc, Yc = V.take(comp, 0), Y.take(comp, 0)
+        X = V - Vc
+        Z = Y - Yc
         rX = row_norm(X)
         rZ = row_norm(Z)
         phi_v = np.asarray(kernel.phi(np.maximum(rX, v_floor)), dtype=float)
@@ -378,8 +444,8 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
             lam_lg = delta_t * phi_v * 2.0 * np.pi * mass_lg
             counts_lg = rng_j.poisson(lam_lg)
             events += int(counts_lg.sum())
-            l1, l2, l3, _, _ = _angle_sums(
-                rng_j, counts_lg, kernel, 0.0, mass_lg, n)
+            l1, l2, l3 = _angle_sums(rng_j, counts_lg, kernel, 0.0, mass_lg,
+                                     n, theta_sums=False)
             s1 += l1 - lam_lg * mu1_lg
             s2 += l2
             s3 += l3
@@ -393,7 +459,7 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
 
         # --- V side: exponential mean drift + centered fluctuations
         contract_v = np.exp(-k_full * phi_v * delta_t)
-        V_new = V[comp] + contract_v[:, None] * X
+        V_new = Vc + contract_v[:, None] * X
         if np.any(okX):
             i_x, j_x = frame(X[okX])
             V_new[okX] += (-0.5 * s1[okX, None] * X[okX]
@@ -405,7 +471,7 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
         # the matched window draws, the above-eta band (r_tail) by the
         # standardized large-jump aggregate (or fresh normals off-level)
         contract_l = np.exp(-2.0 * phi_l * delta_t)
-        Y_new = Y[comp] + contract_l[:, None] * Z
+        Y_new = Yc + contract_l[:, None] * Z
         if plan.level == "gaussian":
             sig_t = 2.0 * np.sqrt(delta_t * phi_v * r_eta_win)
             u2, u3 = t2 / sig_t, t3 / sig_t
@@ -422,7 +488,7 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
         cos0, sin0 = np.cos(phi0), np.sin(phi0)
         u2r = cos0 * u2 - sin0 * u3
         u3r = sin0 * u2 + cos0 * u3
-        diff_ok = okZ & (row_norm(Y[comp]) < m_trunc)
+        diff_ok = okZ & (row_norm(Yc) < m_trunc)
         if np.any(diff_ok):
             i_z, j_z = frame(Z[diff_ok])
             amp = np.sqrt(delta_t * phi_l[diff_ok] * r_eta_win)

@@ -190,7 +190,7 @@ def _step_subsampled(X, coeffs, dt, m, rng):
     n = X.shape[0]
     J = rng.integers(0, n - 1, size=(n, m))
     J[J >= np.arange(n)[:, None]] += 1
-    Z = X[:, None, :] - X[J]
+    Z = X[:, None, :] - X.take(J, 0)
     dB = rng.normal(scale=np.sqrt(dt), size=Z.shape)
     db, ns = coeffs.terms(Z, dB)
     drift = db.sum(axis=1)
@@ -206,7 +206,7 @@ def _step_conservative(X, coeffs, dt, m, rng):
     for _ in range(m):
         perm = rng.permutation(n)
         a, b = perm[:2 * half:2], perm[1:2 * half:2]
-        Z = X[a] - X[b]
+        Z = X.take(a, 0) - X.take(b, 0)
         dB = rng.normal(scale=np.sqrt(dt), size=(half, 3))
         db, ns = coeffs.terms(Z, dB)
         drift[a] += db

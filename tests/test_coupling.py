@@ -5,6 +5,8 @@ frozen here; sweeps and coupled runs are deterministic given (config, seed).
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,3 +369,166 @@ def test_sweep_cell_errors_surface_unchanged(monkeypatch):
     assert np.array_equal(raised[2].indices, raised[1].indices)
     assert raised[2].indices.tolist() == [4, 9]
     assert coupling._CELLS is None  # the handle lives only while cells run
+
+
+# ---------------------------------------------------------------------------
+# the blocked jump sampler against the one-shot sampler it replaced
+# ---------------------------------------------------------------------------
+
+def one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n):
+    """The jump sampler before blocking: one array the length of all draws."""
+    owners = np.repeat(np.arange(n), counts)
+    tot = owners.size
+    th = np.asarray(kernel.tail.G(z_lo + mass * rng.random(tot)))
+    ph = rng.uniform(0.0, 2.0 * np.pi, tot)
+    sin_t, cos_p, sin_p = np.sin(th), np.cos(ph), np.sin(ph)
+
+    def acc(w):
+        # bincount yields int64 when owners is empty; keep float semantics
+        return np.bincount(owners, weights=w,
+                           minlength=n).astype(np.float64, copy=False)
+
+    return (acc(1.0 - np.cos(th)), acc(sin_t * cos_p), acc(sin_t * sin_p),
+            acc(th * cos_p), acc(th * sin_p))
+
+
+def same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+SAMPLER_KERNELS = {
+    "grazing": GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 16),
+    "soft": SoftKernel(gamma=-0.5, nu=0.6),
+    "coulomb": CoulombKernel(eps=0.01),
+}
+
+
+def sampler_counts(case):
+    rng = np.random.default_rng(17)
+    if case == "zeros":            # every third particle draws nothing
+        counts = rng.poisson(40.0, 300)
+        counts[::3] = 0
+    elif case == "all-zero":
+        counts = np.zeros(64, dtype=np.int64)
+    elif case == "above-block":    # one particle alone outgrows a block
+        counts = rng.poisson(3.0, 200)
+        counts[77] = coupling._BLOCK + 5
+    elif case == "sparse":         # per-sum bincounts
+        counts = rng.poisson(1.0, 500)
+    else:                          # interleaved bins over several blocks
+        counts = rng.poisson(200.0, 400)
+    return counts
+
+
+@pytest.mark.parametrize("drawn", [0, 3])  # words drawn before the call
+@pytest.mark.parametrize("block", ["shipped", "tiny"])
+@pytest.mark.parametrize("case", ["zeros", "all-zero", "above-block",
+                                  "sparse", "dense"])
+@pytest.mark.parametrize("family", list(SAMPLER_KERNELS))
+def test_blocked_sampler_matches_one_shot(monkeypatch, family, case, block,
+                                          drawn):
+    if block == "tiny":  # blocks of a few draws end inside most particles
+        monkeypatch.setattr(coupling, "_BLOCK", 5)
+        monkeypatch.setattr(coupling, "_CHAIN", 2)
+    kernel = SAMPLER_KERNELS[family]
+    counts = sampler_counts(case)
+    n = counts.size
+    mass = float(np.asarray(kernel.tail.H(0.05)))
+    for theta_sums in (True, False):
+        ref_rng = rngstreams.stream(4, "slab-jump", 1)
+        new_rng = rngstreams.stream(4, "slab-jump", 1)
+        ref_rng.bit_generator.random_raw(drawn)
+        new_rng.bit_generator.random_raw(drawn)
+        ref = one_shot_angle_sums(ref_rng, counts, kernel, 0.3, mass, n)
+        new = coupling._angle_sums(new_rng, counts, kernel, 0.3, mass, n,
+                                   theta_sums=theta_sums)
+        assert len(new) == (5 if theta_sums else 3)
+        for r, s in zip(ref, new):
+            assert s.dtype == np.float64 and r.dtype == np.float64
+            assert s.tobytes() == r.tobytes()
+        assert same_state(new_rng.bit_generator.state,
+                          ref_rng.bit_generator.state)
+    if case == "all-zero":
+        assert not np.any(new) and np.signbit(new).sum() == 0
+
+
+def test_bucketed_cos_sin_is_bytewise_numpy():
+    ph = np.concatenate((rngstreams.stream(2, "slab-jump", 0).uniform(
+        0.0, 2.0 * np.pi, 5000), [0.0, np.pi / 2, np.pi, 1.5 * np.pi,
+                                 np.nextafter(2.0 * np.pi, 0.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no out-of-range uint8 cast
+        cos_p, sin_p = coupling._cos_sin(ph)
+    assert cos_p.tobytes() == np.cos(ph).tobytes()
+    assert sin_p.tobytes() == np.sin(ph).tobytes()
+
+
+def reference_sampler(calls):
+    """The one-shot sampler with the blocked sampler's signature; records
+    each call's counts and theta_sums."""
+    def sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
+        calls.append((np.array(counts), theta_sums))
+        out = one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n)
+        return out if theta_sums else out[:3]
+    return sums
+
+
+def coulomb_band_setup(n_part=128, seed=5):
+    kern = CoulombKernel(eps=0.01)
+    cloud = sample_initial(GAUSS, n_part, rngstreams.stream(seed, "coupled-init"))
+    sub = build_subdivision(sqrt_inv, 0.3, 2)
+    dtv = 0.5 * min(b - a for a, b in sub.slab_bounds())
+    floor = 0.05 * math.sqrt(3)
+    bc = BoltzmannConfig(kernel=kern, n=n_part, dt=dtv, T=0.3, v_floor=floor)
+    lc = LandauConfig(gamma=-3.0, n=n_part, dt=dtv, T=0.3, reg_delta=floor)
+    return bc, lc, sub, cloud
+
+
+@pytest.mark.parametrize("setup", ["grazing", "coulomb-band",
+                                   "coulomb-fallback"])
+def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
+    if setup == "grazing":
+        bc, lc, sub, cloud = grazing_setup(256, eps=np.pi / 16, n_sub=2)
+        plan = CouplingPlan(seed=7, subdivision=sub)
+    else:
+        bc, lc, sub, cloud = coulomb_band_setup()
+        plan = CouplingPlan(seed=5, subdivision=sub,
+                            eta=1.0 / math.log(100.0),
+                            normal_fallback=300 if setup == "coulomb-fallback"
+                            else 100_000)
+    new = coupled_run(bc, lc, plan, cloud, w2_mode="all")
+    calls = []
+    monkeypatch.setattr(coupling, "_angle_sums", reference_sampler(calls))
+    ref = coupled_run(bc, lc, plan, cloud, w2_mode="all")
+    for field in ("times", "paired_l2", "w2", "m2_boltz", "m2_landau"):
+        assert np.array_equal(getattr(new, field), getattr(ref, field))
+    assert np.array_equal(new.boltz_cloud.velocities,
+                          ref.boltz_cloud.velocities)
+    assert np.array_equal(new.landau_cloud.velocities,
+                          ref.landau_cloud.velocities)
+    assert new.events == ref.events
+    window = [c for c, theta_sums in calls if theta_sums]
+    band = [c for c, theta_sums in calls if not theta_sums]
+    assert len(window) == len(sub.slab_bounds())
+    assert len(band) == (0 if setup == "grazing" else len(window))
+    if setup == "coulomb-fallback":  # fallback pairs reach the sampler as 0
+        assert any(np.any(c == 0) and np.any(c > 0) for c in window)
+
+
+def test_sampler_memory_is_one_float_per_draw():
+    kernel = GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 16)
+    counts = np.full(4096, 512)  # 2 097 152 draws, 32 particles per block
+    tot = int(counts.sum())
+    mass = float(np.asarray(kernel.tail.H(kernel.eps / 64.0)))
+    rng = rngstreams.stream(0, "slab-jump", 0)
+    tracemalloc.start()
+    try:
+        coupling._angle_sums(rng, counts, kernel, 0.0, mass, counts.size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the z uniforms of every draw, plus one block's temporaries; the
+    # one-shot sampler held 8 arrays the length of all draws at its peak
+    assert peak < 8 * tot + 32 * 8 * coupling._BLOCK
