@@ -68,8 +68,9 @@ def snapshots_csv_text(trajectory):
     lines = ["t,particle,vx,vy,vz"]
     for cloud in trajectory.clouds:
         t = _fmt(cloud.time)
-        for i, (vx, vy, vz) in enumerate(cloud.velocities):
-            lines.append(f"{t},{i},{_fmt(vx)},{_fmt(vy)},{_fmt(vz)}")
+        # tolist gives Python floats, whose repr is _fmt's
+        for i, (vx, vy, vz) in enumerate(cloud.velocities.tolist()):
+            lines.append(f"{t},{i},{vx!r},{vy!r},{vz!r}")
     return "\n".join(lines) + "\n"
 
 

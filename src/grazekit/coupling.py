@@ -31,6 +31,20 @@ frame with the Boltzmann pair frame when the toggle is on.  Per-pair
 candidate counts above normal_fallback switch to their conditional Gaussian
 aggregate (same moments), keeping cost bounded at small eps.
 
+Neither side carries the jumps below the window bottom theta_min beyond
+their mean drift (k_res): their diffusion, a share r_eta(theta_min) of the
+Landau diffusion (0.30 % at the grazing default eps/64 with nu = 0.6), is
+left out on both sides alike.  Coulomb windows start at the support edge,
+so nothing is left out there.
+
+The jump sampler takes each azimuth phi = 2 pi u from the Philox words of
+rng.uniform(0, 2 pi) and evaluates cos phi, sin phi from a 1025-entry table
+and the angle-addition formula (_azimuth_cos_sin), within 5e-16 of np.cos
+and np.sin.  Theta stays on libm.  Draws, event counts and generator states
+are those of the libm version; the sweep and coupled-run bytes differ from
+it at rounding level only (paired_l2 within 4e-15 relative on the
+criterion-11 and criterion-12 sweeps).
+
 rate_sweep builds and checks every (eps, seed) cell first, then runs the
 cells on every core in the process's CPU affinity (a forked process pool;
 in-process with one core or one cell).  Each cell draws only from streams
@@ -255,20 +269,50 @@ def _blocks(counts, tot):
         s0 = s1
 
 
-def _cos_sin(ph):
-    """np.cos(ph) and np.sin(ph) for azimuths in [0, 2 pi), evaluated in
-    the order of 255 buckets of ph.
+# Azimuth trig: phi = 2 pi u is split at the nearest of _AZ_CELLS + 1 table
+# angles 2 pi j / _AZ_CELLS, and cos phi, sin phi follow from the angle-
+# addition formula with short Taylor polynomials of the offset |d| <= pi /
+# _AZ_CELLS (truncation below 1e-18).  The table is rounded once from long
+# double angles, so the result sits within a few 1e-16 of np.cos and np.sin
+# (within 9e-16 where long double is double).
+_AZ_CELLS = 1024
+_AZ_STEP = 2.0 * np.pi / _AZ_CELLS
+_AZ_ANGLES = np.arange(_AZ_CELLS + 1, dtype=np.longdouble) \
+    * np.longdouble(2.0 * np.pi) / _AZ_CELLS
+_AZ_COS = np.cos(_AZ_ANGLES).astype(np.float64)
+_AZ_SIN = np.sin(_AZ_ANGLES).astype(np.float64)
+_AZ_C2, _AZ_C4 = -_AZ_STEP ** 2 / 2.0, _AZ_STEP ** 4 / 24.0
+_AZ_S3, _AZ_S5 = -_AZ_STEP ** 3 / 6.0, _AZ_STEP ** 5 / 120.0
 
-    libm's sin and cos branch on the argument's range, and random azimuths
-    mispredict those branches; in bucket order they do not.  The values go
-    back to the input order, so the bytes are those of np.cos and np.sin."""
-    # a stable argsort of uint8 keys is a radix sort
-    order = np.argsort((ph * (255.0 / (2.0 * np.pi))).astype(np.uint8),
-                       kind="stable")
-    sorted_ph = ph.take(order)
-    cos_p, sin_p = np.empty_like(ph), np.empty_like(ph)
-    cos_p[order] = np.cos(sorted_ph)
-    sin_p[order] = np.sin(sorted_ph)
+
+def _azimuth_cos_sin(u):
+    """cos and sin of the azimuths 2 pi u for uniforms u in [0, 1), in
+    draw order; overwrites u.
+
+    u * _AZ_CELLS is exact, so the table index j and the in-cell offset
+    d = u * _AZ_CELLS - j are exact too; the azimuth is the table angle
+    plus d * _AZ_STEP."""
+    t = np.multiply(u, _AZ_CELLS, out=u)
+    j = (t + 0.5).astype(np.intp)
+    d = np.subtract(t, j, out=t)
+    c, s = _AZ_COS.take(j), _AZ_SIN.take(j)
+    del j
+    d2 = d * d
+    cm1 = _AZ_C4 * d2             # cos(d * step) - 1
+    cm1 += _AZ_C2
+    cm1 *= d2
+    sn = _AZ_S5 * d2              # sin(d * step)
+    sn += _AZ_S3
+    sn *= d2
+    sn += _AZ_STEP
+    sn *= d
+    # the products land in buffers that are no longer read
+    cos_p = np.multiply(c, cm1, out=d2)
+    cos_p -= np.multiply(s, sn, out=d)
+    cos_p += c
+    sin_p = np.multiply(s, cm1, out=cm1)
+    sin_p += np.multiply(c, sn, out=sn)
+    sin_p += s
     return cos_p, sin_p
 
 
@@ -279,9 +323,9 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     theta_sums.
 
     Draw order: rng.random(total) gives every draw's z coordinate, particle
-    by particle; then each block of L draws takes its azimuths from
-    rng.uniform(0, 2 pi, L), in block order.  These are the Philox words of
-    one uniform(total) call, and the generator ends in the same state.
+    by particle; then each block of L draws takes its azimuth uniforms from
+    rng.random(L), in block order.  These are the Philox words of one
+    uniform(0, 2 pi, total) call, and the generator ends in the same state.
     Each particle's sums add its terms in draw order from +0.0, as one
     bincount over all draws would, so the bytes do not depend on the
     blocks."""
@@ -292,7 +336,7 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     for p0, p1, s0, s1 in _blocks(counts, tot):
         nb, size = p1 - p0, s1 - s0
         th = np.asarray(kernel.tail.G(z_lo + mass * u[s0:s1]))
-        cos_p, sin_p = _cos_sin(rng.uniform(0.0, 2.0 * np.pi, size))
+        cos_p, sin_p = _azimuth_cos_sin(rng.random(size))
         sin_t = np.sin(th)
         interleave = size >= _CHAIN * nb
         # w[:, j] is term j, held draw-major when interleaved

@@ -201,21 +201,26 @@ def _step_subsampled(X, coeffs, dt, m, rng):
 def _step_conservative(X, coeffs, dt, m, rng):
     n = X.shape[0]
     half = n // 2
-    drift = np.zeros_like(X)
-    noise = np.zeros_like(X)
+    idx = np.arange(n)
+    inv = np.empty(n, dtype=np.intp)
+    acc = np.zeros((n, 6))  # drift | noise per particle
+    # one round's increments in matching order: pair i's first particle
+    # takes +(drift, noise), its second the negation; an odd N leaves an
+    # idle last slot of +0.0, which keeps every sum as it was
+    rows = np.zeros((n, 6))
+    pairs = rows[:2 * half].reshape(half, 2, 6)
     for _ in range(m):
         perm = rng.permutation(n)
         a, b = perm[:2 * half:2], perm[1:2 * half:2]
         Z = X.take(a, 0) - X.take(b, 0)
         dB = rng.normal(scale=np.sqrt(dt), size=(half, 3))
-        db, ns = coeffs.terms(Z, dB)
-        drift[a] += db
-        drift[b] -= db
-        noise[a] += ns
-        noise[b] -= ns
+        pairs[:, 0, :3], pairs[:, 0, 3:] = coeffs.terms(Z, dB)
+        np.negative(pairs[:, 0], out=pairs[:, 1])
+        inv[perm] = idx
+        acc += rows.take(inv, 0)
     # uniform 1/m normalization keeps the matched pair's increments exactly
     # antisymmetric (an unmatched particle in an odd-N round just idles)
-    return X + (dt / m) * drift + noise / np.sqrt(m), m * half
+    return X + (dt / m) * acc[:, :3] + acc[:, 3:] / np.sqrt(m), m * half
 
 
 def step(cloud, config, rng):

@@ -25,6 +25,7 @@ Measured reference points (pilot, this machine):
 import math
 
 import numpy as np
+import pytest
 
 import grazekit.geometry as G
 import grazekit.kernels as K
@@ -132,6 +133,7 @@ def test_criterion_05_tanaka_frame_alignment():
     assert worst <= 3.0
 
 
+@pytest.mark.slow
 def test_criterion_06_landau_coefficient_identities():
     # sigma sigma^T = l and sigma^T z = 0 on 1e5 random z (errors scaled by
     # the natural powers of |z| so soft-potential blowup near zero does not
@@ -221,6 +223,7 @@ def test_criterion_08_subdivision_grids():
             assert sub.riemann_sum() <= 3.0 * integral + 3.0
 
 
+@pytest.mark.slow
 def test_criterion_09_gronwall_envelope():
     # Saturated growth stays under the explicit envelope C(K)(a^exp(-K) + a)
     # for every (a, rate) combination, and the two independent integrators
@@ -246,6 +249,7 @@ def test_criterion_09_gronwall_envelope():
             assert rep.integrator_gap <= 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_10_poisson_gaussian_distance():
     # Compensated-Poisson vs matched-Gaussian W2^2 stays below its envelope
     # (ratio <= 1.5; measured <= 0.54) across three orders of magnitude in t
@@ -259,6 +263,7 @@ def test_criterion_10_poisson_gaussian_distance():
         assert np.isfinite(rep.control_ratio) and rep.control_ratio > 0.0, t
 
 
+@pytest.mark.slow
 def test_criterion_11_grazing_rate_sweep():
     # Full-scale grazing sweep: mean coupled distance strictly decreasing in
     # eps and the fitted log-log slope at least 0.3 (measured 0.404 +- 0.011,
@@ -275,6 +280,7 @@ def test_criterion_11_grazing_rate_sweep():
     assert rep.slope >= 0.3
 
 
+@pytest.mark.slow
 def test_criterion_12_coulomb_rate_sweep():
     # Full-scale Coulomb sweep (h_eps = eps): distances non-increasing within
     # error bars, i.e. every consecutive paired difference below twice its

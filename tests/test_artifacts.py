@@ -64,6 +64,26 @@ def test_snapshots_csv_deterministic():
     assert a == b
 
 
+def test_snapshots_csv_matches_per_scalar_form():
+    """Rows come from tolist() and repr; the text is that of repr(float(x))
+    per numpy scalar, signed zeros, subnormals and non-finite values too."""
+    odd = np.array([[-0.0, 0.0, 5e-324], [np.nan, -np.inf, np.inf],
+                    [-2.2250738585072014e-308, 1e-310, 1.0 / 3.0],
+                    [1e300, -7.0, 0.1]])
+    clouds = [SimpleNamespace(time=t, velocities=v) for t, v in
+              ((0.0, odd), (0.25, np.random.default_rng(5).normal(size=(9, 3))),
+               (-0.0, odd[::-1].copy()))]
+    lines = ["t,particle,vx,vy,vz"]
+    for cloud in clouds:
+        t = repr(float(cloud.time))
+        for i, (vx, vy, vz) in enumerate(cloud.velocities):
+            lines.append(f"{t},{i},{repr(float(vx))},{repr(float(vy))},"
+                         f"{repr(float(vz))}")
+    text = snapshots_csv_text(SimpleNamespace(clouds=clouds))
+    assert text == "\n".join(lines) + "\n"
+    assert "-0.0,0.0,5e-324" in text and "nan,-inf,inf" in text
+
+
 def test_diagnostics_json_key_order_and_nan():
     traj = small_trajectory(n=6, snapshots=2)
     body = json.loads(diagnostics_json_text(traj))

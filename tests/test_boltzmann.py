@@ -19,6 +19,7 @@ def pair_cloud(r):
     return ParticleCloud(velocities=v)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("mode,scale,r0", [
     pytest.param("symmetric", 1.0, 2.0, id="symmetric-1.0"),
     pytest.param("nanbu", 2.0, 2.0, id="nanbu-2.0"),

@@ -67,6 +67,7 @@ def test_verify_geometry_passes(tmp_path):
     assert all(r[-1] == "pass" for r in rows)
 
 
+@pytest.mark.slow
 def test_verify_appendix_passes(tmp_path):
     assert main(["verify-appendix", "--samples", "1024", "--t-list", "1,10",
                  "--out-dir", str(tmp_path)]) == 0

@@ -6,8 +6,9 @@ import pytest
 from grazekit import rngstreams
 from grazekit.errors import (DegenerateInputError, InstabilityError,
                              ParameterError)
-from grazekit.landau import (LandauCoefficients, LandauConfig, b_eval, run,
-                             sigma_eval, step)
+from grazekit.landau import (LandauCoefficients, LandauConfig,
+                             _step_conservative, b_eval, run, sigma_eval,
+                             step)
 from grazekit.particles import ParticleCloud, sample_initial
 
 
@@ -134,6 +135,42 @@ def test_conservative_momentum_per_step():
         assert np.abs(c.momentum()).max() < 1e-12
     assert c.time == pytest.approx(0.05)
     assert c.events == 5 * 16 * 64
+
+
+def scatter_step_conservative(X, coeffs, dt, m, rng):
+    """The conservative step with one fancy-index scatter per term and sign,
+    as it was before the gather accumulator."""
+    n = X.shape[0]
+    half = n // 2
+    drift = np.zeros_like(X)
+    noise = np.zeros_like(X)
+    for _ in range(m):
+        perm = rng.permutation(n)
+        a, b = perm[:2 * half:2], perm[1:2 * half:2]
+        Z = X.take(a, 0) - X.take(b, 0)
+        dB = rng.normal(scale=np.sqrt(dt), size=(half, 3))
+        db, ns = coeffs.terms(Z, dB)
+        drift[a] += db
+        drift[b] -= db
+        noise[a] += ns
+        noise[b] -= ns
+    return X + (dt / m) * drift + noise / np.sqrt(m), m * half
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_conservative_step_matches_scatter_loop(n, duplicates):
+    X = sample_initial({"name": "isotropic-gaussian", "sigma2": 1.0}, n,
+                       np.random.default_rng(n)).velocities
+    if duplicates:  # coincident pairs give zero (and -0.0) increments
+        X[1::2] = X[0:n - 1:2] if n % 2 else X[0::2]
+    coeffs = LandauCoefficients(-1.0, 0.0 if duplicates else 0.05)
+    ref_rng = rngstreams.stream(3, "landau-step", n)
+    new_rng = rngstreams.stream(3, "landau-step", n)
+    ref, ref_events = scatter_step_conservative(X, coeffs, 0.01, 7, ref_rng)
+    new, new_events = _step_conservative(X, coeffs, 0.01, 7, new_rng)
+    assert new.tobytes() == ref.tobytes() and new_events == ref_events
+    assert str(new_rng.bit_generator.state) == str(ref_rng.bit_generator.state)
 
 
 def test_same_velocity_pair_is_inert():

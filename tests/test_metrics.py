@@ -97,6 +97,7 @@ def test_w2_exact_guards():
         w2_exact(big, big)
 
 
+@pytest.mark.slow
 def test_w2_entropic_reg_sweep_converges_to_exact():
     A, B = seeded_pair()
     exact = w2_exact(A, B)
@@ -112,6 +113,7 @@ def test_w2_entropic_reg_sweep_converges_to_exact():
     assert errs[2] < 1e-3
 
 
+@pytest.mark.slow
 def test_w2_entropic_identical_clouds_and_symmetry():
     A, B = seeded_pair(128)
     assert w2_entropic(A, A, reg=1e-2) == 0.0

@@ -153,6 +153,7 @@ def test_poisson_gaussian_sample_count_guard():
         poisson_gaussian_w2(spec, 999, np.random.default_rng(0))
 
 
+@pytest.mark.slow
 def test_poisson_gaussian_ratio_bounded_over_sweep():
     # five-point horizon sweep: ratio stays under the pinned cap and the
     # compensation moment checks hold
