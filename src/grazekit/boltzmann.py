@@ -45,11 +45,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rngstreams
-from .errors import InstabilityError, ParameterError, StabilityError
+from .errors import ParameterError, StabilityError
 from .geometry import _jump_c, _norm, _safe, deviate, row_norm
 from .kernels import CoulombKernel, GrazingKernel, SoftKernel, residual_k
-from .particles import ParticleCloud, sample_initial  # noqa: F401  (re-export)
-from .trajectory import run_schedule
+from .particles import sample_initial  # noqa: F401  (re-export)
+from .trajectory import check_cloud_size, next_cloud, run_schedule
 
 __all__ = ["BoltzmannConfig", "step", "run", "sample_initial"]
 
@@ -80,24 +80,30 @@ class BoltzmannConfig:
     rate_cap: float = 1e4
 
     def __post_init__(self):
-        if not isinstance(self.kernel, _KERNEL_TYPES):
-            raise ParameterError("kernel must be a soft/grazing/coulomb kernel")
+        _check_jump_options(self.kernel, self.theta_min, self.v_floor)
         if self.n < 2:
             raise ParameterError("need at least 2 particles")
         if not (self.dt > 0.0):
             raise ParameterError("dt must be positive")
         if not (self.T >= 0.0):
             raise ParameterError("T must be >= 0")
-        if self.theta_min is not None and not (0.0 < self.theta_min <= np.pi):
-            raise ParameterError("theta_min must lie in (0, pi]")
-        if self.v_floor is not None and not (self.v_floor >= 0.0):
-            raise ParameterError("v_floor must be >= 0")
         if self.update_mode not in _UPDATE_MODES:
             raise ParameterError(f"update_mode must be one of {_UPDATE_MODES}")
         if self.drift_subsample < 1:
             raise ParameterError("drift_subsample must be >= 1")
         if not (self.rate_cap > 0.0):
             raise ParameterError("rate_cap must be positive")
+
+
+def _check_jump_options(kernel, theta_min, v_floor):
+    """The kernel, theta_min and v_floor checks of every jump-process
+    config (this one and coupling.CouplingPlan)."""
+    if not isinstance(kernel, _KERNEL_TYPES):
+        raise ParameterError("kernel must be a soft/grazing/coulomb kernel")
+    if theta_min is not None and not (0.0 < theta_min <= np.pi):
+        raise ParameterError("theta_min must lie in (0, pi]")
+    if v_floor is not None and not (v_floor >= 0.0):
+        raise ParameterError("v_floor must be >= 0")
 
 
 def _theta_min_eff(config):
@@ -231,9 +237,7 @@ def step(cloud, config, rng):
     largest expected event count per pair.  Raises InstabilityError if any
     velocity turns non-finite.
     """
-    if cloud.n != config.n:
-        raise ParameterError(
-            f"cloud has {cloud.n} particles but config says {config.n}")
+    check_cloud_size(cloud, config)
     kernel = config.kernel
     theta_eff = _theta_min_eff(config)
     v_floor = _resolve_floor(config, cloud)
@@ -251,15 +255,7 @@ def step(cloud, config, rng):
         Xn, events = _step_symmetric(cloud.velocities, kernel, theta_eff,
                                      v_floor, config.dt, rng)
 
-    bad = ~np.all(np.isfinite(Xn), axis=1)
-    if np.any(bad):
-        idx = np.where(bad)[0]
-        raise InstabilityError(
-            f"non-finite velocities after step {cloud.step_index} "
-            f"(first indices {idx[:8].tolist()})", indices=idx)
-    return ParticleCloud(velocities=Xn, time=cloud.time + config.dt,
-                         step_index=cloud.step_index + 1,
-                         events=cloud.events + events)
+    return next_cloud(cloud, Xn, config.dt, events)
 
 
 def run(config, initial_cloud, schedule=None):
@@ -270,9 +266,7 @@ def run(config, initial_cloud, schedule=None):
     (seed, step index): identical (config, seed) give bit-identical
     trajectories.
     """
-    if initial_cloud.n != config.n:
-        raise ParameterError(
-            f"cloud has {initial_cloud.n} particles but config says {config.n}")
+    check_cloud_size(initial_cloud, config)
     resolved = replace(config, v_floor=_resolve_floor(config, initial_cloud))
 
     def _advance(cloud):

@@ -22,8 +22,8 @@ from . import artifacts, boltzmann, landau, rngstreams
 from .boltzmann import BoltzmannConfig
 from .config import (CONFIG_VERSION, default_out_dir, echo_form,
                      format_angle, load_config, parse_angle, validate_config)
-from .coupling import (CouplingPlan, _fit_line, build_subdivision,
-                       coupled_run, rate_sweep)
+from .coupling import (CouplingPlan, build_subdivision, coupled_run,
+                       default_h, fit_verdict, rate_sweep)
 from .errors import (DegenerateInputError, InstabilityError, ParameterError,
                      StabilityError)
 from .geometry import deviate, frame, gamma_vec, phi_zero
@@ -104,10 +104,10 @@ _COMMAND_KEYS = {
     "simulate-boltzmann": (_KERNEL_KEYS + _BOLTZ_KEYS + _INITIAL_KEYS
                            + ("schedule",)),
     "simulate-landau": _LANDAU_KEYS + _INITIAL_KEYS + ("schedule",),
-    "coupled-run": (_KERNEL_KEYS + ("n", "dt", "T", "theta_min", "v_floor",
+    "coupled-run": (_KERNEL_KEYS + ("n", "T", "theta_min", "v_floor",
                                     "reg_delta") + _INITIAL_KEYS + _PLAN_KEYS),
-    "rate-sweep": ("family", "gamma", "nu", "h_eps", "eps_list", "seeds", "n",
-                   "T", "p", "tanaka", "level", "normal_fallback", "w2_mode"),
+    "rate-sweep": ("family", "gamma", "nu", "eps_list", "seeds", "n", "T",
+                   "p", "tanaka", "level", "normal_fallback", "w2_mode"),
     "verify-kernels": ("family", "gamma", "nu", "eps_list", "h_eps"),
     "verify-geometry": ("samples",),
     "verify-appendix": ("samples", "t_list"),
@@ -254,24 +254,17 @@ def _cmd_coupled_run(cfg, out_dir):
     kernel = _build_kernel(cfg)
     n, T = _require(cfg, "n", "T")
     seed = cfg.get("seed", 0)
-    sub = build_subdivision(lambda s: np.asarray(s, dtype=float) ** -0.5,
-                            T, cfg.get("subdivision_n", 4))
-    dt = cfg.get("dt")
-    if dt is None:
-        dt = 0.5 * float(np.min(np.diff(sub.slab_bounds())))
-    bc = BoltzmannConfig(
-        kernel=kernel, n=n, dt=dt, T=T, theta_min=cfg.get("theta_min"),
-        v_floor=cfg.get("v_floor"), seed=seed)
-    lc = LandauConfig(gamma=kernel.gamma, n=n, dt=dt, T=T,
-                      reg_delta=cfg.get("reg_delta"), seed=seed)
     plan = CouplingPlan(
-        seed=seed, subdivision=sub, tanaka=cfg.get("tanaka", True),
+        kernel=kernel, seed=seed,
+        subdivision=build_subdivision(default_h, T,
+                                      cfg.get("subdivision_n", 4)),
+        theta_min=cfg.get("theta_min"), v_floor=cfg.get("v_floor"),
+        reg_delta=cfg.get("reg_delta"), tanaka=cfg.get("tanaka", True),
         level=cfg.get("level", "gaussian"), eta=cfg.get("eta"),
         truncation_m=cfg.get("truncation_m", math.inf),
         normal_fallback=cfg.get("normal_fallback", 100_000))
     cloud = _initial_cloud(cfg, n, seed)
-    result = coupled_run(bc, lc, plan, cloud,
-                         w2_mode=cfg.get("w2_mode", "none"))
+    result = coupled_run(plan, cloud, w2_mode=cfg.get("w2_mode", "none"))
     files = {"coupled.csv": artifacts.coupled_csv_text(result),
              "coupled_summary.json": artifacts.coupled_summary_json_text(result)}
     artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
@@ -282,23 +275,10 @@ def _cmd_coupled_run(cfg, out_dir):
 
 def _cmd_rate_sweep(cfg, out_dir):
     family, eps_list, n, T = _require(cfg, "family", "eps_list", "n", "T")
-    if family not in ("grazing", "coulomb"):
-        raise ParameterError("rate-sweep needs family 'grazing' or 'coulomb'")
-    if len(eps_list) < 4:
-        raise ParameterError("need >= 4 strictly decreasing eps values")
     seed = cfg.get("seed", 0)
-    seeds = cfg.get("seeds", list(range(10)))
-    if family == "grazing":
-        kernel0 = kernel_from_params("grazing", gamma=cfg.get("gamma"),
-                                     nu=cfg.get("nu"), eps=eps_list[0])
-    else:
-        kernel0 = kernel_from_params("coulomb", eps=eps_list[0],
-                                     h_eps=cfg.get("h_eps"))
-    # dt = T is a placeholder: the sweep derives dt per eps
-    bc_t = BoltzmannConfig(kernel=kernel0, n=n, dt=T, T=T, seed=seed)
-    lc_t = LandauConfig(gamma=kernel0.gamma, n=n, dt=T, T=T, seed=seed)
     report = rate_sweep(
-        bc_t, lc_t, eps_list, seeds, p=cfg.get("p", 5),
+        family, eps_list, cfg.get("seeds", list(range(10))), n=n, T=T,
+        gamma=cfg.get("gamma"), nu=cfg.get("nu"), p=cfg.get("p", 5),
         tanaka=cfg.get("tanaka", True), level=cfg.get("level", "gaussian"),
         w2_mode=cfg.get("w2_mode", "none"),
         normal_fallback=cfg.get("normal_fallback", 100_000))
@@ -480,11 +460,10 @@ def _read_sweep_csv(path):
 
 def _cmd_fit_rate(cfg, out_dir, path):
     family, = _require(cfg, "family")
-    if family not in ("grazing", "coulomb"):
-        raise ParameterError("fit-rate needs family 'grazing' or 'coulomb'")
     terminal = _read_sweep_csv(path)
     eps_vals = sorted({e for e, _ in terminal}, reverse=True)
-    seed_vals = sorted({s for _, s in terminal})
+    # seeds in file order: a sweep's means sum its seeds in that order
+    seed_vals = list(dict.fromkeys(s for _, s in terminal))
     if len(eps_vals) < 2:
         raise ParameterError("need >= 2 eps values to fit a rate")
     if len(seed_vals) < 2:
@@ -496,30 +475,15 @@ def _cmd_fit_rate(cfg, out_dir, path):
                 raise ParameterError(
                     f"incomplete sweep grid: missing eps={e:g} seed={s}")
             dist[i, j] = terminal[(e, s)]
-
-    means = dist.mean(axis=1)
-    stderrs = dist.std(axis=1, ddof=1) / math.sqrt(len(seed_vals))
-    if family == "grazing":
-        xs = np.log(eps_vals)
-        decreasing = bool(np.all(np.diff(means) < 0.0))
-    else:
-        xs = np.log(1.0 / np.log(1.0 / np.asarray(eps_vals)))
-        diffs = np.diff(dist, axis=0)
-        se = diffs.std(axis=1, ddof=1) / math.sqrt(len(seed_vals))
-        decreasing = bool(np.all(diffs.mean(axis=1) <= 2.0 * se))
-    slope, slope_se, intercept = _fit_line(xs, np.log(means))
-    verdict = "decreasing" if decreasing else "inconclusive"
+    fit = fit_verdict(dist, eps_vals, family)
 
     seed = cfg.get("seed", 0)
-    body = {"family": family, "eps_list": eps_vals, "seeds": seed_vals,
-            "means": means, "stderrs": stderrs, "slope": slope,
-            "slope_stderr": slope_se, "intercept": intercept,
-            "verdict": verdict}
+    body = {"family": family, "eps_list": eps_vals, "seeds": seed_vals, **fit}
     files = {"fit.json": artifacts.json_text(body)}
     artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
-    print(f"fit-rate [{family}]: verdict {verdict}, slope {slope:.4f} "
-          f"+/- {slope_se:.4f} -> {out_dir}")
-    return 0 if decreasing else 1
+    print(f"fit-rate [{family}]: verdict {fit['verdict']}, slope "
+          f"{fit['slope']:.4f} +/- {fit['slope_stderr']:.4f} -> {out_dir}")
+    return 0 if fit["verdict"] == "decreasing" else 1
 
 
 # ---------------------------------------------------------------------------

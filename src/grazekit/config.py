@@ -9,7 +9,7 @@ Angle-valued fields (eps, eps_list entries, theta_min, eta) additionally
 accept the literals "pi" and "pi/k" for integer k, so an eps grid like
 ["pi/2", "pi/8", "pi/32"] carries no decimal drift.  Serialization turns
 exact multiples pi/k back into the same literal, so a config round-trips
-byte-for-byte through load -> dump -> load.
+byte-for-byte through load -> echo_form -> JSON -> load.
 """
 
 import json
@@ -24,8 +24,6 @@ __all__ = [
     "format_angle",
     "validate_config",
     "load_config",
-    "dump_config",
-    "save_config",
     "echo_form",
     "default_out_dir",
 ]
@@ -222,7 +220,8 @@ def load_config(path):
 
 def echo_form(cfg):
     """The serializable image of a validated config: schema order, symbolic
-    angles restored.  Used by dump_config and echoed into manifests."""
+    angles restored.  Echoed into manifests; as JSON it loads back to the
+    same config."""
     out = {}
     for key in _SCHEMA:
         if key not in cfg:
@@ -234,16 +233,6 @@ def echo_form(cfg):
             value = [format_angle(v) for v in value]
         out[key] = value
     return out
-
-
-def dump_config(cfg):
-    """Serialize a validated config deterministically (ends in a newline)."""
-    return json.dumps(echo_form(cfg), indent=2) + "\n"
-
-
-def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config(cfg))
 
 
 def default_out_dir(cfg=None):

@@ -55,22 +55,23 @@ count.
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from . import rngstreams
-from .boltzmann import BoltzmannConfig, _theta_min_eff
+from .boltzmann import _check_jump_options, _theta_min_eff
 from .errors import InstabilityError, ParameterError
 from .geometry import frame, phi_zero, row_norm
-from .kernels import CoulombKernel, GrazingKernel, r_eta, residual_k
-from .landau import LandauConfig
+from .kernels import CoulombKernel, kernel_from_params, r_eta, residual_k
+from .landau import _check_gamma
 from .metrics import _W2_SIZE_GUARD, w2_exact
 from .particles import ParticleCloud, sample_initial
 
-__all__ = ["Subdivision", "build_subdivision", "CouplingPlan", "CoupledResult",
-           "coupled_run", "SweepReport", "rate_sweep"]
+__all__ = ["Subdivision", "default_h", "build_subdivision", "CouplingPlan",
+           "CoupledResult", "coupled_run", "SweepReport", "rate_sweep",
+           "fit_verdict"]
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,11 @@ class Subdivision:
         """All integration slabs including the leading [0, a_0]."""
         edges = np.concatenate(([0.0], self.grid))
         return list(zip(edges[:-1], edges[1:]))
+
+
+def default_h(s):
+    """The weight profile h(s) = s^-1/2 of both coupled commands."""
+    return np.asarray(s, dtype=float) ** -0.5
 
 
 def _sample_h(h, pts):
@@ -184,7 +190,9 @@ _LEVELS = ("common", "gaussian")
 
 @dataclass(frozen=True)
 class CouplingPlan:
-    """Shared-randomness recipe for one coupled run.
+    """Everything one coupled run reads besides its initial cloud: the
+    kernel, the slabs, the floors and the shared-randomness recipe.  The
+    horizon is the subdivision's end; Landau's gamma is the kernel's.
 
     Stream consumption order per slab k is fixed: companion_stream(k) yields
     the n companion indices; jump_stream(k) yields, in order, the window
@@ -194,12 +202,19 @@ class CouplingPlan:
     normals used only at level "common".  Both sides therefore consume
     identical companion indices and base draws in identical order.
 
+    theta_min: bottom of the matching window, as in BoltzmannConfig.
+    v_floor: Boltzmann speed floor, reg_delta: Landau regularization floor;
+    each defaults to 1e-3 of the initial cloud's RMS speed.
     eta: top of the matching window (defaults to the kernel support top).
     truncation_m: companions with |Y| >= M contribute no Landau diffusion.
     """
 
+    kernel: object
     seed: int
     subdivision: Subdivision
+    theta_min: float = None
+    v_floor: float = None
+    reg_delta: float = None
     tanaka: bool = True
     level: str = "gaussian"
     eta: float = None
@@ -207,6 +222,10 @@ class CouplingPlan:
     normal_fallback: int = 100_000
 
     def __post_init__(self):
+        _check_jump_options(self.kernel, self.theta_min, self.v_floor)
+        _check_gamma(self.kernel.gamma)
+        if self.reg_delta is not None and not (self.reg_delta >= 0.0):
+            raise ParameterError("reg_delta must be >= 0")
         if self.level not in _LEVELS:
             raise ParameterError(f"level must be one of {_LEVELS}")
         if self.eta is not None and not (self.eta > 0.0):
@@ -359,62 +378,46 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     return sums
 
 
-def _check_run(boltz_config, landau_config, plan, initial_cloud, w2_mode):
+def _check_run(plan, initial_cloud, w2_mode):
     """Every precondition of a coupled run, checked before any slab stream
-    is built.  Returns the slabs, the matching window [lo_win, eta] and the
-    resolved velocity floor."""
+    is built.  Returns the matching window [lo_win, eta] and the resolved
+    velocity floor."""
     if w2_mode not in ("none", "terminal", "all"):
         raise ParameterError("w2_mode must be 'none', 'terminal' or 'all'")
-    kernel = boltz_config.kernel
     n = initial_cloud.n
-    if boltz_config.n != n or landau_config.n != n:
-        raise ParameterError("both configs must match the initial cloud size")
     if w2_mode != "none" and n > _W2_SIZE_GUARD:
         raise ParameterError(
             f"w2_mode {w2_mode!r} needs the exact W2, guarded at "
             f"N <= {_W2_SIZE_GUARD}; got n={n}")
-    if abs(kernel.gamma - landau_config.gamma) > 1e-12:
-        raise ParameterError(
-            f"kernel gamma {kernel.gamma} != Landau gamma {landau_config.gamma}")
-    sub = plan.subdivision
-    if abs(boltz_config.T - sub.T) > 1e-9 or abs(landau_config.T - sub.T) > 1e-9:
-        raise ParameterError("config horizons must equal the subdivision end")
-    slabs = sub.slab_bounds()
-    min_width = min(b - a for a, b in slabs)
-    if boltz_config.dt > min_width * (1 + 1e-9) or \
-            landau_config.dt > min_width * (1 + 1e-9):
-        raise ParameterError("config dt is coarser than the subdivision "
-                             "slabs; shrink dt or lower n")
 
+    kernel = plan.kernel
     sup_lo, sup_hi = kernel.support
-    lo_win = max(_theta_min_eff(boltz_config), sup_lo)
-    eta = kernel.support[1] if plan.eta is None else float(plan.eta)
-    eta = min(eta, sup_hi)
+    lo_win = max(_theta_min_eff(plan), sup_lo)
+    eta = sup_hi if plan.eta is None else min(float(plan.eta), sup_hi)
     if not lo_win < eta:
         raise ParameterError(f"matching window [{lo_win}, {eta}] is empty")
 
-    v_floor = boltz_config.v_floor
+    v_floor = plan.v_floor
     if v_floor is None:
         v_floor = 1e-3 * np.sqrt(initial_cloud.m2())
     if not isinstance(kernel, CoulombKernel) and not v_floor > 0.0:
         raise ParameterError("soft/grazing coupling needs v_floor > 0 "
                              "(the collision rate is unbounded otherwise)")
-    return slabs, lo_win, eta, v_floor
+    return lo_win, eta, v_floor
 
 
-def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
-                w2_mode="none"):
+def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     """Run both systems through the plan's slabs from a shared initial cloud.
 
     Returns the paired-L2 distance at t=0 and at every slab boundary, plus
     m2 of both sides; w2_mode "terminal" adds the exact assignment W2 at the
     final time, "all" at every boundary ("none" leaves NaN).
     """
-    slabs, lo_win, eta, v_floor = _check_run(
-        boltz_config, landau_config, plan, initial_cloud, w2_mode)
-    kernel = boltz_config.kernel
+    lo_win, eta, v_floor = _check_run(plan, initial_cloud, w2_mode)
+    kernel = plan.kernel
     n = initial_cloud.n
     sub = plan.subdivision
+    slabs = sub.slab_bounds()
     sup_hi = kernel.support[1]
 
     mom = _window_moments(kernel, lo_win, eta)
@@ -437,10 +440,10 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
     # total (1-cos) drift mass: compensated window + large jumps + sub-window
     k_full = np.pi * (mom["one_cos"] + one_cos_lg) + k_res
 
-    delta = landau_config.reg_delta
+    delta = plan.reg_delta
     if delta is None:
         delta = 1e-3 * np.sqrt(initial_cloud.m2())
-    gamma = landau_config.gamma
+    gamma = kernel.gamma
     m_trunc = plan.truncation_m
 
     V = initial_cloud.velocities.copy()
@@ -576,10 +579,6 @@ def coupled_run(boltz_config, landau_config, plan, initial_cloud, *,
 # eps sweep
 # ---------------------------------------------------------------------------
 
-def _default_h(s):
-    return np.asarray(s, dtype=float) ** -0.5
-
-
 @dataclass
 class SweepReport:
     family: str
@@ -602,16 +601,6 @@ class SweepReport:
     series: dict               # (eps, seed) -> CoupledResult
 
 
-def _fit_line(x, y):
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = max(x.size - 2, 1)
-    sxx = np.sum((x - x.mean()) ** 2)
-    return float(slope), float(np.sqrt(np.sum(resid ** 2) / dof / sxx)), \
-        float(intercept)
-
-
 # The cells of the running sweep, set only while rate_sweep runs them.
 # Forked workers inherit it, so a cell crosses no pickle on the way in: a
 # kernel whose tail has been cached does not pickle.
@@ -619,8 +608,8 @@ _CELLS = None
 
 
 def _run_cell(index):
-    bc, lc, plan, cloud, w2_mode = _CELLS[index]
-    return index, coupled_run(bc, lc, plan, cloud, w2_mode=w2_mode)
+    plan, cloud, w2_mode = _CELLS[index]
+    return index, coupled_run(plan, cloud, w2_mode=w2_mode)
 
 
 def _process_count(n_cells):
@@ -667,23 +656,27 @@ def _run_cells(cells, order):
     return results
 
 
-def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
-               tanaka=True, level="gaussian", w2_mode="none", h_profile=None,
+_FAMILIES = ("grazing", "coulomb")
+
+
+def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
+               tanaka=True, level="gaussian", w2_mode="none",
                normal_fallback=100_000):
     """Coupled-distance sweep over a decreasing eps grid.
 
-    Per (eps, seed) cell: rebuild the kernel at eps, derive the window eta,
-    the subdivision resolution n, the diffusion truncation M and the floors
-    from the recipe with moment exponent p, run the coupled integrator, and
+    Per (eps, seed) cell: build the kernel at eps (kernels.kernel_from_params;
+    Coulomb takes no gamma or nu, and its h_eps is eps), derive the window
+    eta, the subdivision resolution n_sub of the profile default_h, the
+    diffusion truncation M and the floors from the recipe with moment
+    exponent p, run the coupled integrator on n particles up to T, and
     record the terminal paired-L2.  Every cell is built and checked before
     any runs, so a bad grid point fails before any compute.  The cells then
     run on every core in this process's CPU affinity, smallest eps first;
-    the report is identical to a one-core run.  Soft families fit
-    log(distance) against log(eps); Coulomb against log(1/log(1/eps)).  The
-    verdict is "decreasing" when the mean distances strictly decrease along
-    the grid (Coulomb: do not increase beyond 2 paired standard errors),
-    otherwise "inconclusive".
+    the report is identical to a one-core run.  The fit and verdict are
+    fit_verdict's.
     """
+    if family not in _FAMILIES:
+        raise ParameterError("rate sweeps need family 'grazing' or 'coulomb'")
     eps_list = tuple(float(e) for e in eps_list)
     seeds = tuple(int(s) for s in seeds)
     if len(eps_list) < 4 or not all(a > b for a, b in
@@ -691,20 +684,6 @@ def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
         raise ParameterError("need >= 4 strictly decreasing eps values")
     if len(seeds) < 10 or len(set(seeds)) != len(seeds):
         raise ParameterError("need >= 10 distinct seeds")
-    kernel0 = boltz_template.kernel
-    if isinstance(kernel0, GrazingKernel):
-        family = "grazing"
-    elif isinstance(kernel0, CoulombKernel):
-        family = "coulomb"
-    else:
-        raise ParameterError("rate sweeps need a grazing or coulomb kernel")
-    T = boltz_template.T
-    if abs(landau_template.T - T) > 1e-12:
-        raise ParameterError("template horizons differ")
-    n = boltz_template.n
-    if landau_template.n != n:
-        raise ParameterError("template particle counts differ")
-    h = _default_h if h_profile is None else h_profile
     expo = 2.0 * p / (2.0 * p + 3.0)
 
     clouds = {s: sample_initial({"name": "isotropic-gaussian", "sigma2": 1.0},
@@ -714,8 +693,8 @@ def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
     # build: every cell's inputs in grid order, each checked up front
     cells = []
     for eps in eps_list:
+        kern = kernel_from_params(family, gamma=gamma, nu=nu, eps=eps)
         if family == "grazing":
-            kern = GrazingKernel(gamma=kernel0.gamma, nu=kernel0.nu, eps=eps)
             eta = kern.support[1]
             # degenerate-bound regime: no angular mass above eta, r_eta = 1
             if abs(r_eta(kern, eta) - 1.0) > 1e-8:
@@ -723,39 +702,24 @@ def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
                                      "kernel support with r_eta = 1")
             small = eps
         else:
-            kern = CoulombKernel(eps=eps)  # h_eps = eps schedule
             eta = min(1.0 / math.log(1.0 / eps), kern.support[1])
             small = 1.0 / math.log(1.0 / eps)
-        n_sub = max(1, round(small ** -expo))
-        sub = build_subdivision(h, T, n_sub)
-        dtv = 0.5 * min(b - a for a, b in sub.slab_bounds())
+        sub = build_subdivision(default_h, T, max(1, round(small ** -expo)))
         for s in seeds:
-            cloud = clouds[s]
-            m2_0 = cloud.m2()
+            m2_0 = clouds[s].m2()
             m_trunc = math.sqrt(2.0 * m2_0) * small ** (-2.0 / (2.0 * p + 3.0)) \
                 if family == "grazing" else \
                 math.sqrt(2.0 * m2_0) * math.log(1.0 / eps) ** (2.0 / (2.0 * p + 3.0))
-            if family == "coulomb":
-                v_floor = boltz_template.v_floor
-                reg_delta = landau_template.reg_delta
-                if v_floor is None:
-                    v_floor = 0.05 * math.sqrt(m2_0)
-                if reg_delta is None:
-                    reg_delta = 0.05 * math.sqrt(m2_0)
-            else:
-                v_floor = boltz_template.v_floor
-                reg_delta = landau_template.reg_delta
-            # theta_min=None lets the kernel defaults apply: eps/64 for the
-            # grazing family, the support bottom eps for Coulomb
-            bc = replace(boltz_template, kernel=kern, dt=dtv,
-                         theta_min=None, v_floor=v_floor, seed=s)
-            lc = replace(landau_template, gamma=kern.gamma, dt=dtv,
-                         reg_delta=reg_delta, seed=s)
-            plan = CouplingPlan(seed=s, subdivision=sub, tanaka=tanaka,
+            # grazing floors default to 1e-3 of the RMS speed in coupled_run;
+            # theta_min keeps the kernel default: eps/64 for the grazing
+            # family, the support bottom eps for Coulomb
+            floor = 0.05 * math.sqrt(m2_0) if family == "coulomb" else None
+            plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
+                                v_floor=floor, reg_delta=floor, tanaka=tanaka,
                                 level=level, eta=eta, truncation_m=m_trunc,
                                 normal_fallback=normal_fallback)
-            _check_run(bc, lc, plan, cloud, w2_mode)
-            cells.append((bc, lc, plan, cloud, w2_mode))
+            _check_run(plan, clouds[s], w2_mode)
+            cells.append((plan, clouds[s], w2_mode))
 
     # run: a pool starts the costliest cells (smallest eps, last row) first
     n_seeds = len(seeds)
@@ -781,23 +745,46 @@ def rate_sweep(boltz_template, landau_template, eps_list, seeds, *, p=5,
         drift_b[i, j] = res.m2_boltz[-1] / m2_0 - 1.0
         drift_l[i, j] = res.m2_landau[-1] / m2_0 - 1.0
 
-    means = dist.mean(axis=1)
-    stderrs = dist.std(axis=1, ddof=1) / math.sqrt(len(seeds))
-    if family == "grazing":
-        x = np.log(np.asarray(eps_list))
-        decreasing = bool(np.all(np.diff(means) < 0.0))
-    else:
-        x = np.log(1.0 / np.log(1.0 / np.asarray(eps_list)))
-        diffs = np.diff(dist, axis=0)  # paired across seeds
-        se = diffs.std(axis=1, ddof=1) / math.sqrt(len(seeds))
-        decreasing = bool(np.all(diffs.mean(axis=1) <= 2.0 * se))
-    slope, slope_se, intercept = _fit_line(x, np.log(means))
     return SweepReport(
         family=family, eps_list=eps_list, seeds=seeds, p=p,
         distances=dist, sup_distances=sup_dist, w2=w2,
         m2_drift_boltz=drift_b, m2_drift_landau=drift_l,
-        means=means, stderrs=stderrs, slope=slope, slope_stderr=slope_se,
-        intercept=intercept, proven_exponent=p / (2.0 * p + 3.0),
-        conjectured_exponent=1.0,
-        verdict="decreasing" if decreasing else "inconclusive",
-        series=series)
+        proven_exponent=p / (2.0 * p + 3.0), conjectured_exponent=1.0,
+        series=series, **fit_verdict(dist, eps_list, family))
+
+
+def fit_verdict(dist, eps_list, family):
+    """The rate fit of terminal distances dist[i, j] at (eps_list[i], seed j).
+
+    Returns the per-eps means and standard errors, the least-squares line of
+    log(mean) against log(eps) (Coulomb: against log(1/log(1/eps))) as slope,
+    slope_stderr and intercept, and the verdict: "decreasing" when the means
+    strictly decrease along the grid (Coulomb: no paired difference between
+    neighbours above 2 of its standard errors), otherwise "inconclusive".
+    """
+    if family not in _FAMILIES:
+        raise ParameterError("rate fits need family 'grazing' or 'coulomb'")
+    eps = np.asarray(eps_list, dtype=float)
+    root_n = math.sqrt(dist.shape[1])
+    means = dist.mean(axis=1)
+    if family == "grazing":
+        x = np.log(eps)
+        decreasing = bool(np.all(np.diff(means) < 0.0))
+    else:
+        x = np.log(1.0 / np.log(1.0 / eps))
+        diffs = np.diff(dist, axis=0)  # paired across seeds
+        se = diffs.std(axis=1, ddof=1) / root_n
+        decreasing = bool(np.all(diffs.mean(axis=1) <= 2.0 * se))
+    y = np.log(means)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    sxx = np.sum((x - x.mean()) ** 2)
+    return {
+        "means": means,
+        "stderrs": dist.std(axis=1, ddof=1) / root_n,
+        "slope": float(slope),
+        "slope_stderr": float(np.sqrt(np.sum(resid ** 2)
+                                      / max(x.size - 2, 1) / sxx)),
+        "intercept": float(intercept),
+        "verdict": "decreasing" if decreasing else "inconclusive",
+    }

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class ParameterError(ValueError):
@@ -22,7 +22,3 @@ class InstabilityError(RuntimeError):
     def __init__(self, message, indices=None):
         super().__init__(message)
         self.indices = indices
-
-
-class ConvergenceWarning(UserWarning):
-    """An iterative solver stopped before reaching its tolerance."""

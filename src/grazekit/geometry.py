@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError
-from .kernels import k_constant, residual_k, theta_moment
+from .kernels import k_constant, theta_moment
 
 __all__ = [
     "row_norm",
@@ -39,9 +39,7 @@ __all__ = [
     "phi_zero",
     "jump_c",
     "jump_d",
-    "compensator_drift",
     "jump_identity_report",
-    "coulomb_floor_perturbation_report",
 ]
 
 
@@ -254,23 +252,6 @@ def jump_d(kernel, v, v_star, z, phi):
     return _rows(np.where(ok, d, 0.0))
 
 
-def compensator_drift(kernel, v, v_star, theta_min):
-    """Drift -k_res * Phi(|v-v*|) * (v-v*) replacing compensated jumps
-    with deviation angle below theta_min, where
-    k_res = pi * integral((1-cos theta) beta, 0..theta_min). With
-    theta_min at or beyond the support edge this is the full drift
-    -k * Phi * (v-v*)."""
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    X = v - v_star
-    r = row_norm(X)
-    ok = r > 0.0
-    rs = np.where(ok, r, 1.0)
-    k_res = residual_k(kernel, float(theta_min))
-    out = -k_res * kernel.phi(rs)[..., None] * X
-    return np.where(ok[..., None], out, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # quadrature identity reports
 
@@ -347,52 +328,3 @@ def jump_identity_report(kernel, pairs, *, n_phi: int = 32) -> dict:
         "k": k,
         "m4": m4,
     }
-
-
-def coulomb_floor_perturbation_report(eps: float, h_list, pairs,
-                                      *, n_phi: int = 16) -> dict:
-    """Size of the jump perturbation caused by the velocity floor h in the
-    Coulomb factor (r+h)^-3 relative to the unfloored r^-3.
-
-    For each h and pair computes integral(|c_h - c_0|^2 dphi dz) divided
-    by h * r^-2 and reports the supremum of that ratio.
-    """
-    from .kernels import CoulombKernel
-
-    pairs = np.asarray(pairs, dtype=float)
-    v, v_star = pairs[:, 0, :], pairs[:, 1, :]
-    X = v - v_star
-    r = row_norm(X)
-    base = CoulombKernel(eps, h_eps=0.0)
-    tail = base.tail
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    out: dict = {"per_h": {}}
-    sup = 0.0
-    for h in h_list:
-        kern_h = CoulombKernel(eps, h_eps=float(h))
-        ratios = np.zeros(len(pairs))
-        for i in range(len(pairs)):
-            Phi0 = float(base.phi(r[i]))
-            Phih = float(kern_h.phi(r[i]))
-            # kink where the floored branch dies: z = Phi_h * z_max
-            theta_kink = float(tail.G(np.array(Phih * tail.z_max / Phi0)))
-            nodes1, w1 = _theta_panels(base, base.eps, theta_kink, 24)
-            nodes2, w2 = _theta_panels(base, theta_kink, 0.5 * math.pi, 24)
-            nodes = np.concatenate([nodes1, nodes2])
-            w = np.concatenate([w1, w2])
-            z = Phi0 * tail.H(nodes)
-            vv = np.broadcast_to(v[i], (len(nodes), n_phi, 3))
-            ss = np.broadcast_to(v_star[i], (len(nodes), n_phi, 3))
-            zz = np.broadcast_to(z[:, None], (len(nodes), n_phi))
-            pp = np.broadcast_to(phis[None, :], (len(nodes), n_phi))
-            diff = jump_c(kern_h, vv, ss, zz, pp) - jump_c(base, vv, ss, zz, pp)
-            phi_mean = np.mean(np.sum(diff * diff, axis=-1), axis=1)
-            quad = 2.0 * math.pi * Phi0 * np.sum(w * phi_mean)
-            ratios[i] = quad / (float(h) * r[i] ** -2.0)
-        out["per_h"][float(h)] = {
-            "sup_ratio": float(np.max(ratios)),
-            "ratios": ratios,
-        }
-        sup = max(sup, float(np.max(ratios)))
-    out["sup_ratio"] = sup
-    return out

@@ -41,12 +41,10 @@ __all__ = [
     "kernel_from_params",
     "soft_normalizer",
     "coulomb_normalizer",
-    "tail_inverse",
     "theta_moment",
     "k_constant",
     "residual_k",
     "r_eta",
-    "sin2_moment",
     "scaling_agreement_report",
     "coulomb_mismatch_report",
 ]
@@ -301,6 +299,9 @@ def kernel_from_params(family: str, *, gamma: float | None = None,
                        nu: float | None = None, eps: float | None = None,
                        h_eps: float | None = None) -> Kernel:
     """Build a kernel from flat config parameters (unused ones must be None)."""
+    if h_eps is not None and family in ("soft", "grazing"):
+        raise ParameterError(f"{family} kernel does not take 'h_eps' "
+                             "(only coulomb does)")
     if family == "soft":
         if gamma is None or nu is None or eps is not None:
             raise ParameterError("soft kernel takes gamma and nu only")
@@ -314,11 +315,6 @@ def kernel_from_params(family: str, *, gamma: float | None = None,
             raise ParameterError("coulomb kernel takes eps (and optional h_eps)")
         return CoulombKernel(eps, h_eps)
     raise ParameterError(f"unknown kernel family {family!r}")
-
-
-def tail_inverse(kernel: Kernel) -> TailInverse:
-    """The (H, G, z_max) closed-form tail integral of a kernel."""
-    return kernel.tail
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +408,6 @@ def r_eta(kernel: Kernel, eta: float) -> float:
     if not 0.0 < eta <= math.pi:
         raise ParameterError(f"eta must lie in (0, pi], got {eta}")
     return 0.25 * math.pi * _windowed_moment(kernel, lambda t: t * t, 0.0, eta)
-
-
-def sin2_moment(kernel: Kernel, lo: float, hi: float) -> float:
-    """(pi/4) * integral(sin^2(theta) * beta, lo..hi): per-component variance
-    factor of the in-plane jump aggregate over an angular window."""
-    return 0.25 * math.pi * _windowed_moment(
-        kernel, lambda t: math.sin(t) ** 2, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rngstreams
-from .errors import DegenerateInputError, InstabilityError, ParameterError
+from .errors import DegenerateInputError, ParameterError
 from .geometry import row_norm
-from .particles import ParticleCloud
-from .trajectory import run_schedule
+from .trajectory import check_cloud_size, next_cloud, run_schedule
 
 __all__ = [
     "LandauCoefficients",
@@ -229,9 +228,7 @@ def step(cloud, config, rng):
     Raises InstabilityError (with the offending particle indices) if any
     velocity becomes non-finite.
     """
-    if cloud.n != config.n:
-        raise ParameterError(
-            f"cloud has {cloud.n} particles but config says {config.n}")
+    check_cloud_size(cloud, config)
     coeffs = LandauCoefficients(config.gamma, _resolve_delta(config, cloud))
     X = cloud.velocities
     # overflow/invalid intermediates surface as the non-finite check below
@@ -242,15 +239,7 @@ def step(cloud, config, rng):
             Xn, events = _step_subsampled(X, coeffs, config.dt, config.m, rng)
         else:
             Xn, events = _step_conservative(X, coeffs, config.dt, config.m, rng)
-    bad = ~np.all(np.isfinite(Xn), axis=1)
-    if np.any(bad):
-        idx = np.where(bad)[0]
-        raise InstabilityError(
-            f"non-finite velocities after step {cloud.step_index} "
-            f"(first indices {idx[:8].tolist()})", indices=idx)
-    return ParticleCloud(velocities=Xn, time=cloud.time + config.dt,
-                         step_index=cloud.step_index + 1,
-                         events=cloud.events + events)
+    return next_cloud(cloud, Xn, config.dt, events)
 
 
 def run(config, initial_cloud, schedule=None):
@@ -261,9 +250,7 @@ def run(config, initial_cloud, schedule=None):
     own deterministic substream keyed by (seed, step index), so a run is
     reproducible regardless of snapshot schedule.
     """
-    if initial_cloud.n != config.n:
-        raise ParameterError(
-            f"cloud has {initial_cloud.n} particles but config says {config.n}")
+    check_cloud_size(initial_cloud, config)
     resolved = replace(config, reg_delta=_resolve_delta(config, initial_cloud))
 
     def _advance(cloud):

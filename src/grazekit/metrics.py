@@ -1,32 +1,19 @@
-"""Distances and functionals between particle clouds: exact and entropic
-Wasserstein-2, moments, differential-entropy estimate, singular moments
-J_alpha, and the ellipticity certificate for the Landau diffusion matrix.
+"""Distances and functionals between particle clouds: exact Wasserstein-2
+by optimal assignment, and the Kozachenko-Leonenko entropy estimate.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import spatial
 from scipy.optimize import linear_sum_assignment
 from scipy.special import digamma
 
-from .errors import ConvergenceWarning, ParameterError
-from .particles import cloud_moments
+from .errors import ParameterError
 
-__all__ = [
-    "w2_exact",
-    "w2_entropic",
-    "functionals",
-    "FunctionalReport",
-    "entropy_knn",
-    "entropy_histogram",
-    "j_alpha",
-    "ellipticity_certificate",
-]
+__all__ = ["w2_exact", "entropy_knn"]
 
 _W2_SIZE_GUARD = 4096
 
@@ -48,97 +35,11 @@ def w2_exact(A, B) -> float:
     if n > _W2_SIZE_GUARD:
         raise ParameterError(
             f"N={n} above the exact-assignment guard {_W2_SIZE_GUARD}; "
-            "use w2_entropic for large clouds")
+            "compare subsampled clouds, or use the paired-L2 distance, "
+            "an upper bound of W2")
     cost = spatial.distance.cdist(A, B, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(cost[rows, cols].sum() / n)
-
-
-def _sinkhorn_log(cost: np.ndarray, reg: float, iters: int, tol: float):
-    """Log-domain Sinkhorn with uniform marginals; returns (f, g, err)."""
-    n, m = cost.shape
-    la, lb = -math.log(n), -math.log(m)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    err = np.inf
-    for it in range(iters):
-        # f-update: f_i = -reg * logsumexp((g_j - C_ij)/reg + log b_j)
-        Mf = (g[None, :] - cost) / reg + lb
-        f = -reg * _logsumexp(Mf, axis=1)
-        Mg = (f[:, None] - cost) / reg + la
-        g = -reg * _logsumexp(Mg, axis=0)
-        if it % 5 == 4 or it == iters - 1:
-            # row-marginal violation of the implied plan
-            P_log = (f[:, None] + g[None, :] - cost) / reg + la + lb
-            row = np.exp(_logsumexp(P_log, axis=1))
-            err = float(np.max(np.abs(row - 1.0 / n)))
-            if err < tol:
-                break
-    return f, g, err
-
-
-def _logsumexp(M, axis):
-    mx = np.max(M, axis=axis, keepdims=True)
-    out = mx + np.log(np.sum(np.exp(M - mx), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
-
-
-def _entropic_cost(A, B, reg, iters, tol) -> float:
-    cost = spatial.distance.cdist(A, B, "sqeuclidean")
-    # epsilon-scaling: geometric ladder from a crude reg down to the target
-    n, m = cost.shape
-    start = max(float(np.max(cost)) / 10.0, reg)
-    n_stages = max(1, int(math.ceil(math.log(start / reg) / math.log(3.0))) + 1)
-    regs = np.geomspace(start, reg, n_stages)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    la, lb = -math.log(n), -math.log(m)
-    value = np.inf
-    converged = False
-    for r in regs:
-        final = r == regs[-1]
-        for it in range(iters):
-            Mf = (g[None, :] - cost) / r + lb
-            f = -r * _logsumexp(Mf, axis=1)
-            Mg = (f[:, None] - cost) / r + la
-            g = -r * _logsumexp(Mg, axis=0)
-            if it % 5 == 4 or it == iters - 1:
-                # the dual value stalls long before the marginals polish,
-                # and it is the quantity we actually return
-                new = float(np.mean(f) + np.mean(g))
-                stalled = abs(new - value) <= tol * max(1.0, abs(new))
-                value = new
-                if stalled:
-                    converged = final
-                    break
-        if final and not converged:
-            P_log = (f[:, None] + g[None, :] - cost) / r + la + lb
-            row = np.exp(_logsumexp(P_log, axis=1))
-            err = float(np.max(np.abs(row * n - 1.0)))
-            warnings.warn(
-                f"sinkhorn stopped before the dual value stalled "
-                f"(marginal residual {err:.2e}) after {iters} iterations "
-                f"at reg={reg}", ConvergenceWarning)
-    # dual objective; the entropic correction term vanishes at balance
-    return value
-
-
-def w2_entropic(A, B, reg: float, iters: int = 1000, *,
-                tol: float = 1e-8) -> float:
-    """Debiased entropic (Sinkhorn-divergence) surrogate of w2_exact:
-    S = OT_reg(A,B) - OT_reg(A,A)/2 - OT_reg(B,B)/2, returned as sqrt(S).
-    Converges to w2_exact from above as reg -> 0."""
-    A, B = _as_cloud(A), _as_cloud(B)
-    if reg <= 0:
-        raise ParameterError("reg must be positive")
-    ab = _entropic_cost(A, B, reg, iters, tol)
-    aa = _entropic_cost(A, A, reg, iters, tol)
-    bb = _entropic_cost(B, B, reg, iters, tol)
-    return math.sqrt(max(ab - 0.5 * aa - 0.5 * bb, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# functionals
 
 
 def entropy_knn(V, k: int = 4) -> float:
@@ -156,104 +57,3 @@ def entropy_knn(V, k: int = 4) -> float:
     h_diff = (digamma(n) - digamma(k) + math.log(v3)
               + 3.0 * float(np.mean(np.log(r))))
     return -h_diff
-
-
-def entropy_histogram(V, bins: int = 24) -> float:
-    """Coarse histogram estimate of H(f) = integral(f log f); cross-check
-    for entropy_knn, biased low-resolution but independent of it."""
-    V = _as_cloud(V)
-    lim = float(np.max(np.abs(V))) * 1.0001
-    hist, edges = np.histogramdd(V, bins=bins,
-                                 range=[(-lim, lim)] * 3, density=False)
-    n = V.shape[0]
-    vol = np.prod([e[1] - e[0] for e in edges])
-    p = hist / n
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log(p[nz] / vol)))
-
-
-def j_alpha(V, alpha: float, *, chunk: int = 512) -> float:
-    """J_alpha = max over cloud points v of the mean of |v - v_*|^alpha
-    over the other points (diagonal excluded; alpha in (-3, 0])."""
-    if not -3.0 < alpha <= 0.0:
-        raise ParameterError(f"alpha must lie in (-3, 0], got {alpha}")
-    if alpha == 0.0:
-        return 1.0
-    V = _as_cloud(V)
-    n = V.shape[0]
-    best = 0.0
-    for lo in range(0, n, chunk):
-        block = V[lo:lo + chunk]
-        d = spatial.distance.cdist(block, V)
-        for i in range(block.shape[0]):
-            d[i, lo + i] = np.inf  # exclude the diagonal
-        with np.errstate(divide="ignore"):
-            vals = np.where(np.isinf(d), 0.0, d ** alpha)
-            # coincident off-diagonal points make J_alpha infinite, honestly
-            vals = np.where((d == 0.0), np.inf, vals)
-        best = max(best, float(np.max(np.sum(vals, axis=1) / (n - 1))))
-    return best
-
-
-@dataclass
-class FunctionalReport:
-    m: dict
-    entropy: float
-    j_alpha: float | None
-    alpha: float | None
-
-
-def functionals(V, p_list, alpha: float | None = None,
-                *, entropy_k: int = 4) -> FunctionalReport:
-    """Moments m_p, entropy estimate, and optionally J_alpha of a cloud."""
-    V = _as_cloud(V)
-    m = cloud_moments(V, p_list)
-    H = entropy_knn(V, k=entropy_k)
-    ja = None if alpha is None else j_alpha(V, alpha)
-    return FunctionalReport(m=m, entropy=H, j_alpha=ja, alpha=alpha)
-
-
-# ---------------------------------------------------------------------------
-# ellipticity
-
-
-def ellipticity_certificate(V, gamma: float, v_grid, xi_grid) -> float:
-    """min over (v, xi) of xi . (mean_z l(v - z)) . xi / ((1+|v|)^gamma),
-    with l(z) = |z|^gamma (|z|^2 Id - z z^T) and unit-normalized xi.
-
-    A positive value certifies the uniform ellipticity of the effective
-    Landau diffusion against the cloud."""
-    V = _as_cloud(V)
-    if not -3.0 <= gamma < 0.0:
-        raise ParameterError(f"gamma must lie in [-3, 0), got {gamma}")
-    v_grid = np.atleast_2d(np.asarray(v_grid, dtype=float))
-    xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
-    if v_grid.size == 0 or xi_grid.size == 0:
-        raise ParameterError("grids must be nonempty")
-    norms = np.linalg.norm(xi_grid, axis=1)
-    if np.any(norms == 0):
-        raise ParameterError("zero direction in xi_grid")
-    xi_grid = xi_grid / norms[:, None]
-
-    best = np.inf
-    for v in v_grid:
-        z = v[None, :] - V                      # (N, 3)
-        zn = np.linalg.norm(z, axis=1)
-        alive = zn > 0
-        if not np.any(alive):
-            warnings.warn("cloud concentrated at the grid point; "
-                          "certificate degenerates to 0", UserWarning)
-            return 0.0
-        zs = z[alive]
-        zn2 = np.sum(zs * zs, axis=1)
-        w = zn[alive] ** gamma
-        # xi . l(z) . xi = |z|^gamma (|z|^2 - (z.xi)^2)
-        dots = zs @ xi_grid.T                   # (Na, K)
-        quad = w[:, None] * (zn2[:, None] - dots ** 2)
-        mean_quad = quad.sum(axis=0) / V.shape[0]
-        ratio = mean_quad / (1.0 + np.linalg.norm(v)) ** gamma
-        best = min(best, float(np.min(ratio)))
-    if best <= 0.0:
-        warnings.warn("ellipticity certificate is not positive "
-                      "(degenerate cloud)", UserWarning)
-    return best

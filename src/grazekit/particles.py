@@ -1,14 +1,14 @@
-"""Particle cloud container, initial-condition sampling, and moment helpers."""
+"""Particle cloud container and initial-condition sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["ParticleCloud", "sample_initial", "recenter", "cloud_moments"]
+__all__ = ["ParticleCloud", "sample_initial", "recenter"]
 
 
 @dataclass
@@ -107,12 +107,3 @@ def sample_initial(dist: dict, n: int, rng: np.random.Generator,
     if recenter_momentum:
         v = recenter(v)
     return ParticleCloud(velocities=v)
-
-
-def cloud_moments(v: np.ndarray, p_list) -> dict:
-    """Empirical moments m_p = mean |v|^p for each requested p."""
-    speed = np.linalg.norm(np.asarray(v, dtype=float), axis=1)
-    out = {}
-    for p in p_list:
-        out[float(p)] = 1.0 if p == 0 else float(np.mean(speed ** float(p)))
-    return out

@@ -1,15 +1,17 @@
-"""Snapshot schedule handling shared by the two particle simulators."""
+"""Snapshot schedule and step bookkeeping shared by the two particle
+simulators."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InstabilityError, ParameterError
 from .metrics import entropy_knn
 from .particles import ParticleCloud
 
-__all__ = ["Trajectory", "snapshot_diagnostics", "run_schedule"]
+__all__ = ["Trajectory", "snapshot_diagnostics", "run_schedule",
+           "check_cloud_size", "next_cloud"]
 
 
 @dataclass
@@ -76,3 +78,24 @@ def run_schedule(cloud, step_fn, T, dt, schedule=None):
             taken += 1
         traj.append(cloud)
     return traj
+
+
+def check_cloud_size(cloud, config):
+    if cloud.n != config.n:
+        raise ParameterError(
+            f"cloud has {cloud.n} particles but config says {config.n}")
+
+
+def next_cloud(cloud, velocities, dt, events):
+    """The cloud one step of length dt later, with `events` more events.
+    Raises InstabilityError (with the offending particle indices) if any
+    velocity is non-finite."""
+    bad = ~np.all(np.isfinite(velocities), axis=1)
+    if np.any(bad):
+        idx = np.where(bad)[0]
+        raise InstabilityError(
+            f"non-finite velocities after step {cloud.step_index} "
+            f"(first indices {idx[:8].tolist()})", indices=idx)
+    return ParticleCloud(velocities=velocities, time=cloud.time + dt,
+                         step_index=cloud.step_index + 1,
+                         events=cloud.events + events)

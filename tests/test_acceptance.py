@@ -269,12 +269,9 @@ def test_criterion_11_grazing_rate_sweep():
     # eps and the fitted log-log slope at least 0.3 (measured 0.404 +- 0.011,
     # consistent with the 5/13 ~ 0.385 envelope for fifth moments);
     # an "inconclusive" verdict is a failure at these settings.
-    bc = BoltzmannConfig(kernel=GrazingKernel(gamma=-0.5, nu=0.6,
-                                              eps=math.pi / 2),
-                         n=4096, dt=0.01, T=0.5)
-    lc = LandauConfig(gamma=-0.5, n=4096, dt=0.01, T=0.5)
-    rep = rate_sweep(bc, lc, [math.pi / 2, math.pi / 4, math.pi / 8,
-                              math.pi / 16], range(10))
+    rep = rate_sweep("grazing", [math.pi / 2, math.pi / 4, math.pi / 8,
+                                 math.pi / 16], range(10), n=4096, T=0.5,
+                     gamma=-0.5, nu=0.6)
     assert rep.verdict == "decreasing"
     assert np.all(np.diff(rep.means) < 0.0)
     assert rep.slope >= 0.3
@@ -286,10 +283,8 @@ def test_criterion_12_coulomb_rate_sweep():
     # error bars, i.e. every consecutive paired difference below twice its
     # standard error -- exactly the "decreasing" verdict.  No slope floor:
     # the expected rate is only logarithmic in eps.
-    bc = BoltzmannConfig(kernel=CoulombKernel(eps=0.3), n=2048, dt=0.01,
-                         T=0.3)
-    lc = LandauConfig(gamma=-3.0, n=2048, dt=0.01, T=0.3)
-    rep = rate_sweep(bc, lc, [0.3, 0.1, 0.03, 0.01], range(10))
+    rep = rate_sweep("coulomb", [0.3, 0.1, 0.03, 0.01], range(10), n=2048,
+                     T=0.3)
     assert rep.family == "coulomb"
     assert rep.verdict == "decreasing"
     diffs = np.diff(rep.distances, axis=0)

@@ -148,15 +148,20 @@ def test_coupled_run_artifacts(tmp_path):
     assert summary["terminal_w2"] is None  # w2_mode defaults to none
 
 
-def test_rate_sweep_and_fit_rate_agree(tmp_path):
-    code = main(["rate-sweep", "--family", "grazing", "--gamma", "-0.5",
-                 "--nu", "0.6", "--eps-list", "pi/2,pi/4,pi/8,pi/16",
-                 "--n", "48", "--T", "0.3", "--seeds", "0:10",
-                 "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("family, kernel_args, eps_list, seeds", [
+    ("grazing", ["--gamma", "-0.5", "--nu", "0.6"], "pi/2,pi/4,pi/8,pi/16",
+     "0:10"),
+    # unsorted seeds: the refit must add them in the sweep's order
+    ("coulomb", [], "0.3,0.1,0.03,0.01", "9,3,7,1,5,0,8,2,6,4"),
+], ids=["grazing", "coulomb"])
+def test_rate_sweep_and_fit_rate_agree(tmp_path, family, kernel_args,
+                                       eps_list, seeds):
+    code = main(["rate-sweep", "--family", family, *kernel_args,
+                 "--eps-list", eps_list, "--n", "48", "--T", "0.3",
+                 "--seeds", seeds, "--out-dir", str(tmp_path)])
     assert code == 0
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert summary["verdict"] == "decreasing"
-    assert summary["means"] == sorted(summary["means"], reverse=True)
     header, rows = read_table(tmp_path / "sweep.csv")
     assert header == "eps,seed,t,paired_l2,w2,m2_boltz,m2_landau"
     # every (eps, seed) series is present, bracketed by t = 0 and t = T
@@ -168,13 +173,16 @@ def test_rate_sweep_and_fit_rate_agree(tmp_path):
 
     # refitting the emitted CSV reproduces the sweep's own fit exactly
     assert main(["fit-rate", "--input", str(tmp_path / "sweep.csv"),
-                 "--family", "grazing", "--out-dir",
+                 "--family", family, "--out-dir",
                  str(tmp_path / "fit")]) == 0
     fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
-    assert fit["slope"] == pytest.approx(summary["slope"], rel=1e-12)
-    assert fit["verdict"] == "decreasing"
-    assert fit["eps_list"] == pytest.approx(
-        [math.pi / 2, math.pi / 4, math.pi / 8, math.pi / 16])
+    for key in ("eps_list", "seeds", "means", "stderrs", "slope",
+                "slope_stderr", "intercept", "verdict"):
+        assert fit[key] == summary[key], key
+    if family == "grazing":
+        assert summary["means"] == sorted(summary["means"], reverse=True)
+        assert fit["eps_list"] == pytest.approx(
+            [math.pi / 2, math.pi / 4, math.pi / 8, math.pi / 16])
 
 
 def test_rate_sweep_usage_errors(tmp_path):
@@ -200,6 +208,8 @@ COUPLED_RUN = ["coupled-run", "--family", "grazing", "--gamma", "-0.5",
 RATE_SWEEP = ["rate-sweep", "--family", "grazing", "--gamma", "-0.5",
               "--nu", "0.6", "--eps-list", "pi/2,pi/4,pi/8,pi/16",
               "--n", "48", "--T", "0.3"]
+COULOMB_SWEEP = ["rate-sweep", "--family", "coulomb",
+                 "--eps-list", "0.3,0.1,0.03,0.01", "--n", "48", "--T", "0.3"]
 
 
 @pytest.mark.parametrize("base, key, value", [
@@ -208,15 +218,25 @@ RATE_SWEEP = ["rate-sweep", "--family", "grazing", "--gamma", "-0.5",
     (COUPLED_RUN, "rate_cap", 1e9),
     (COUPLED_RUN, "pairing", "full"),
     (COUPLED_RUN, "m", 3),
+    (COUPLED_RUN, "dt", 1e-3),
+    (COUPLED_RUN, "dt", 0.4),
+    (COUPLED_RUN, "h_eps", 0.5),
     (RATE_SWEEP, "dt", 1e-5),
     (RATE_SWEEP, "update_mode", "symmetric"),
     (RATE_SWEEP, "drift_subsample", 2),
     (RATE_SWEEP, "rate_cap", 1e9),
     (RATE_SWEEP, "pairing", "full"),
     (RATE_SWEEP, "m", 3),
-], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    (RATE_SWEEP, "h_eps", 0.5),
+    (COULOMB_SWEEP, "h_eps", 0.5),
+    (COULOMB_SWEEP, "gamma", -0.5),
+    (COULOMB_SWEEP, "nu", 0.3),
+], ids=lambda v: (v[0] + "-" + v[2] if v is COULOMB_SWEEP
+                  else v[0] if isinstance(v, list) else str(v)))
 def test_coupled_commands_reject_solver_options(tmp_path, base, key, value):
-    # the coupled integrator reads none of these: no flag, no config key
+    # the coupled integrator reads none of these (coupled-run and a grazing
+    # sweep have no dt or h_eps, a Coulomb sweep has gamma = -3 and h_eps =
+    # eps): no flag, no config key
     out = tmp_path / "never"
     flag = "--" + key.replace("_", "-")
     assert main(base + [flag, str(value), "--out-dir", str(out)]) == 2
@@ -237,7 +257,11 @@ SIMULATE_LANDAU = ["simulate-landau", "--gamma", "-1.5", "--n", "32",
                   "schedule": [0.1]}),
     (SIMULATE_LANDAU, {"update_mode": "symmetric"}),
     (SIMULATE_BOLTZMANN, {"pairing": "full"}),
-], ids=["rate-sweep", "simulate-landau", "simulate-boltzmann"])
+    (SIMULATE_BOLTZMANN, {"h_eps": 0.3}),
+    (COUPLED_RUN, {"dt": 1e-3}),
+    (RATE_SWEEP, {"h_eps": 0.5}),
+], ids=["rate-sweep", "simulate-landau", "simulate-boltzmann",
+        "simulate-boltzmann-h_eps", "coupled-run-dt", "rate-sweep-h_eps"])
 def test_config_keys_a_command_never_reads_exit_2(tmp_path, base, keys,
                                                    capsys):
     # a config key outside the command's own set is refused, not echoed
@@ -250,13 +274,6 @@ def test_config_keys_a_command_never_reads_exit_2(tmp_path, base, keys,
     # the same command without the stray keys runs
     if base is not RATE_SWEEP:
         assert main(base + ["--out-dir", str(out)]) == 0
-
-
-def test_coupled_run_keeps_dt_gate(tmp_path):
-    # dt is still checked against the subdivision slabs
-    out = tmp_path / "never"
-    assert main(COUPLED_RUN + ["--dt", "0.4", "--out-dir", str(out)]) == 2
-    assert not out.exists()
 
 
 def test_fit_rate_inconclusive_exits_1(tmp_path):

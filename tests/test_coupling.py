@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from grazekit import artifacts, coupling, rngstreams
-from grazekit.boltzmann import BoltzmannConfig
 from grazekit.coupling import (CouplingPlan, Subdivision, build_subdivision,
                                coupled_run, rate_sweep)
 from grazekit.errors import InstabilityError, ParameterError
 from grazekit.kernels import CoulombKernel, GrazingKernel, SoftKernel
-from grazekit.landau import LandauConfig
 from grazekit.particles import sample_initial
 
 GAUSS = {"name": "isotropic-gaussian", "sigma2": 1.0}
@@ -26,37 +24,27 @@ def sqrt_inv(s):
     return np.asarray(s, dtype=float) ** -0.5
 
 
-def small_plan(seed, T=0.5, n=1, **kw):
-    return CouplingPlan(seed=seed, subdivision=build_subdivision(sqrt_inv, T, n),
-                        **kw)
+GRAZING_EPS = [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16]
+GRAZING = {"gamma": -0.5, "nu": 0.6}
 
 
 def grazing_setup(n_part, eps=np.pi / 4, seed=3, T=0.5, n_sub=1):
-    kern = GrazingKernel(gamma=-0.5, nu=0.6, eps=eps)
+    """A grazing kernel, the subdivision and an initial cloud."""
+    kern = GrazingKernel(eps=eps, **GRAZING)
     cloud = sample_initial(GAUSS, n_part, rngstreams.stream(seed, "coupled-init"))
-    sub = build_subdivision(sqrt_inv, T, n_sub)
-    dtv = 0.5 * min(b - a for a, b in sub.slab_bounds())
-    bc = BoltzmannConfig(kernel=kern, n=n_part, dt=dtv, T=T)
-    lc = LandauConfig(gamma=-0.5, n=n_part, dt=dtv, T=T)
-    return bc, lc, sub, cloud
+    return kern, build_subdivision(sqrt_inv, T, n_sub), cloud
 
 
 @pytest.fixture(scope="module")
 def grazing_sweep():
-    bc = BoltzmannConfig(kernel=GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 2),
-                         n=512, dt=0.01, T=0.5)
-    lc = LandauConfig(gamma=-0.5, n=512, dt=0.01, T=0.5)
-    eps = [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16]
-    return rate_sweep(bc, lc, eps, range(10))
+    return rate_sweep("grazing", GRAZING_EPS, range(10), n=512, T=0.5,
+                      **GRAZING)
 
 
 @pytest.fixture(scope="module")
 def grazing_sweep_no_tanaka():
-    bc = BoltzmannConfig(kernel=GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 2),
-                         n=512, dt=0.01, T=0.5)
-    lc = LandauConfig(gamma=-0.5, n=512, dt=0.01, T=0.5)
-    eps = [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16]
-    return rate_sweep(bc, lc, eps, range(10), tanaka=False)
+    return rate_sweep("grazing", GRAZING_EPS, range(10), n=512, T=0.5,
+                      tanaka=False, **GRAZING)
 
 
 def test_subdivision_invariants():
@@ -104,10 +92,10 @@ def test_subdivision_validation():
 
 
 def test_coupled_t0_zero_and_bit_reproducible():
-    bc, lc, sub, cloud = grazing_setup(128)
-    plan = CouplingPlan(seed=11, subdivision=sub)
-    res1 = coupled_run(bc, lc, plan, cloud)
-    res2 = coupled_run(bc, lc, plan, cloud)
+    kern, sub, cloud = grazing_setup(128)
+    plan = CouplingPlan(kernel=kern, seed=11, subdivision=sub)
+    res1 = coupled_run(plan, cloud)
+    res2 = coupled_run(plan, cloud)
     assert res1.paired_l2[0] == 0.0
     assert np.array_equal(res1.paired_l2, res2.paired_l2)
     assert np.array_equal(res1.boltz_cloud.velocities,
@@ -120,14 +108,14 @@ def test_coupled_t0_zero_and_bit_reproducible():
 
 
 def test_removing_gaussian_matching_inflates_distance():
-    bc, lc, sub, _ = grazing_setup(256)
+    kern, sub, _ = grazing_setup(256)
     diffs = []
     for s in range(5):
         cloud = sample_initial(GAUSS, 256, rngstreams.stream(s, "coupled-init"))
-        d_g = coupled_run(bc, lc, CouplingPlan(seed=s, subdivision=sub),
+        d_g = coupled_run(CouplingPlan(kernel=kern, seed=s, subdivision=sub),
                           cloud).paired_l2[-1]
-        d_c = coupled_run(bc, lc, CouplingPlan(seed=s, subdivision=sub,
-                                               level="common"),
+        d_c = coupled_run(CouplingPlan(kernel=kern, seed=s, subdivision=sub,
+                                       level="common"),
                           cloud).paired_l2[-1]
         diffs.append(d_c - d_g)
     diffs = np.asarray(diffs)
@@ -164,9 +152,8 @@ def test_tanaka_rotation_tightens_coupling(grazing_sweep,
 
 
 def test_coulomb_mini_sweep_frozen_values():
-    bc = BoltzmannConfig(kernel=CoulombKernel(eps=0.3), n=256, dt=0.01, T=0.3)
-    lc = LandauConfig(gamma=-3.0, n=256, dt=0.01, T=0.3)
-    rep = rate_sweep(bc, lc, [0.3, 0.1, 0.03, 0.01], range(10))
+    rep = rate_sweep("coulomb", [0.3, 0.1, 0.03, 0.01], range(10), n=256,
+                     T=0.3)
     assert rep.family == "coulomb"
     assert rep.verdict == "decreasing"
     assert float(rep.means.sum()) == pytest.approx(0.8596969838615156,
@@ -177,106 +164,89 @@ def test_coulomb_mini_sweep_frozen_values():
 
 
 def test_sweep_validation_errors():
-    bc = BoltzmannConfig(kernel=GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 2),
-                         n=64, dt=0.01, T=0.5)
-    lc = LandauConfig(gamma=-0.5, n=64, dt=0.01, T=0.5)
-    eps = [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16]
-    with pytest.raises(ParameterError):
-        rate_sweep(bc, lc, eps[:3], range(10))           # too few eps
-    with pytest.raises(ParameterError):
-        rate_sweep(bc, lc, eps[::-1], range(10))         # not decreasing
-    with pytest.raises(ParameterError):
-        rate_sweep(bc, lc, eps, range(9))                # too few seeds
-    with pytest.raises(ParameterError):
-        rate_sweep(bc, lc, eps, [0, 1, 2, 3, 4, 5, 6, 7, 8, 8])  # repeat
-    bc_soft = BoltzmannConfig(kernel=SoftKernel(gamma=-0.5, nu=0.6),
-                              n=64, dt=0.01, T=0.5)
-    with pytest.raises(ParameterError):
-        rate_sweep(bc_soft, lc, eps, range(10))          # plain soft family
-    lc_bad_T = LandauConfig(gamma=-0.5, n=64, dt=0.01, T=0.4)
-    with pytest.raises(ParameterError):
-        rate_sweep(bc, lc_bad_T, eps, range(10))
-    lc_bad_n = LandauConfig(gamma=-0.5, n=65, dt=0.01, T=0.5)
-    with pytest.raises(ParameterError):
-        rate_sweep(bc, lc_bad_n, eps, range(10))
+    eps = GRAZING_EPS
+    with pytest.raises(ParameterError):                  # too few eps
+        rate_sweep("grazing", eps[:3], range(10), n=64, T=0.5, **GRAZING)
+    with pytest.raises(ParameterError):                  # not decreasing
+        rate_sweep("grazing", eps[::-1], range(10), n=64, T=0.5, **GRAZING)
+    with pytest.raises(ParameterError):                  # too few seeds
+        rate_sweep("grazing", eps, range(9), n=64, T=0.5, **GRAZING)
+    with pytest.raises(ParameterError):                  # repeat
+        rate_sweep("grazing", eps, [0, 1, 2, 3, 4, 5, 6, 7, 8, 8], n=64,
+                   T=0.5, **GRAZING)
+    with pytest.raises(ParameterError):                  # plain soft family
+        rate_sweep("soft", eps, range(10), n=64, T=0.5, **GRAZING)
+    with pytest.raises(ParameterError, match="coulomb kernel"):
+        rate_sweep("coulomb", [0.3, 0.1, 0.03, 0.01], range(10), n=64,
+                   T=0.3, gamma=-0.5)                    # gamma is -3
 
 
 def test_coupled_run_compat_errors():
-    bc, lc, sub, cloud = grazing_setup(64)
-    plan = CouplingPlan(seed=0, subdivision=sub)
-    small = sample_initial(GAUSS, 32, rngstreams.stream(0, "coupled-init"))
+    kern, sub, cloud = grazing_setup(64)
+    plan = CouplingPlan(kernel=kern, seed=0, subdivision=sub)
     with pytest.raises(ParameterError):
-        coupled_run(bc, lc, plan, small)                  # n mismatch
-    lc_g = LandauConfig(gamma=-1.0, n=64, dt=bc.dt, T=0.5)
+        coupled_run(plan, cloud, w2_mode="sometimes")
+    plan_empty = CouplingPlan(kernel=kern, seed=0, subdivision=sub, eta=1e-6)
     with pytest.raises(ParameterError):
-        coupled_run(bc, lc_g, plan, cloud)                # gamma mismatch
-    lc_T = LandauConfig(gamma=-0.5, n=64, dt=bc.dt, T=0.6)
+        coupled_run(plan_empty, cloud)                    # empty window
+    plan_floor = CouplingPlan(kernel=kern, seed=0, subdivision=sub,
+                              v_floor=0.0)
     with pytest.raises(ParameterError):
-        coupled_run(bc, lc_T, plan, cloud)                # horizon mismatch
-    bc_dt = BoltzmannConfig(kernel=bc.kernel, n=64, dt=0.4, T=0.5)
-    with pytest.raises(ParameterError):
-        coupled_run(bc_dt, lc, plan, cloud)               # dt coarser than slab
-    with pytest.raises(ParameterError):
-        coupled_run(bc, lc, plan, cloud, w2_mode="sometimes")
-    plan_empty = CouplingPlan(seed=0, subdivision=sub, eta=1e-6)
-    with pytest.raises(ParameterError):
-        coupled_run(bc, lc, plan_empty, cloud)            # empty window
-    bc_floor = BoltzmannConfig(kernel=bc.kernel, n=64, dt=bc.dt, T=0.5,
-                               v_floor=0.0)
-    with pytest.raises(ParameterError):
-        coupled_run(bc_floor, lc, plan, cloud)            # unbounded rate
+        coupled_run(plan_floor, cloud)                    # unbounded rate
 
 
 def test_plan_validation():
     sub = build_subdivision(sqrt_inv, 0.5, 1)
-    with pytest.raises(ParameterError):
-        CouplingPlan(seed=0, subdivision=sub, level="telepathic")
-    with pytest.raises(ParameterError):
-        CouplingPlan(seed=0, subdivision=sub, eta=-0.1)
-    with pytest.raises(ParameterError):
-        CouplingPlan(seed=0, subdivision=sub, truncation_m=0.0)
-    with pytest.raises(ParameterError):
-        CouplingPlan(seed=0, subdivision=sub, normal_fallback=-1)
+    kern = GrazingKernel(eps=np.pi / 4, **GRAZING)
+    for bad in ({"level": "telepathic"}, {"eta": -0.1},
+                {"truncation_m": 0.0}, {"normal_fallback": -1},
+                {"kernel": "grazing"}, {"theta_min": 0.0},
+                {"theta_min": 4.0}, {"v_floor": -1.0}, {"reg_delta": -1.0}):
+        with pytest.raises(ParameterError):
+            CouplingPlan(**{"kernel": kern, "seed": 0, "subdivision": sub,
+                            **bad})
+    # a kernel whose gamma the Landau side refuses fails at the plan
+    hard = SoftKernel(gamma=-0.5, nu=0.6)
+    object.__setattr__(hard, "gamma", 0.5)
+    with pytest.raises(ParameterError, match="gamma"):
+        CouplingPlan(kernel=hard, seed=0, subdivision=sub)
 
 
 def test_forced_gaussian_fallback_path():
-    bc, lc, sub, cloud = grazing_setup(64)
-    res = coupled_run(bc, lc, CouplingPlan(seed=3, subdivision=sub,
-                                           normal_fallback=0), cloud)
-    res2 = coupled_run(bc, lc, CouplingPlan(seed=3, subdivision=sub,
-                                            normal_fallback=0), cloud)
+    kern, sub, cloud = grazing_setup(64)
+    forced = CouplingPlan(kernel=kern, seed=3, subdivision=sub,
+                          normal_fallback=0)
+    res = coupled_run(forced, cloud)
+    res2 = coupled_run(forced, cloud)
     assert np.array_equal(res.paired_l2, res2.paired_l2)
     assert np.all(np.isfinite(res.paired_l2))
     # aggregate moments match the sampled path to leading order, so the
     # distances land in the same regime
-    samp = coupled_run(bc, lc, CouplingPlan(seed=3, subdivision=sub), cloud)
+    samp = coupled_run(CouplingPlan(kernel=kern, seed=3, subdivision=sub),
+                       cloud)
     assert 0.3 < res.paired_l2[-1] / samp.paired_l2[-1] < 3.0
 
 
 def test_diffusion_truncation_hurts_coupling():
     kern = CoulombKernel(eps=0.1)
     cloud = sample_initial(GAUSS, 128, rngstreams.stream(5, "coupled-init"))
-    sub = build_subdivision(sqrt_inv, 0.3, 2)
-    dtv = 0.5 * min(b - a for a, b in sub.slab_bounds())
     floor = 0.05 * math.sqrt(3)
-    bc = BoltzmannConfig(kernel=kern, n=128, dt=dtv, T=0.3, v_floor=floor)
-    lc = LandauConfig(gamma=-3.0, n=128, dt=dtv, T=0.3, reg_delta=floor)
-    eta = 1.0 / math.log(10.0)
-    wide = coupled_run(bc, lc, CouplingPlan(seed=5, subdivision=sub, eta=eta,
-                                            truncation_m=100.0), cloud)
-    tight = coupled_run(bc, lc, CouplingPlan(seed=5, subdivision=sub, eta=eta,
-                                             truncation_m=0.1), cloud)
+    base = dict(kernel=kern, seed=5, subdivision=build_subdivision(
+        sqrt_inv, 0.3, 2), v_floor=floor, reg_delta=floor,
+        eta=1.0 / math.log(10.0))
+    wide = coupled_run(CouplingPlan(truncation_m=100.0, **base), cloud)
+    tight = coupled_run(CouplingPlan(truncation_m=0.1, **base), cloud)
     assert tight.paired_l2[-1] > 2.0 * wide.paired_l2[-1]
 
 
 def test_w2_modes():
-    bc, lc, sub, cloud = grazing_setup(64)
-    plan = CouplingPlan(seed=3, subdivision=sub)
-    none = coupled_run(bc, lc, plan, cloud)
+    kern, sub, cloud = grazing_setup(64)
+    plan = CouplingPlan(kernel=kern, seed=3, subdivision=sub)
+    none = coupled_run(plan, cloud)
     assert np.isnan(none.w2).all()
-    term = coupled_run(bc, lc, plan, cloud, w2_mode="terminal")
+    term = coupled_run(plan, cloud, w2_mode="terminal")
     assert np.isnan(term.w2[:-1]).all() and term.w2[-1] > 0.0
-    full = coupled_run(bc, lc, plan, cloud, w2_mode="all")
+    full = coupled_run(plan, cloud, w2_mode="all")
     assert full.w2[0] == 0.0
     # assignment-optimal transport never exceeds the identity pairing
     assert np.all(full.w2 <= full.paired_l2 + 1e-12)
@@ -312,24 +282,21 @@ def count_streams(monkeypatch):
 
 @pytest.mark.parametrize("w2_mode", ["terminal", "all"])
 def test_w2_size_guard_fails_before_slab_compute(monkeypatch, w2_mode):
-    bc, lc, sub, cloud = grazing_setup(4097)
+    kern, sub, cloud = grazing_setup(4097)
     names = count_streams(monkeypatch)
     with pytest.raises(ParameterError, match="4096"):
-        coupled_run(bc, lc, CouplingPlan(seed=3, subdivision=sub), cloud,
+        coupled_run(CouplingPlan(kernel=kern, seed=3, subdivision=sub), cloud,
                     w2_mode=w2_mode)
     with pytest.raises(ParameterError, match="4096"):
-        rate_sweep(bc, lc, [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16],
-                   range(10), w2_mode=w2_mode)
+        rate_sweep("grazing", GRAZING_EPS, range(10), n=4097, T=0.5,
+                   w2_mode=w2_mode, **GRAZING)
     assert names and not [m for m in names if m.startswith("slab-")]
 
 
 def small_grazing_sweep():
     # the size of the CLI rate-sweep test: n = 48, 4 eps, 10 seeds
-    bc = BoltzmannConfig(kernel=GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 2),
-                         n=48, dt=0.3, T=0.3)
-    lc = LandauConfig(gamma=-0.5, n=48, dt=0.3, T=0.3)
-    return rate_sweep(bc, lc, [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16],
-                      range(10))
+    return rate_sweep("grazing", GRAZING_EPS, range(10), n=48, T=0.3,
+                      **GRAZING)
 
 
 def test_sweep_pool_is_byte_identical_to_serial(monkeypatch):
@@ -348,12 +315,12 @@ def test_sweep_pool_is_byte_identical_to_serial(monkeypatch):
 def test_sweep_cell_errors_surface_unchanged(monkeypatch):
     original = coupling.coupled_run
 
-    def unstable(bc, lc, plan, cloud, **kw):
-        if plan.seed == 3 and bc.kernel.eps == np.pi / 8:
+    def unstable(plan, cloud, **kw):
+        if plan.seed == 3 and plan.kernel.eps == np.pi / 8:
             raise InstabilityError("non-finite state after slab 1 (first "
                                    "indices [4, 9])",
                                    indices=np.array([4, 9]))
-        return original(bc, lc, plan, cloud, **kw)
+        return original(plan, cloud, **kw)
 
     monkeypatch.setattr(coupling, "coupled_run", unstable)
     raised = {}
@@ -488,33 +455,25 @@ def reference_sampler(calls):
     return sums
 
 
-def coulomb_band_setup(n_part=128, seed=5):
-    kern = CoulombKernel(eps=0.01)
-    cloud = sample_initial(GAUSS, n_part, rngstreams.stream(seed, "coupled-init"))
-    sub = build_subdivision(sqrt_inv, 0.3, 2)
-    dtv = 0.5 * min(b - a for a, b in sub.slab_bounds())
-    floor = 0.05 * math.sqrt(3)
-    bc = BoltzmannConfig(kernel=kern, n=n_part, dt=dtv, T=0.3, v_floor=floor)
-    lc = LandauConfig(gamma=-3.0, n=n_part, dt=dtv, T=0.3, reg_delta=floor)
-    return bc, lc, sub, cloud
-
-
 @pytest.mark.parametrize("setup", ["grazing", "coulomb-band",
                                    "coulomb-fallback"])
 def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
     if setup == "grazing":
-        bc, lc, sub, cloud = grazing_setup(256, eps=np.pi / 16, n_sub=2)
-        plan = CouplingPlan(seed=7, subdivision=sub)
+        kern, sub, cloud = grazing_setup(256, eps=np.pi / 16, n_sub=2)
+        plan = CouplingPlan(kernel=kern, seed=7, subdivision=sub)
     else:
-        bc, lc, sub, cloud = coulomb_band_setup()
-        plan = CouplingPlan(seed=5, subdivision=sub,
+        cloud = sample_initial(GAUSS, 128, rngstreams.stream(5, "coupled-init"))
+        sub = build_subdivision(sqrt_inv, 0.3, 2)
+        floor = 0.05 * math.sqrt(3)
+        plan = CouplingPlan(kernel=CoulombKernel(eps=0.01), seed=5,
+                            subdivision=sub, v_floor=floor, reg_delta=floor,
                             eta=1.0 / math.log(100.0),
                             normal_fallback=300 if setup == "coulomb-fallback"
                             else 100_000)
-    new = coupled_run(bc, lc, plan, cloud, w2_mode="all")
+    new = coupled_run(plan, cloud, w2_mode="all")
     calls = []
     monkeypatch.setattr(coupling, "_angle_sums", reference_sampler(calls))
-    ref = coupled_run(bc, lc, plan, cloud, w2_mode="all")
+    ref = coupled_run(plan, cloud, w2_mode="all")
     for field in ("times", "paired_l2", "w2", "m2_boltz", "m2_landau"):
         assert np.array_equal(getattr(new, field), getattr(ref, field))
     assert np.array_equal(new.boltz_cloud.velocities,

@@ -359,44 +359,3 @@ def test_jump_identity_second_moment():
         rep = G.jump_identity_report(kern, pairs, n_phi=16)
         assert rep["max_rel_error"] < 1e-6, kern.params()
         assert rep["max_linearization_ratio"] <= 1.0, kern.params()
-
-
-def test_coulomb_floor_perturbation_bounded():
-    rng = np.random.default_rng(21)
-    pairs = rng.normal(size=(8, 2, 3))
-    rep = G.coulomb_floor_perturbation_report(0.1, [1e-1, 1e-2, 1e-3], pairs)
-    # pinned from the pilot sweep: sup ratio 1.85 over eps in {0.3, 0.1},
-    # 20 pairs; cap 3.0 with margin
-    assert rep["sup_ratio"] < 3.0
-    assert set(rep["per_h"]) == {0.1, 0.01, 0.001}
-
-
-# ---------------------------------------------------------------------------
-# compensator drift
-
-
-def test_compensator_drift_full_window():
-    kern = K.GrazingKernel(-0.5, 0.6, PI / 8)
-    v = np.array([1.0, 0.0, 0.0])
-    vs = np.array([0.0, 1.0, 0.0])
-    r = math.sqrt(2.0)
-    expect = -K.k_constant(kern) * float(kern.phi(r)) * (v - vs)
-    # theta_min at the support edge (or beyond) gives the full drift
-    np.testing.assert_allclose(
-        G.compensator_drift(kern, v, vs, kern.eps), expect, rtol=1e-10)
-    np.testing.assert_allclose(
-        G.compensator_drift(kern, v, vs, PI), expect, rtol=1e-10)
-
-
-def test_compensator_drift_small_window_and_degenerate():
-    kern = K.SoftKernel(-0.5, 0.6)
-    v = np.array([1.0, 0.0, 0.0])
-    vs = np.array([0.0, 1.0, 0.0])
-    d_small = G.compensator_drift(kern, v, vs, 1e-6)
-    assert np.linalg.norm(d_small) < 1e-8
-    # window monotonicity
-    n1 = np.linalg.norm(G.compensator_drift(kern, v, vs, 0.1))
-    n2 = np.linalg.norm(G.compensator_drift(kern, v, vs, 1.0))
-    assert n1 < n2
-    np.testing.assert_array_equal(
-        G.compensator_drift(kern, v, v, 0.5), np.zeros(3))

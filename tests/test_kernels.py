@@ -144,6 +144,10 @@ def test_kernel_from_params_dispatch():
         K.kernel_from_params("coulomb", eps=0.1, gamma=-1.0)
     with pytest.raises(ParameterError):
         K.kernel_from_params("hard", gamma=-0.5, nu=0.6)
+    for family, params in (("soft", {"gamma": -0.5, "nu": 0.6}),
+                           ("grazing", {"gamma": -0.5, "nu": 0.6, "eps": 0.3})):
+        with pytest.raises(ParameterError, match="'h_eps'"):
+            K.kernel_from_params(family, h_eps=0.1, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +288,6 @@ def test_r_eta_window():
     assert K.r_eta(g, g.eps / 2) == pytest.approx(0.3789291416275995, rel=1e-9)
     with pytest.raises(ParameterError):
         K.r_eta(g, 0.0)
-
-
-def test_sin2_moment_additivity_and_value():
-    kern = K.SoftKernel(-0.5, 0.6)
-    # 40-digit reference over the full support
-    assert K.sin2_moment(kern, 0.0, PI) == pytest.approx(
-        0.34847715326004404, rel=1e-12)
-    a = K.sin2_moment(kern, 0.0, 0.5)
-    b = K.sin2_moment(kern, 0.5, PI)
-    assert a + b == pytest.approx(K.sin2_moment(kern, 0.0, PI), rel=1e-11)
-    # sin^2 <= theta^2 so the windowed value sits below r_eta
-    assert K.sin2_moment(kern, 0.0, 1.0) < K.r_eta(kern, 1.0)
 
 
 # ---------------------------------------------------------------------------

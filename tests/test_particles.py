@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grazekit.errors import ParameterError
-from grazekit.particles import ParticleCloud, cloud_moments, recenter, sample_initial
+from grazekit.particles import ParticleCloud, recenter, sample_initial
 
 
 def test_cloud_validation():
@@ -94,11 +94,3 @@ def test_sampling_deterministic_by_seed():
     b = sample_initial({"name": "uniform-ball", "radius": 1.0}, 64,
                        np.random.default_rng(42))
     np.testing.assert_array_equal(a.velocities, b.velocities)
-
-
-def test_cloud_moments_dict():
-    v = np.array([[3.0, 0, 0], [0, 4.0, 0]])
-    m = cloud_moments(v, [0, 2, 4])
-    assert m[0.0] == 1.0
-    assert m[2.0] == pytest.approx((9 + 16) / 2)
-    assert m[4.0] == pytest.approx((81 + 256) / 2)
