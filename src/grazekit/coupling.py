@@ -40,10 +40,11 @@ so nothing is left out there.
 The jump sampler takes each azimuth phi = 2 pi u from the Philox words of
 rng.uniform(0, 2 pi) and evaluates cos phi, sin phi from a 1025-entry table
 and the angle-addition formula (_azimuth_cos_sin), within 5e-16 of np.cos
-and np.sin.  Theta stays on libm.  Draws, event counts and generator states
-are those of the libm version; the sweep and coupled-run bytes differ from
-it at rounding level only (paired_l2 within 4e-15 relative on the
-criterion-11 and criterion-12 sweeps).
+and np.sin.  Theta stays on libm.  Each particle's sums are pairwise
+(np.add.reduceat).  Draws, event counts and generator states are those of
+the libm, running-sum sampler; the sweep and coupled-run bytes differ from
+it at rounding level only (each of the two changes moved paired_l2 by at
+most 4e-15 relative on the criterion-11 and criterion-12 sweeps).
 
 rate_sweep builds and checks every (eps, seed) cell first, then runs the
 cells on every core in the process's CPU affinity (a forked process pool;
@@ -267,11 +268,9 @@ class CoupledResult:
 
 # The jump sampler works on blocks of whole particles of about _BLOCK draws,
 # so a block's temporaries stay in cache; a particle with more draws gets a
-# block of its own.  A block with at least _CHAIN draws per particle adds
-# its sums through interleaved (particle, sum) bins, which breaks the chain
-# of dependent adds into one bin; a sparser block takes one bincount per sum.
+# block of its own.  A particle's draws never straddle two blocks, so its
+# sums are one segment reduction over its own terms.
 _BLOCK = 16384
-_CHAIN = 32
 
 
 def _blocks(counts, tot):
@@ -345,36 +344,31 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     by particle; then each block of L draws takes its azimuth uniforms from
     rng.random(L), in block order.  These are the Philox words of one
     uniform(0, 2 pi, total) call, and the generator ends in the same state.
-    Each particle's sums add its terms in draw order from +0.0, as one
-    bincount over all draws would, so the bytes do not depend on the
-    blocks."""
+    Each particle's sums are one np.add.reduceat segment over its own
+    contiguous terms: pairwise, which differs from running sums at rounding
+    level only.  A segment depends on its own terms alone, so the bytes do
+    not depend on the blocks; a particle without draws keeps +0.0."""
     k = 5 if theta_sums else 3
     tot = int(np.sum(counts))
     u = rng.random(tot)
     sums = np.zeros((k, n))
     for p0, p1, s0, s1 in _blocks(counts, tot):
-        nb, size = p1 - p0, s1 - s0
+        size = s1 - s0
         th = np.asarray(kernel.tail.G(z_lo + mass * u[s0:s1]))
         cos_p, sin_p = _azimuth_cos_sin(rng.random(size))
         sin_t = np.sin(th)
-        interleave = size >= _CHAIN * nb
-        # w[:, j] is term j, held draw-major when interleaved
-        w = np.empty((size, k)) if interleave else np.empty((k, size)).T
-        np.subtract(1.0, np.cos(th), out=w[:, 0])
-        np.multiply(sin_t, cos_p, out=w[:, 1])
-        np.multiply(sin_t, sin_p, out=w[:, 2])
+        w = np.empty((k, size))
+        np.subtract(1.0, np.cos(th), out=w[0])
+        np.multiply(sin_t, cos_p, out=w[1])
+        np.multiply(sin_t, sin_p, out=w[2])
         if theta_sums:
-            np.multiply(th, cos_p, out=w[:, 3])
-            np.multiply(th, sin_p, out=w[:, 4])
-        if interleave:
-            slots = np.repeat(np.arange(k * nb).reshape(nb, k),
-                              counts[p0:p1], axis=0)
-            sums[:, p0:p1] = np.bincount(slots.ravel(), w.ravel(),
-                                         k * nb).reshape(nb, k).T
-        else:
-            owners = np.repeat(np.arange(nb), counts[p0:p1])
-            for j in range(k):
-                sums[j, p0:p1] = np.bincount(owners, w[:, j], nb)
+            np.multiply(th, cos_p, out=w[3])
+            np.multiply(th, sin_p, out=w[4])
+        # reduceat gives w[:, i] for an empty segment, so only particles
+        # with draws are reduced
+        c = counts[p0:p1]
+        nz = np.flatnonzero(c)
+        sums[:, p0 + nz] = np.add.reduceat(w, (np.cumsum(c) - c)[nz], axis=1)
     return sums
 
 
