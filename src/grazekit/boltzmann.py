@@ -7,16 +7,20 @@ exact normalized tail law theta = G(U[0, H(theta_min)]) and a uniform azimuth.
 The two update modes realize these rates differently.
 
 ``nanbu`` mode gives every particle a Poisson stream of collision candidates
-against companions drawn from the cloud itself.  Candidate counts use the
-global bound 2*pi*H(theta_min)*Phi(v_floor)*dt, and each candidate is thinned
-by the ratio of its pair's floored velocity factor to that bound.  Only the
-owner jumps (v -> v'), so momentum and energy are conserved in expectation.
-The candidates run in rounds: round k tests one candidate of every particle
-holding more than k, so until the smallest count every particle takes part.
-A round draws the companions, then one thinning uniform per candidate, then
-a jump coordinate and an azimuth per accepted candidate; it works on
-component-first (3, n) copies of the cloud, so each 3-vector step is a few
-whole-array operations (see geometry).
+against companions drawn from the step-start cloud, on its own clock.  The
+stream runs at the owner's majorant 2*pi*H(theta_min)*M*dt per step, with
+M = Phi(max(d, v_floor)) and d a lower bound on the distance from the
+owner's velocity to the nearest other step-start velocity (a k-d tree query,
+then the triangle inequality after each jump until the bound has lost half
+its queried value).  Each candidate is thinned by the ratio of its pair's
+floored velocity factor to M, and a jump redraws the next gap at the new M.
+Only the owner jumps (v -> v'), so momentum and energy are conserved in
+expectation.  Round k tests the k-th candidate of every owner whose clock
+is still inside the step: it draws the companions, then one thinning
+uniform per candidate, then a jump coordinate and an azimuth per accepted
+candidate, then the next gaps; it works on component-first (3, n) copies of
+the cloud, so each 3-vector step is a few whole-array operations (see
+geometry).
 Angles below theta_min are not simulated as jumps; they are replaced by their
 analytic mean drift (the compensator with the residual (1-cos) mass below
 theta_min), averaged over a fresh companion subsample.
@@ -29,10 +33,11 @@ Poisson(2*pi*H(theta_min)*Phi(max(r, v_floor))*dt), with r taken at the start
 of the step, and no candidate is thinned.  This mode applies no drift: exact
 invariants are its contract, the small-angle compensation is nanbu's.
 
-In both modes ``rate_cap`` bounds the global rate 2*pi*H(theta_min)*
-Phi(v_floor)*dt.  In nanbu mode that is the expected candidate count per
-particle per step; in symmetric mode it is the largest expected event count
-of any pair.
+In both modes ``rate_cap`` bounds the global rate lam = 2*pi*H(theta_min)*
+Phi(v_floor)*dt, the cap every per-pair rate stays below.  In nanbu mode
+lam caps each owner's candidate rate (the drawn candidates follow the
+per-owner majorants, usually far fewer); in symmetric mode it caps the
+expected event count of any pair.
 
 For the Coulomb kernel the angular support already starts at eps, so
 theta_min plays no role and the global rate is 2*pi*H_eps(eps)*
@@ -43,6 +48,7 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import spatial
 
 from . import rngstreams
 from .errors import ParameterError, StabilityError
@@ -155,41 +161,78 @@ def _fresh_companions(rng, owners, n):
     return j + (j >= owners)
 
 
-def _step_nanbu(X0, kernel, theta_eff, v_floor, lam, dt, drift_sub, rng):
+def _nn_bound(tree, P, owners):
+    """Lower bound on the distance from each row of P to the nearest point
+    of the tree's cloud other than the owner's own: the second neighbour
+    where the first is the owner.  The relative 1e-12 shrink covers the
+    rounding gap between the tree's distances and _norm's."""
+    dist, idx = tree.query(P, k=2)
+    d = np.where(idx[:, 0] == owners, dist[:, 1], dist[:, 0])
+    return d * (1.0 - 1e-12)
+
+
+def _moved_bound(tree, X, owners, moved, d, d_q):
+    """Bounds of owners that just moved by |a| = moved to the columns of
+    the component-first X: d - |a| by the triangle inequality, queried
+    afresh once that falls below half of the last queried value d_q.
+    Updates d and d_q in place and returns the owners' new bounds."""
+    d_new = d[owners] - moved
+    stale = d_new < 0.5 * d_q[owners]
+    if stale.any():
+        s = owners[stale]
+        d_new[stale] = d_q[s] = _nn_bound(tree, X.take(s, 1).T, s)
+    d[owners] = d_new
+    return d_new
+
+
+def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     n = X0.shape[0]
-    phi_cap = _phi_cap(kernel, v_floor)
     H_max = kernel.tail.H(theta_eff)
-    counts = rng.poisson(lam, size=n)
+    rate = 2.0 * np.pi * H_max * dt
+    # every companion w of an owner at V has |V - w| >= d, the distance to
+    # the nearest non-self step-start row, so M = Phi(max(d, v_floor))
+    # bounds its floored velocity factor until the owner jumps
+    tree = spatial.cKDTree(X0)
+    everyone = np.arange(n)
+    d_q = _nn_bound(tree, X0, everyone)
+    d = d_q.copy()
+    M = _phi_floored(kernel, d, v_floor)
+    # per-owner clocks in units of dt: candidates arrive at rate rate * M,
+    # and a jump redraws the next gap at the new M (exponential gaps are
+    # memoryless)
+    clock = rng.standard_exponential(n) / (rate * M)
     # component-first copies (3, n): W0 is the step-start cloud the
     # companions come from, X the owners' velocities, updated in place
     W0 = X0.T.copy()
     X = W0.copy()
-    everyone = np.arange(n)
-    all_active = int(counts.min())
+    owners = (clock < 1.0).nonzero()[0]
     events = 0
-    for rnd in range(int(counts.max())):
-        if rnd < all_active:
-            owners, V = everyone, X
-        else:
-            owners = (counts > rnd).nonzero()[0]
-            V = X.take(owners, 1)
+    while owners.size:
+        V = X if owners.size == n else X.take(owners, 1)
         D = V - W0.take(_fresh_companions(rng, owners, n), 1)
         r = _norm(D)
-        accept = rng.random(owners.size) * phi_cap <= \
+        Mo = M[owners]
+        accept = rng.random(owners.size) * Mo <= \
             _phi_floored(kernel, r, v_floor)
         acc = accept.nonzero()[0]
-        if acc.size == 0:
-            continue
-        idx = owners[acc]
-        D, ok, rs = _safe(D.take(acc, 1), r[acc])
-        # z uniform on [0, Phi(r) H(theta_min)]; the jump divides by the
-        # same Phi(r), so the angle law is the exact normalized tail law
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi_r = kernel.phi(rs)
-            z = rng.random(idx.size) * phi_r * H_max
-            phi_ang = rng.uniform(0.0, 2.0 * np.pi, idx.size)
-            X[:, idx] += _jump_c(kernel, D, ok, rs, phi_r, z, phi_ang)
-        events += int(idx.size)
+        if acc.size:
+            idx = owners[acc]
+            D, ok, rs = _safe(D.take(acc, 1), r[acc])
+            # z uniform on [0, Phi(r) H(theta_min)]; the jump divides by
+            # the same Phi(r), so the angle law is the exact normalized
+            # tail law
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi_r = kernel.phi(rs)
+                z = rng.random(idx.size) * phi_r * H_max
+                phi_ang = rng.uniform(0.0, 2.0 * np.pi, idx.size)
+                a = _jump_c(kernel, D, ok, rs, phi_r, z, phi_ang)
+            X[:, idx] += a
+            events += int(idx.size)
+            M[idx] = Mo[acc] = _phi_floored(
+                kernel, _moved_bound(tree, X, idx, _norm(a), d, d_q), v_floor)
+        c = clock[owners] + rng.standard_exponential(owners.size) / (rate * Mo)
+        clock[owners] = c
+        owners = owners[c < 1.0]
     X = np.ascontiguousarray(X.T)
 
     # analytic drift for the compensated small-angle tail
@@ -228,14 +271,13 @@ def _step_symmetric(X0, kernel, theta_eff, v_floor, dt, rng):
 def step(cloud, config, rng):
     """Advance the cloud by one time step dt.
 
-    nanbu mode thins per-particle candidate streams drawn at the global
-    rate lam = 2*pi*H(theta_min)*Phi(v_floor)*dt; symmetric mode draws each
-    disjoint pair's event count directly from its own floored rate, which
-    never exceeds lam.  Raises StabilityError when lam exceeds
-    config.rate_cap (use a smaller dt or a larger v_floor): in nanbu mode
-    lam is the expected candidate count per particle, in symmetric mode the
-    largest expected event count per pair.  Raises InstabilityError if any
-    velocity turns non-finite.
+    nanbu mode thins per-particle candidate streams, each drawn at its own
+    nearest-neighbour majorant; symmetric mode draws each disjoint pair's
+    event count directly from its own floored rate.  Both rates stay below
+    lam = 2*pi*H(theta_min)*Phi(v_floor)*dt, the cap that config.rate_cap
+    checks: StabilityError when lam exceeds it (use a smaller dt or a
+    larger v_floor).  lam is not the drawn candidate count.  Raises
+    InstabilityError if any velocity turns non-finite.
     """
     check_cloud_size(cloud, config)
     kernel = config.kernel
@@ -250,7 +292,7 @@ def step(cloud, config, rng):
 
     if config.update_mode == "nanbu":
         Xn, events = _step_nanbu(cloud.velocities, kernel, theta_eff, v_floor,
-                                 lam, config.dt, config.drift_subsample, rng)
+                                 config.dt, config.drift_subsample, rng)
     else:
         Xn, events = _step_symmetric(cloud.velocities, kernel, theta_eff,
                                      v_floor, config.dt, rng)
