@@ -44,7 +44,6 @@ theta_min plays no role and the global rate is 2*pi*H_eps(eps)*
 (v_floor+h_eps)^-3 without truncation.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +54,7 @@ from .errors import ParameterError, StabilityError
 from .geometry import _jump_c, _norm, _safe, deviate, row_norm
 from .kernels import CoulombKernel, GrazingKernel, SoftKernel, residual_k
 from .particles import sample_initial  # noqa: F401  (re-export)
+from .particles import speed_floor
 from .trajectory import check_cloud_size, next_cloud, run_schedule
 
 __all__ = ["BoltzmannConfig", "step", "run", "sample_initial"]
@@ -121,17 +121,6 @@ def _theta_min_eff(config):
     if isinstance(kernel, GrazingKernel):
         return kernel.eps / 64.0
     return np.pi / 256.0
-
-
-def _resolve_floor(config, cloud):
-    if config.v_floor is not None:
-        return float(config.v_floor)
-    return 1e-3 * np.sqrt(cloud.m2())
-
-
-@functools.lru_cache(maxsize=256)
-def _residual_cached(kernel, theta_min):
-    return residual_k(kernel, theta_min)
 
 
 def _phi_cap(kernel, v_floor):
@@ -236,7 +225,7 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     X = np.ascontiguousarray(X.T)
 
     # analytic drift for the compensated small-angle tail
-    k_res = _residual_cached(kernel, float(theta_eff))
+    k_res = residual_k(kernel, theta_eff)
     if k_res > 0.0:
         m = min(drift_sub, n - 1)
         J = rng.integers(0, n - 1, size=(n, m))
@@ -282,7 +271,7 @@ def step(cloud, config, rng):
     check_cloud_size(cloud, config)
     kernel = config.kernel
     theta_eff = _theta_min_eff(config)
-    v_floor = _resolve_floor(config, cloud)
+    v_floor = speed_floor(config.v_floor, cloud)
     lam = 2.0 * np.pi * kernel.tail.H(theta_eff) * \
         _phi_cap(kernel, v_floor) * config.dt
     if lam > config.rate_cap:
@@ -309,7 +298,8 @@ def run(config, initial_cloud, schedule=None):
     trajectories.
     """
     check_cloud_size(initial_cloud, config)
-    resolved = replace(config, v_floor=_resolve_floor(config, initial_cloud))
+    resolved = replace(config,
+                       v_floor=speed_floor(config.v_floor, initial_cloud))
 
     def _advance(cloud):
         rng = rngstreams.stream(resolved.seed, "boltzmann-step",

@@ -189,6 +189,12 @@ def _echo(cfg):
     return echo
 
 
+def _given(cfg, *keys):
+    """The keys of cfg among `keys`: a key the config leaves out takes the
+    default of the signature it is passed to."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def _build_kernel(cfg, eps=None):
     family, = _require(cfg, "family")
     return kernel_from_params(family, gamma=cfg.get("gamma"),
@@ -220,11 +226,9 @@ def _cmd_simulate_boltzmann(cfg, out_dir):
     n, dt, T = _require(cfg, "n", "dt", "T")
     seed = cfg.get("seed", 0)
     run_cfg = BoltzmannConfig(
-        kernel=kernel, n=n, dt=dt, T=T, theta_min=cfg.get("theta_min"),
-        v_floor=cfg.get("v_floor"),
-        update_mode=cfg.get("update_mode", "nanbu"), seed=seed,
-        drift_subsample=cfg.get("drift_subsample", 64),
-        rate_cap=cfg.get("rate_cap", 1e4))
+        kernel=kernel, n=n, dt=dt, T=T, seed=seed,
+        **_given(cfg, "theta_min", "v_floor", "update_mode",
+                 "drift_subsample", "rate_cap"))
     cloud = _initial_cloud(cfg, n, seed)
     traj = boltzmann.run(run_cfg, cloud, cfg.get("schedule"))
     files = {"snapshots.csv": artifacts.snapshots_csv_text(traj),
@@ -238,9 +242,8 @@ def _cmd_simulate_boltzmann(cfg, out_dir):
 def _cmd_simulate_landau(cfg, out_dir):
     gamma, n, dt, T = _require(cfg, "gamma", "n", "dt", "T")
     seed = cfg.get("seed", 0)
-    run_cfg = LandauConfig(
-        gamma=gamma, n=n, dt=dt, T=T, pairing=cfg.get("pairing", "subsampled"),
-        m=cfg.get("m", 64), reg_delta=cfg.get("reg_delta"), seed=seed)
+    run_cfg = LandauConfig(gamma=gamma, n=n, dt=dt, T=T, seed=seed,
+                           **_given(cfg, "pairing", "m", "reg_delta"))
     cloud = _initial_cloud(cfg, n, seed)
     traj = landau.run(run_cfg, cloud, cfg.get("schedule"))
     files = {"snapshots.csv": artifacts.snapshots_csv_text(traj),
@@ -258,13 +261,10 @@ def _cmd_coupled_run(cfg, out_dir):
         kernel=kernel, seed=seed,
         subdivision=build_subdivision(default_h, T,
                                       cfg.get("subdivision_n", 4)),
-        theta_min=cfg.get("theta_min"), v_floor=cfg.get("v_floor"),
-        reg_delta=cfg.get("reg_delta"), tanaka=cfg.get("tanaka", True),
-        level=cfg.get("level", "gaussian"), eta=cfg.get("eta"),
-        truncation_m=cfg.get("truncation_m", math.inf),
-        normal_fallback=cfg.get("normal_fallback", 100_000))
+        **_given(cfg, "theta_min", "v_floor", "reg_delta", "tanaka", "level",
+                 "eta", "truncation_m", "normal_fallback"))
     cloud = _initial_cloud(cfg, n, seed)
-    result = coupled_run(plan, cloud, w2_mode=cfg.get("w2_mode", "none"))
+    result = coupled_run(plan, cloud, **_given(cfg, "w2_mode"))
     files = {"coupled.csv": artifacts.coupled_csv_text(result),
              "coupled_summary.json": artifacts.coupled_summary_json_text(result)}
     artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
@@ -278,10 +278,8 @@ def _cmd_rate_sweep(cfg, out_dir):
     seed = cfg.get("seed", 0)
     report = rate_sweep(
         family, eps_list, cfg.get("seeds", list(range(10))), n=n, T=T,
-        gamma=cfg.get("gamma"), nu=cfg.get("nu"), p=cfg.get("p", 5),
-        tanaka=cfg.get("tanaka", True), level=cfg.get("level", "gaussian"),
-        w2_mode=cfg.get("w2_mode", "none"),
-        normal_fallback=cfg.get("normal_fallback", 100_000))
+        **_given(cfg, "gamma", "nu", "p", "tanaka", "level", "w2_mode",
+                 "normal_fallback"))
     files = {"sweep.csv": artifacts.sweep_csv_text(report),
              "sweep_summary.json": artifacts.sweep_summary_json_text(report)}
     artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)

@@ -41,10 +41,11 @@ The jump sampler takes each azimuth phi = 2 pi u from the Philox words of
 rng.uniform(0, 2 pi) and evaluates cos phi, sin phi from a 1025-entry table
 and the angle-addition formula (_azimuth_cos_sin), within 5e-16 of np.cos
 and np.sin.  Theta stays on libm.  Each particle's sums are pairwise
-(np.add.reduceat).  Draws, event counts and generator states are those of
-the libm, running-sum sampler; the sweep and coupled-run bytes differ from
-it at rounding level only (each of the two changes moved paired_l2 by at
-most 4e-15 relative on the criterion-11 and criterion-12 sweeps).
+(np.add.reduceat), and its (1 - cos theta) sum is that of the terms
+2 sin^2(theta/2) rounded once.  Draws, event counts and generator states
+are those of the libm, running-sum sampler; the sweep and coupled-run bytes
+differ from it at rounding level only.  The window moments come from
+kernels.window_moments.
 
 rate_sweep builds and checks every (eps, seed) cell first, then runs the
 cells on every core in the process's CPU affinity (a forked process pool;
@@ -53,22 +54,21 @@ keyed by its own seed and slab, so the report does not depend on the core
 count.
 """
 
-import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import rngstreams
 from .boltzmann import _check_jump_options, _theta_min_eff
 from .errors import InstabilityError, ParameterError
 from .geometry import frame, phi_zero, row_norm
-from .kernels import CoulombKernel, kernel_from_params, r_eta, residual_k
+from .kernels import (CoulombKernel, kernel_from_params, residual_k,
+                      window_moments)
 from .landau import _check_gamma
 from .metrics import _W2_SIZE_GUARD, w2_exact
-from .particles import ParticleCloud, sample_initial
+from .particles import ParticleCloud, sample_initial, speed_floor
 
 __all__ = ["Subdivision", "default_h", "build_subdivision", "CouplingPlan",
            "CoupledResult", "coupled_run", "SweepReport", "rate_sweep",
@@ -120,10 +120,13 @@ def _sample_h(h, pts):
     return vals
 
 
-def build_subdivision(h, T, n, samples_per_cell=32):
+_SAMPLES_PER_CELL = 32
+
+
+def build_subdivision(h, T, n):
     """Near-minimizing time grid for the weight profile h.
 
-    Nodes a_i are the argmin of h over samples_per_cell midpoints of the
+    Nodes a_i are the argmin of h over _SAMPLES_PER_CELL midpoints of the
     cell (i/(2n), (2i+1)/(4n)]; the last cell is clipped so the final gap
     to T also lands in (1/(4n), 1/n).  Needs T > 1/(4n).
     """
@@ -131,8 +134,6 @@ def build_subdivision(h, T, n, samples_per_cell=32):
         raise ParameterError("T must be positive and finite")
     if n < 1 or int(n) != n:
         raise ParameterError("n must be a positive integer")
-    if samples_per_cell < 1:
-        raise ParameterError("samples_per_cell must be >= 1")
     n = int(n)
     if T <= 1.0 / (4.0 * n):
         raise ParameterError(
@@ -143,8 +144,8 @@ def build_subdivision(h, T, n, samples_per_cell=32):
         lo, hi = i / (2.0 * n), (2 * i + 1) / (4.0 * n)
         if i == K - 1:
             lo, hi = max(lo, T - 1.0 / n), min(hi, T - 1.0 / (4.0 * n))
-        pts = lo + (hi - lo) * (np.arange(samples_per_cell) + 0.5) \
-            / samples_per_cell
+        pts = lo + (hi - lo) * (np.arange(_SAMPLES_PER_CELL) + 0.5) \
+            / _SAMPLES_PER_CELL
         vals = _sample_h(h, pts)
         nodes.append(pts[int(np.argmin(vals))])
     grid = np.array(nodes + [T])
@@ -155,31 +156,6 @@ def build_subdivision(h, T, n, samples_per_cell=32):
         raise ParameterError("subdivision construction violated its gap "
                              "invariants (T and n are incompatible)")
     return Subdivision(grid=grid, n=n, h_values=h_values)
-
-
-# ---------------------------------------------------------------------------
-# angular window moments
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=256)
-def _window_moments(kernel, lo, hi):
-    """beta-integrals over [lo, hi]: mass (closed-form from the tail), and
-    quadratures of (1-cos), (1-cos)^2, theta^2 against beta."""
-    mass = float(np.asarray(kernel.tail.H(lo))) - \
-        float(np.asarray(kernel.tail.H(hi)))
-
-    def q(f):
-        val, _ = integrate.quad(lambda t: f(t) * float(kernel.beta(t)),
-                                lo, hi, limit=200)
-        return val
-
-    return {
-        "mass": mass,
-        "one_cos": q(lambda t: 1.0 - math.cos(t)),
-        "one_cos_sq": q(lambda t: (1.0 - math.cos(t)) ** 2),
-        "theta_sq": q(lambda t: t * t),
-        "sin_sq": q(lambda t: math.sin(t) ** 2),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +322,30 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     uniform(0, 2 pi, total) call, and the generator ends in the same state.
     Each particle's sums are one np.add.reduceat segment over its own
     contiguous terms: pairwise, which differs from running sums at rounding
-    level only.  A segment depends on its own terms alone, so the bytes do
-    not depend on the blocks; a particle without draws keeps +0.0."""
+    level only.  The (1-cos th) terms, all positive, are 2 sin^2(th/2) (no
+    cancellation at grazing angles), and their sums are rounded once: each
+    term splits into a multiple h of q = ulp(snap) plus the exact remainder,
+    the h sum of a particle is exact (it stays below 2^53 q), and the
+    remainders correct it far below an ulp.  A segment depends on its own
+    terms alone, so the bytes do not depend on the blocks; a particle
+    without draws keeps +0.0."""
     k = 5 if theta_sums else 3
     tot = int(np.sum(counts))
     u = rng.random(tot)
     sums = np.zeros((k, n))
+    snap = math.ldexp(3.0, (2 * int(np.max(counts))).bit_length())
     for p0, p1, s0, s1 in _blocks(counts, tot):
         size = s1 - s0
         th = np.asarray(kernel.tail.G(z_lo + mass * u[s0:s1]))
         cos_p, sin_p = _azimuth_cos_sin(rng.random(size))
         sin_t = np.sin(th)
-        w = np.empty((k, size))
-        np.subtract(1.0, np.cos(th), out=w[0])
+        w = np.empty((k + 1, size))
+        np.square(np.sin(0.5 * th), out=w[0])
+        w[0] *= 2.0
+        # w[k] = h, w[0] rounded to a multiple of q; w[0] keeps the rest
+        np.add(w[0], snap, out=w[k])
+        w[k] -= snap
+        w[0] -= w[k]
         np.multiply(sin_t, cos_p, out=w[1])
         np.multiply(sin_t, sin_p, out=w[2])
         if theta_sums:
@@ -368,14 +355,19 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
         # with draws are reduced
         c = counts[p0:p1]
         nz = np.flatnonzero(c)
-        sums[:, p0 + nz] = np.add.reduceat(w, (np.cumsum(c) - c)[nz], axis=1)
+        seg = np.add.reduceat(w, (np.cumsum(c) - c)[nz], axis=1)
+        seg[0] += seg[k]
+        sums[:, p0 + nz] = seg[:k]
     return sums
 
 
 def _check_run(plan, initial_cloud, w2_mode):
     """Every precondition of a coupled run, checked before any slab stream
-    is built.  Returns the matching window [lo_win, eta] and the resolved
-    velocity floor."""
+    is built.  Returns what the run resolves from the plan: the floors
+    v_floor and reg_delta, the beta-moments of the matching window
+    [theta_min, eta] and of the band above eta, and k_res, the (1-cos) mass
+    below the window.  rate_sweep calls it for every cell first, so the
+    moments are cached before its pool forks."""
     if w2_mode not in ("none", "terminal", "all"):
         raise ParameterError("w2_mode must be 'none', 'terminal' or 'all'")
     n = initial_cloud.n
@@ -391,13 +383,13 @@ def _check_run(plan, initial_cloud, w2_mode):
     if not lo_win < eta:
         raise ParameterError(f"matching window [{lo_win}, {eta}] is empty")
 
-    v_floor = plan.v_floor
-    if v_floor is None:
-        v_floor = 1e-3 * np.sqrt(initial_cloud.m2())
+    v_floor = speed_floor(plan.v_floor, initial_cloud)
     if not isinstance(kernel, CoulombKernel) and not v_floor > 0.0:
         raise ParameterError("soft/grazing coupling needs v_floor > 0 "
                              "(the collision rate is unbounded otherwise)")
-    return lo_win, eta, v_floor
+    return (v_floor, speed_floor(plan.reg_delta, initial_cloud),
+            window_moments(kernel, lo_win, eta),
+            window_moments(kernel, eta, sup_hi), residual_k(kernel, lo_win))
 
 
 def coupled_run(plan, initial_cloud, *, w2_mode="none"):
@@ -407,36 +399,25 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     m2 of both sides; w2_mode "terminal" adds the exact assignment W2 at the
     final time, "all" at every boundary ("none" leaves NaN).
     """
-    lo_win, eta, v_floor = _check_run(plan, initial_cloud, w2_mode)
+    v_floor, delta, mom, mom_lg, k_res = _check_run(plan, initial_cloud,
+                                                    w2_mode)
     kernel = plan.kernel
     n = initial_cloud.n
     sub = plan.subdivision
     slabs = sub.slab_bounds()
-    sup_hi = kernel.support[1]
 
-    mom = _window_moments(kernel, lo_win, eta)
-    mass_w, mu1 = mom["mass"], mom["one_cos"] / mom["mass"]
-    var1 = max(mom["one_cos_sq"] / mom["mass"] - mu1 * mu1, 0.0)
-    e_th2 = mom["theta_sq"] / mom["mass"]
-    r_eta_win = 0.25 * np.pi * mom["theta_sq"]
-    z_hi = float(np.asarray(kernel.tail.H(eta)))  # window z in [z_hi, z_hi+mass_w]
-    mass_lg = z_hi  # tail mass above eta (H vanishes at the support top)
-    if mass_lg > 1e-14:
-        mom_lg = _window_moments(kernel, eta, sup_hi)
-        mu1_lg, one_cos_lg = mom_lg["one_cos"] / mom_lg["mass"], \
-            mom_lg["one_cos"]
-        r_tail = 0.25 * np.pi * mom_lg["theta_sq"]
-        sin2_lg = mom_lg["sin_sq"]
-    else:
-        mass_lg, mu1_lg, one_cos_lg = 0.0, 0.0, 0.0
-        r_tail, sin2_lg = 0.0, 0.0
-    k_res = residual_k(kernel, lo_win)
+    mass_w, mu1 = mom.mass, mom.one_cos / mom.mass
+    var1 = max(mom.one_cos_sq / mom.mass - mu1 * mu1, 0.0)
+    e_th2 = mom.theta_sq / mom.mass
+    r_eta_win = 0.25 * np.pi * mom.theta_sq
+    z_hi = mom_lg.mass  # H(eta): the window's z lies in [z_hi, z_hi+mass_w]
+    # jumps above eta only where that band has mass (Coulomb)
+    mass_lg = z_hi if z_hi > 1e-14 else 0.0
+    one_cos_lg = mom_lg.one_cos if mass_lg > 0.0 else 0.0
+    r_tail = 0.25 * np.pi * mom_lg.theta_sq
     # total (1-cos) drift mass: compensated window + large jumps + sub-window
-    k_full = np.pi * (mom["one_cos"] + one_cos_lg) + k_res
+    k_full = np.pi * (mom.one_cos + one_cos_lg) + k_res
 
-    delta = plan.reg_delta
-    if delta is None:
-        delta = 1e-3 * np.sqrt(initial_cloud.m2())
     gamma = kernel.gamma
     m_trunc = plan.truncation_m
 
@@ -487,7 +468,7 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
             events += int(counts_lg.sum())
             l1, l2, l3 = _angle_sums(rng_j, counts_lg, kernel, 0.0, mass_lg,
                                      n, theta_sums=False)
-            s1 += l1 - lam_lg * mu1_lg
+            s1 += l1 - lam_lg * (one_cos_lg / mass_lg)
             s2 += l2
             s3 += l3
 
@@ -517,7 +498,7 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
             sig_t = 2.0 * np.sqrt(delta_t * phi_v * r_eta_win)
             u2, u3 = t2 / sig_t, t3 / sig_t
             if mass_lg > 0.0:
-                sig_lg = np.sqrt(delta_t * phi_v * np.pi * sin2_lg)
+                sig_lg = np.sqrt(delta_t * phi_v * np.pi * mom_lg.sin_sq)
                 ut2, ut3 = l2 / sig_lg, l3 / sig_lg
         else:
             g = plan.gauss_stream(k).standard_normal((n, 4))
@@ -654,8 +635,7 @@ _FAMILIES = ("grazing", "coulomb")
 
 
 def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
-               tanaka=True, level="gaussian", w2_mode="none",
-               normal_fallback=100_000):
+               w2_mode="none", **plan_options):
     """Coupled-distance sweep over a decreasing eps grid.
 
     Per (eps, seed) cell: build the kernel at eps (kernels.kernel_from_params;
@@ -667,7 +647,8 @@ def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
     any runs, so a bad grid point fails before any compute.  The cells then
     run on every core in this process's CPU affinity, smallest eps first;
     the report is identical to a one-core run.  The fit and verdict are
-    fit_verdict's.
+    fit_verdict's.  plan_options (tanaka, level, normal_fallback) go to
+    every cell's CouplingPlan; the recipe sets its other fields.
     """
     if family not in _FAMILIES:
         raise ParameterError("rate sweeps need family 'grazing' or 'coulomb'")
@@ -689,11 +670,9 @@ def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
     for eps in eps_list:
         kern = kernel_from_params(family, gamma=gamma, nu=nu, eps=eps)
         if family == "grazing":
+            # the window exhausts the support: no angular mass above eta,
+            # r_eta = 1 (the degenerate-bound regime)
             eta = kern.support[1]
-            # degenerate-bound regime: no angular mass above eta, r_eta = 1
-            if abs(r_eta(kern, eta) - 1.0) > 1e-8:
-                raise ParameterError("grazing sweep window must exhaust the "
-                                     "kernel support with r_eta = 1")
             small = eps
         else:
             eta = min(1.0 / math.log(1.0 / eps), kern.support[1])
@@ -706,12 +685,13 @@ def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
                 math.sqrt(2.0 * m2_0) * math.log(1.0 / eps) ** (2.0 / (2.0 * p + 3.0))
             # grazing floors default to 1e-3 of the RMS speed in coupled_run;
             # theta_min keeps the kernel default: eps/64 for the grazing
-            # family, the support bottom eps for Coulomb
+            # family, the support bottom eps for Coulomb.  Every other plan
+            # field is named here, so plan_options can set no more than
+            # tanaka, level and normal_fallback.
             floor = 0.05 * math.sqrt(m2_0) if family == "coulomb" else None
             plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
-                                v_floor=floor, reg_delta=floor, tanaka=tanaka,
-                                level=level, eta=eta, truncation_m=m_trunc,
-                                normal_fallback=normal_fallback)
+                                theta_min=None, v_floor=floor, reg_delta=floor,
+                                eta=eta, truncation_m=m_trunc, **plan_options)
             _check_run(plan, clouds[s], w2_mode)
             cells.append((plan, clouds[s], w2_mode))
 

@@ -18,8 +18,9 @@ B(|v-v*|, theta) = Phi(|v-v*|) * beta(theta). Three families:
 Each family carries a closed-form tail integral H(theta) = integral_theta
 of beta and its inverse G = H^{-1}, which converts a uniform jump coordinate
 z into a deviation angle. All normalizations and tail inverses are exact
-closed forms; quadrature is used only for generic moments and for the
-verification reports.
+closed forms, and so are the window moments every simulator reads
+(window_moments); quadrature is used only for the Coulomb theta_moment and
+for the verification reports.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -42,6 +44,7 @@ __all__ = [
     "soft_normalizer",
     "coulomb_normalizer",
     "theta_moment",
+    "window_moments",
     "k_constant",
     "residual_k",
     "r_eta",
@@ -321,15 +324,9 @@ def kernel_from_params(family: str, *, gamma: float | None = None,
 # angular moments
 
 
-def _quad_split(f, lo: float, hi: float, *, splits: int = 0) -> float:
-    """Adaptive quadrature with optional geometric splitting toward lo,
-    for integrands that steepen at the lower endpoint."""
-    if hi <= lo:
-        return 0.0
-    if splits <= 0:
-        val, _ = integrate.quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=1e-12,
-                                limit=200)
-        return val
+def _quad_split(f, lo: float, hi: float, splits: int) -> float:
+    """Adaptive quadrature on `splits` geometric panels toward lo > 0, for
+    integrands that steepen at the lower endpoint."""
     edges = [lo] + [lo * (hi / lo) ** (j / splits) for j in range(1, splits)] + [hi]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -363,43 +360,86 @@ def theta_moment(kernel: Kernel, power: float) -> float:
             raise ParameterError(f"moment power must be >= 0, got {power}")
         lo, hi = kernel.support
         return _quad_split(lambda t: t ** power * float(kernel.beta(t)),
-                           lo, hi, splits=24)
+                           lo, hi, 24)
     raise ParameterError(f"not a kernel: {kernel!r}")
 
 
-def _windowed_moment(kernel: Kernel, f, lo: float, hi: float) -> float:
-    """integral(f(theta) * beta(theta), lo..hi) clipped to the support."""
+class Moments(NamedTuple):
+    """beta-integrals over one angular window."""
+
+    mass: float        # integral(beta), from the tail H
+    one_cos: float     # integral((1 - cos theta) * beta)
+    one_cos_sq: float  # integral((1 - cos theta)^2 * beta)
+    theta_sq: float    # integral(theta^2 * beta)
+    sin_sq: float      # integral(sin^2 theta * beta)
+
+
+# Power series of 1 - cos t and of (1 - cos t)^2 = 3/2 - 2 cos t + cos(2t)/2
+# in t^(2k), k = 1..24; at t = pi their last terms are below 1e-23.
+_K = np.arange(1, 25)
+_FACT = np.array([float(math.factorial(2 * k)) for k in _K])
+_ONE_COS_COEF = (-1.0) ** (_K + 1) / _FACT
+_ONE_COS_SQ_COEF = (-1.0) ** _K * (2.0 ** (2 * _K - 1) - 2.0) / _FACT
+
+
+def _power_law_antiderivatives(kernel, x):
+    """integral((1 - cos), (1 - cos)^2, theta^2 against beta, 0..x) for
+    beta = a * theta^(-1-nu), term by term over the series: exact to
+    rounding for every nu in (0, 2)."""
+    nu = kernel.nu
+    if isinstance(kernel, GrazingKernel):
+        a = (math.pi / kernel.eps) ** (2.0 - nu) * kernel.base.c_nu
+    else:
+        a = kernel.c_nu
+    e = 2.0 * _K - nu
+    powers = x ** e / e
+    return a * np.array([math.fsum(_ONE_COS_COEF * powers),
+                         math.fsum(_ONE_COS_SQ_COEF * powers), powers[0]])
+
+
+def _coulomb_antiderivatives(kernel, x):
+    """Antiderivatives at x of (1 - cos), (1 - cos)^2, theta^2 against
+    beta = k_c cos(theta/2) / s^3, with s = sin(theta/2) and 1 - cos = 2 s^2:
+    4 log s, 4 s^2 and -theta^2/s^2 - 4 theta cos(theta/2)/s + 8 log s."""
+    s, c = math.sin(0.5 * x), math.cos(0.5 * x)
+    log_s = math.log(s)
+    return kernel.k_c * np.array([4.0 * log_s, 4.0 * s * s,
+                                  -x * x / (s * s) - 4.0 * x * c / s
+                                  + 8.0 * log_s])
+
+
+@functools.lru_cache(maxsize=256)
+def window_moments(kernel: Kernel, lo: float, hi: float) -> Moments:
+    """The beta-integrals over [lo, hi] clipped to the kernel support.
+
+    The one place that integrates against beta for the simulators and the
+    constants below.  The mass is H(lo) - H(hi) (inf for a window from 0);
+    the other moments are closed forms, with sin^2 = 2 (1 - cos) -
+    (1 - cos)^2.  An empty window gives zeros.
+    """
     s_lo, s_hi = kernel.support
-    lo = max(lo, s_lo)
-    hi = min(hi, s_hi)
-    if hi <= lo:
-        return 0.0
-    # f(theta)*beta ~ theta^(1-nu) near 0 for the smooth f used here
-    # (f ~ theta^2): integrable endpoint, give quad the singular point.
-    if lo == 0.0:
-        lo = 0.0
-        val, _ = integrate.quad(lambda t: f(t) * float(kernel.beta(t)),
-                                lo, hi, epsabs=_QUAD_TOL, epsrel=1e-12,
-                                limit=200, points=None)
-        return val
-    return _quad_split(lambda t: f(t) * float(kernel.beta(t)), lo, hi,
-                       splits=16)
+    lo, hi = max(float(lo), s_lo), min(float(hi), s_hi)
+    if not lo < hi:
+        return Moments(0.0, 0.0, 0.0, 0.0, 0.0)
+    H = kernel.tail.H
+    mass = math.inf if lo == 0.0 else float(H(lo)) - float(H(hi))
+    F = (_coulomb_antiderivatives if isinstance(kernel, CoulombKernel)
+         else _power_law_antiderivatives)
+    one_cos, one_cos_sq, theta_sq = F(kernel, hi) - F(kernel, lo)
+    return Moments(mass, float(one_cos), float(one_cos_sq), float(theta_sq),
+                   float(2.0 * one_cos - one_cos_sq))
 
 
 def k_constant(kernel: Kernel) -> float:
     """k = pi * integral((1 - cos theta) * beta) -- the momentum-transfer
     constant; lies in (0, 2] and tends to 2 as mass concentrates at 0."""
-    return math.pi * _windowed_moment(kernel, lambda t: 1.0 - math.cos(t),
-                                      0.0, math.pi)
+    return math.pi * window_moments(kernel, 0.0, math.pi).one_cos
 
 
 def residual_k(kernel: Kernel, theta_min: float) -> float:
     """pi * integral((1 - cos theta) * beta, 0..theta_min): the part of k
     carried by deviation angles below a truncation threshold."""
-    if theta_min <= 0.0:
-        return 0.0
-    return math.pi * _windowed_moment(kernel, lambda t: 1.0 - math.cos(t),
-                                      0.0, theta_min)
+    return math.pi * window_moments(kernel, 0.0, theta_min).one_cos
 
 
 def r_eta(kernel: Kernel, eta: float) -> float:
@@ -407,22 +447,11 @@ def r_eta(kernel: Kernel, eta: float) -> float:
     the whole support (by the 4/pi normalization)."""
     if not 0.0 < eta <= math.pi:
         raise ParameterError(f"eta must lie in (0, pi], got {eta}")
-    return 0.25 * math.pi * _windowed_moment(kernel, lambda t: t * t, 0.0, eta)
+    return 0.25 * math.pi * window_moments(kernel, 0.0, eta).theta_sq
 
 
 # ---------------------------------------------------------------------------
 # verification reports
-
-
-def _gl_nodes(lo: float, hi: float, n: int, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi] with n panels."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, n + 1)
-    a = edges[:-1, None]
-    b = edges[1:, None]
-    nodes = 0.5 * (b - a) * x[None, :] + 0.5 * (a + b)
-    weights = 0.5 * (b - a) * w[None, :]
-    return nodes.ravel(), weights.ravel()
 
 
 def _pair_integral_soft(kernel: SoftKernel | GrazingKernel,
@@ -455,11 +484,11 @@ def _pair_integral_soft(kernel: SoftKernel | GrazingKernel,
     return np.sum(integrand * weights[None, :], axis=1) * x[:, 0]
 
 
-def scaling_agreement_report(gamma: float, nu: float, eps_list, pairs,
-                             *, include_base: bool = True) -> dict:
+def scaling_agreement_report(gamma: float, nu: float, eps_list,
+                             pairs) -> dict:
     """Check that I_eps(x,y) = integral((G_eps(z/x) - G_eps(z/y))^2 dz) does
     not depend on the grazing rescaling eps, and report the ratio of I to
-    (x-y)^2/(x+y).
+    (x-y)^2/(x+y).  eps >= pi takes the unscaled soft kernel.
 
     pairs: array (n, 2) of positive speeds x, y.
     Returns {eps -> I array}, max relative deviation across eps, and the
@@ -471,7 +500,7 @@ def scaling_agreement_report(gamma: float, nu: float, eps_list, pairs,
     x, y = pairs[:, 0], pairs[:, 1]
     values: dict[float, np.ndarray] = {}
     for eps in eps_list:
-        kern = (SoftKernel(gamma, nu) if (include_base and eps >= math.pi)
+        kern = (SoftKernel(gamma, nu) if eps >= math.pi
                 else GrazingKernel(gamma, nu, eps))
         values[float(eps)] = _pair_integral_soft(kern, x, y)
     mats = np.stack(list(values.values()))

@@ -26,6 +26,7 @@ import numpy as np
 from . import rngstreams
 from .errors import DegenerateInputError, ParameterError
 from .geometry import row_norm
+from .particles import speed_floor
 from .trajectory import check_cloud_size, next_cloud, run_schedule
 
 __all__ = [
@@ -97,20 +98,10 @@ class LandauCoefficients:
         if not (self.reg_delta >= 0.0):
             raise ParameterError("reg_delta must be >= 0")
 
-    def _floored(self, Z):
-        return np.maximum(row_norm(Z), self.reg_delta)
-
-    def drift(self, Z):
-        """b_delta for a (..., 3) array of separations."""
-        return self._drift(Z, self._floored(Z))
-
-    def noise(self, Z, dB):
-        """sigma_delta(Z) @ dB for matching (..., 3) arrays."""
-        return self._noise(Z, dB, self._floored(Z))
-
     def terms(self, Z, dB):
-        """(drift(Z), noise(Z, dB)) from one evaluation of the floored |Z|."""
-        rf = self._floored(Z)
+        """The drift b_delta(Z) and the noise sigma_delta(Z) @ dB for
+        matching (..., 3) arrays of separations and increments."""
+        rf = np.maximum(row_norm(Z), self.reg_delta)
         return self._drift(Z, rf), self._noise(Z, dB, rf)
 
     def _drift(self, Z, rf):
@@ -161,13 +152,6 @@ class LandauConfig:
             raise ParameterError("m must be >= 1")
         if self.reg_delta is not None and not (self.reg_delta >= 0.0):
             raise ParameterError("reg_delta must be >= 0")
-
-
-def _resolve_delta(config, cloud):
-    """Default regularization floor: 1e-3 of the cloud's RMS speed."""
-    if config.reg_delta is not None:
-        return float(config.reg_delta)
-    return 1e-3 * np.sqrt(cloud.m2())
 
 
 def _step_full(X, coeffs, dt, rng, block=256):
@@ -229,7 +213,8 @@ def step(cloud, config, rng):
     velocity becomes non-finite.
     """
     check_cloud_size(cloud, config)
-    coeffs = LandauCoefficients(config.gamma, _resolve_delta(config, cloud))
+    coeffs = LandauCoefficients(config.gamma,
+                                speed_floor(config.reg_delta, cloud))
     X = cloud.velocities
     # overflow/invalid intermediates surface as the non-finite check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,7 +236,8 @@ def run(config, initial_cloud, schedule=None):
     reproducible regardless of snapshot schedule.
     """
     check_cloud_size(initial_cloud, config)
-    resolved = replace(config, reg_delta=_resolve_delta(config, initial_cloud))
+    resolved = replace(config,
+                       reg_delta=speed_floor(config.reg_delta, initial_cloud))
 
     def _advance(cloud):
         rng = rngstreams.stream(resolved.seed, "landau-step", cloud.step_index)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["ParticleCloud", "sample_initial", "recenter"]
+__all__ = ["ParticleCloud", "sample_initial", "recenter", "speed_floor"]
 
 
 @dataclass
@@ -52,6 +52,12 @@ class ParticleCloud:
 
     def momentum(self) -> np.ndarray:
         return self.velocities.sum(axis=0)
+
+
+def speed_floor(value, cloud: ParticleCloud) -> float:
+    """A configured speed floor (v_floor, reg_delta), or its default when
+    None: 1e-3 of the cloud's RMS speed."""
+    return 1e-3 * np.sqrt(cloud.m2()) if value is None else float(value)
 
 
 def recenter(v: np.ndarray) -> np.ndarray:

@@ -317,7 +317,7 @@ def _compensate(X, X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     # row-wise analytic drift of the compensated small-angle tail, in place
     B = boltzmann
     n = X0.shape[0]
-    k_res = B._residual_cached(kernel, float(theta_eff))
+    k_res = residual_k(kernel, theta_eff)
     if k_res > 0.0:
         m = min(drift_sub, n - 1)
         J = rng.integers(0, n - 1, size=(n, m))

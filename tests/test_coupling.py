@@ -67,7 +67,7 @@ def test_subdivision_invariants():
 def test_subdivision_nodes_near_minimize():
     # decreasing profile: every node must sit at the top sampled point of
     # its cell, so h(a_i) equals the sampled cell minimum
-    sub = build_subdivision(sqrt_inv, 1.0, 8, samples_per_cell=32)
+    sub = build_subdivision(sqrt_inv, 1.0, 8)
     K = len(sub.grid) - 1
     for i in range(K):
         lo, hi = i / 16.0, (2 * i + 1) / 32.0
@@ -348,18 +348,21 @@ def one_shot_terms(rng, counts, kernel, z_lo, mass):
     th = np.asarray(kernel.tail.G(z_lo + mass * rng.random(tot)))
     cos_p, sin_p = coupling._azimuth_cos_sin(rng.random(tot))
     sin_t = np.sin(th)
-    return np.stack((1.0 - np.cos(th), sin_t * cos_p, sin_t * sin_p,
-                     th * cos_p, th * sin_p))
+    return np.stack((2.0 * np.sin(0.5 * th) ** 2, sin_t * cos_p,
+                     sin_t * sin_p, th * cos_p, th * sin_p))
 
 
 def one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n):
     """The jump sampler without blocks: one segment reduction over the
-    particles that have draws."""
+    particles that have draws, and the (1 - cos) sums rounded once."""
     w = one_shot_terms(rng, counts, kernel, z_lo, mass)
     counts = np.asarray(counts)
     nz = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[nz]
     sums = np.zeros((5, n))
-    sums[:, nz] = np.add.reduceat(w, (np.cumsum(counts) - counts)[nz], axis=1)
+    sums[:, nz] = np.add.reduceat(w, starts, axis=1)
+    sums[0, nz] = [math.fsum(w[0, a:a + c])
+                   for a, c in zip(starts, counts[nz])]
     return tuple(sums)
 
 
@@ -548,7 +551,8 @@ def test_sampler_sums_at_least_as_accurate_as_running_sums():
     err_got, err_seq = sum_errors(
         counts_rng.poisson(400.0, 512), GrazingKernel(eps=eps, **GRAZING),
         eps / 64.0, eps)
-    # measured 8.7e-17 against 3.9e-16 for the running sums
+    # measured 8.7e-17 against 1.9e-15 for the running sums (the s1 sums
+    # are rounded once)
     assert err_got <= err_seq and err_got < 1.5e-16
     # below 8 terms numpy sums a segment one term after another, so on
     # sparse counts the two orders tie in law and either may come out
@@ -558,3 +562,23 @@ def test_sampler_sums_at_least_as_accurate_as_running_sums():
                             CoulombKernel(eps=0.01), 0.01,
                             1.0 / math.log(100.0))
     assert err_got < 4e-16
+
+
+def test_sampler_s1_matches_mpmath_at_grazing_angles():
+    # one draw per particle, so each s1 is a single 1 - cos(theta) term;
+    # 1 - np.cos(theta) loses up to 1.2e-11 of it to cancellation here
+    import mpmath as mp
+    eps = np.pi / 16
+    kernel = GrazingKernel(eps=eps, **GRAZING)
+    mass = float(kernel.tail.H(eps / 64.0))
+    n = 2000
+    stream = rngstreams.stream(5, "slab-jump", 0)
+    s1 = coupling._angle_sums(stream, np.ones(n, dtype=np.int64), kernel,
+                              0.0, mass, n)[0]
+    u = rngstreams.stream(5, "slab-jump", 0).random(n)  # the draws' z words
+    theta = kernel.tail.G(mass * u)
+    assert theta.min() < 1.1 * eps / 64.0
+    with mp.workdps(40):
+        exact = np.array([float(1 - mp.cos(mp.mpf(t))) for t in theta])
+    # measured 4.0e-16 with 2 sin^2(theta/2)
+    assert np.max(np.abs(s1 - exact) / exact) < 1e-15

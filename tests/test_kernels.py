@@ -280,6 +280,87 @@ def test_residual_k():
     assert K.residual_k(K.CoulombKernel(0.1), 0.05) == 0.0
 
 
+def series_residual_k(nu, eps, x):
+    """40-digit pi (pi/eps)^(2-nu) c_nu sum_k (-1)^(k+1) x^(2k-nu) /
+    ((2k)! (2k-nu)): the exact residual k of the grazing kernel below x."""
+    import mpmath as mp
+    with mp.workdps(40):
+        nu, eps, x = mp.mpf(nu), mp.mpf(eps), mp.mpf(x)
+        c_nu = 4 * (2 - nu) / mp.pi ** (3 - nu)
+        total = mp.nsum(lambda k: (-1) ** (k + 1) * x ** (2 * k - nu)
+                        / (mp.factorial(2 * k) * (2 * k - nu)), [1, mp.inf])
+        return float(mp.pi * (mp.pi / eps) ** (2 - nu) * c_nu * total)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [PI / 2, PI / 8])
+@pytest.mark.parametrize("nu", [0.6, 1.0, 1.5, 1.7, 1.9, 1.99])
+def test_residual_k_matches_series_for_every_nu(nu, eps):
+    # the window from 0 has an integrable theta^(1-nu) singularity that
+    # adaptive quadrature lost as nu -> 2 (26 % off at nu = 1.9)
+    kern = K.GrazingKernel(-0.5, nu, eps)
+    theta_min = eps / 64.0
+    assert K.residual_k(kern, theta_min) == pytest.approx(
+        series_residual_k(nu, eps, theta_min), rel=1e-12, abs=0.0)
+
+
+WINDOWS = [
+    (K.GrazingKernel(-0.5, 0.6, PI / 16), PI / 1024, PI / 16),
+    (K.GrazingKernel(-0.5, 1.9, PI / 8), PI / 512, PI / 16),
+    (K.SoftKernel(-0.5, 0.3), 0.3, PI),
+    (K.SoftKernel(-0.5, 1.5), 0.01, 1.0),
+    (K.CoulombKernel(0.01), 0.01, 1.0 / math.log(100.0)),
+    (K.CoulombKernel(0.01), 1.0 / math.log(100.0), PI / 2),
+    (K.CoulombKernel(0.3), 0.3, PI / 2),
+]
+
+
+@pytest.mark.parametrize("kern,lo,hi", WINDOWS)
+def test_window_moments_match_mpmath(kern, lo, hi):
+    import mpmath as mp
+    mom = K.window_moments(kern, lo, hi)
+    with mp.workdps(30):
+        if isinstance(kern, K.CoulombKernel):
+            k_c = mp.mpf(kern.c_eps) / mp.log(1 / mp.mpf(kern.eps))
+
+            def beta(t):
+                return k_c * mp.cos(t / 2) / mp.sin(t / 2) ** 3
+        else:
+            nu = mp.mpf(kern.nu)
+            c = 4 * (2 - nu) / mp.pi ** (3 - nu)
+            if isinstance(kern, K.GrazingKernel):
+                c *= (mp.pi / mp.mpf(kern.eps)) ** (2 - nu)
+
+            def beta(t):
+                return c * t ** (-1 - nu)
+
+        def integral(f):
+            return float(mp.quad(lambda t: f(t) * beta(t),
+                                 [mp.mpf(lo), mp.mpf(hi)]))
+
+        expect = {
+            "mass": integral(lambda t: 1),
+            "one_cos": integral(lambda t: 2 * mp.sin(t / 2) ** 2),
+            "one_cos_sq": integral(lambda t: 4 * mp.sin(t / 2) ** 4),
+            "theta_sq": integral(lambda t: t * t),
+            "sin_sq": integral(lambda t: mp.sin(t) ** 2),
+        }
+    for name, value in expect.items():
+        # measured <= 7.8e-16 (sin^2), <= 4.8e-16 for the others
+        assert getattr(mom, name) == pytest.approx(value, rel=1e-14), name
+
+
+def test_window_moments_clip_to_the_support_and_cache():
+    g = K.GrazingKernel(-0.5, 0.6, PI / 8)
+    assert K.window_moments(g, 0.0, PI) == K.window_moments(g, 0.0, g.eps)
+    assert K.window_moments(g, g.eps, PI) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert K.window_moments(g, 0.0, g.eps).mass == math.inf
+    c = K.CoulombKernel(0.1)
+    assert K.window_moments(c, 0.0, 0.1) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert K.window_moments(c, 0.0, 1.0) == K.window_moments(c, 0.1, 1.0)
+    assert K.window_moments(c, 0.1, 1.0) is K.window_moments(c, 0.1, 1.0)
+
+
 def test_r_eta_window():
     for kern in criterion_grid():
         assert K.r_eta(kern, PI) == pytest.approx(1.0, abs=1e-11)

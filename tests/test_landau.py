@@ -32,7 +32,7 @@ def test_sigma_batch_identity_large():
     rng = np.random.default_rng(1)
     Z = rng.normal(size=(100_000, 3))
     co = LandauCoefficients(-1.0, 0.0)
-    cols = [co.noise(Z, np.tile(e, (Z.shape[0], 1)))
+    cols = [co.terms(Z, np.tile(e, (Z.shape[0], 1)))[1]
             for e in np.eye(3)]
     sig = np.stack(cols, axis=-1)
     r = np.linalg.norm(Z, axis=1)
@@ -104,10 +104,12 @@ def test_positive_semidefinite_l():
 def test_coefficients_floor_and_coincidence():
     co = LandauCoefficients(-2.0, reg_delta=0.5)
     z = np.array([[0.1, 0.0, 0.0]])  # below the floor
-    np.testing.assert_allclose(co.drift(z), -2.0 * 0.5 ** -2.0 * z, rtol=1e-14)
+    drift, _ = co.terms(z, np.ones((1, 3)))
+    np.testing.assert_allclose(drift, -2.0 * 0.5 ** -2.0 * z, rtol=1e-14)
     zero = np.zeros((1, 3))
-    np.testing.assert_array_equal(co.drift(zero), zero)
-    np.testing.assert_array_equal(co.noise(zero, np.ones((1, 3))), zero)
+    drift, noise = co.terms(zero, np.ones((1, 3)))
+    np.testing.assert_array_equal(drift, zero)
+    np.testing.assert_array_equal(noise, zero)
 
 
 def test_config_validation():

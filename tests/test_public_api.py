@@ -1,4 +1,5 @@
-"""Every public name has a caller.
+"""Package structure: every public name has a caller, and quadrature
+lives in two modules.
 
 A name in a module's __all__ must be used somewhere in the package or in
 the acceptance suite: as a name, an attribute or an import.  A public
@@ -44,3 +45,25 @@ def test_every_public_name_has_a_caller():
                    encoding="utf-8")))
                if name not in used]
     assert orphans == []
+
+
+def imports_scipy_integrate(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.integrate") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.integrate") or (
+                    node.module == "scipy"
+                    and any(a.name == "integrate" for a in node.names)):
+                return True
+    return False
+
+
+def test_only_kernels_and_verifiers_integrate():
+    # kernels integrates the Coulomb theta_moment and the verification
+    # reports, verifiers the Gronwall ODE; every other module takes its
+    # beta-moments from kernels.window_moments
+    users = sorted(path.stem for path in SOURCES if imports_scipy_integrate(
+        ast.parse(path.read_text(encoding="utf-8"))))
+    assert users == ["kernels", "verifiers"]
