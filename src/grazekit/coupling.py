@@ -40,12 +40,14 @@ so nothing is left out there.
 The jump sampler takes each azimuth phi = 2 pi u from the Philox words of
 rng.uniform(0, 2 pi) and evaluates cos phi, sin phi from a 1025-entry table
 and the angle-addition formula (_azimuth_cos_sin), within 5e-16 of np.cos
-and np.sin.  Theta stays on libm.  Each particle's sums are pairwise
-(np.add.reduceat), and its (1 - cos theta) sum is that of the terms
-2 sin^2(theta/2) rounded once.  Draws, event counts and generator states
-are those of the libm, running-sum sampler; the sweep and coupled-run bytes
-differ from it at rounding level only.  The window moments come from
-kernels.window_moments.
+and np.sin.  theta, sin(theta/2) and sin theta come from the kernel's
+tail.angles: the soft and grazing tails take both sines of theta = G(z)
+from libm, the Coulomb tail reads them off its closed-form inverse without
+a sine call.  Each particle's sums are pairwise (np.add.reduceat), and its
+(1 - cos theta) sum is that of the terms 2 sin^2(theta/2) rounded once.
+Draws, event counts and generator states are those of the libm, running-sum
+sampler; the sweep and coupled-run bytes differ from it at rounding level
+only.  The window moments come from kernels.window_moments.
 
 rate_sweep builds and checks every (eps, seed) cell first, then runs the
 cells on every core in the process's CPU affinity (a forked process pool;
@@ -322,8 +324,9 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     uniform(0, 2 pi, total) call, and the generator ends in the same state.
     Each particle's sums are one np.add.reduceat segment over its own
     contiguous terms: pairwise, which differs from running sums at rounding
-    level only.  The (1-cos th) terms, all positive, are 2 sin^2(th/2) (no
-    cancellation at grazing angles), and their sums are rounded once: each
+    level only.  th and both sines come from kernel.tail.angles.  The (1-cos
+    th) terms, all positive, are 2 sin^2(th/2) (no cancellation at grazing
+    angles), and their sums are rounded once: each
     term splits into a multiple h of q = ulp(snap) plus the exact remainder,
     the h sum of a particle is exact (it stays below 2^53 q), and the
     remainders correct it far below an ulp.  A segment depends on its own
@@ -336,11 +339,10 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     snap = math.ldexp(3.0, (2 * int(np.max(counts))).bit_length())
     for p0, p1, s0, s1 in _blocks(counts, tot):
         size = s1 - s0
-        th = np.asarray(kernel.tail.G(z_lo + mass * u[s0:s1]))
+        th, sin_h, sin_t = kernel.tail.angles(z_lo + mass * u[s0:s1])
         cos_p, sin_p = _azimuth_cos_sin(rng.random(size))
-        sin_t = np.sin(th)
         w = np.empty((k + 1, size))
-        np.square(np.sin(0.5 * th), out=w[0])
+        np.square(sin_h, out=w[0])
         w[0] *= 2.0
         # w[k] = h, w[0] rounded to a multiple of q; w[0] keeps the rest
         np.add(w[0], snap, out=w[k])

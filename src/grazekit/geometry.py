@@ -168,13 +168,15 @@ def _safe(X, r):
     return np.where(ok, X, e0), ok, np.where(ok, r, 1.0)
 
 
-def _displacement(X, ok, rs, theta, phi):
-    """a = -((1-cos theta)/2) X + (sin(theta)/2) Gamma(X, phi) of a
-    component-first stack X already passed through _safe; rows where ok is
-    False contribute zero."""
+def _displacement(X, ok, rs, sin_half, sin_theta, phi):
+    """a = -sin^2(theta/2) X + (sin(theta)/2) Gamma(X, phi) of a
+    component-first stack X already passed through _safe, from
+    sin_half = sin(theta/2) and sin_theta = sin(theta); rows where ok is
+    False contribute zero.  sin^2(theta/2) is (1 - cos theta)/2 without its
+    cancellation at grazing angles."""
     I, J = _frame(X, rs)
     G = np.cos(phi) * I + np.sin(phi) * J
-    a = (0.5 * np.sin(theta)) * G - (0.5 * (1.0 - np.cos(theta))) * X
+    a = (0.5 * sin_theta) * G - np.square(sin_half) * X
     return np.where(ok, a, 0.0)
 
 
@@ -182,9 +184,9 @@ def deviate(v, v_star, theta, phi):
     """Post-collision velocities for deviation angle theta and azimuth phi.
 
     Returns (v', v_star', a) with v' = v + a, v_star' = v_star - a and
-    a = -((1-cos theta)/2)(v-v*) + (sin(theta)/2) Gamma(v-v*, phi).
-    Momentum v+v* and energy |v|^2+|v*|^2 are conserved; identical
-    velocities are a no-op.
+    a = -((1-cos theta)/2)(v-v*) + (sin(theta)/2) Gamma(v-v*, phi), the
+    first factor taken as sin^2(theta/2).  Momentum v+v* and energy
+    |v|^2+|v*|^2 are conserved; identical velocities are a no-op.
     """
     v = np.asarray(v, dtype=float)
     v_star = np.asarray(v_star, dtype=float)
@@ -192,7 +194,8 @@ def deviate(v, v_star, theta, phi):
     phi = np.asarray(phi, dtype=float)
     X = _stack(v - v_star, theta, phi)
     X, ok, rs = _safe(X, _norm(X))
-    a = _rows(_displacement(X, ok, rs, theta, phi))
+    a = _rows(_displacement(X, ok, rs, np.sin(0.5 * theta), np.sin(theta),
+                            phi))
     return v + a, v_star - a, a
 
 
@@ -213,17 +216,11 @@ def phi_zero(X, Y):
     return np.arctan2(b, a)
 
 
-def _theta_from_z(kernel, ok, phi_r, z):
-    """Deviation angle G(z / phi_r), phi_r = Phi(|X|) where ok, with zero
-    standing in where the relative speed vanishes."""
-    return np.where(ok, kernel.tail.G(z / phi_r), 0.0)
-
-
 def _jump_c(kernel, X, ok, rs, phi_r, z, phi):
     """jump_c of a component-first stack X = v - v* already passed through
-    _safe, with phi_r = Phi(rs)."""
-    theta = _theta_from_z(kernel, ok, phi_r, z)
-    return _displacement(X, ok, rs, theta, phi)
+    _safe, with phi_r = Phi(rs): both sines come from the tail's angles."""
+    _, sin_half, sin_theta = kernel.tail.angles(z / phi_r)
+    return _displacement(X, ok, rs, sin_half, sin_theta, phi)
 
 
 def jump_c(kernel, v, v_star, z, phi):
@@ -246,7 +243,7 @@ def jump_d(kernel, v, v_star, z, phi):
     X = _stack(np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float),
                z, phi)
     X, ok, rs = _safe(X, _norm(X))
-    theta = _theta_from_z(kernel, ok, kernel.phi(rs), z)
+    theta = kernel.tail.G(z / kernel.phi(rs))
     I, J = _frame(X, rs)
     d = (0.5 * theta) * (np.cos(phi) * I + np.sin(phi) * J)
     return _rows(np.where(ok, d, 0.0))

@@ -100,11 +100,27 @@ class TailInverse:
     H is continuous and decreasing from z_max (possibly inf) at the lower
     support edge down to 0 at the upper edge; G maps a jump coordinate
     z >= 0 back to an angle, with G(z) = 0 for z > z_max (no deviation).
+    angles(z) gives the three angle functions a jump reads, (theta,
+    sin(theta/2), sin theta) with theta = G(z) bitwise: the soft families
+    take both sines of theta from libm, the Coulomb tail reads them off
+    the closed form of its inverse, sin(theta/2) = q^(-1/2) and
+    sin theta = 2 sqrt(q - 1) / q, without going through theta.
     """
 
     H: callable
     G: callable
     z_max: float
+    angles: callable
+
+
+def _libm_angles(G):
+    """angles of a tail without a closed-form sine: theta = G(z), then
+    np.sin of theta/2 and of theta."""
+    def angles(z):
+        theta = np.asarray(G(z))
+        return theta, np.sin(0.5 * theta), np.sin(theta)
+
+    return angles
 
 
 def _soft_tail(c_nu: float, nu: float) -> TailInverse:
@@ -120,7 +136,7 @@ def _soft_tail(c_nu: float, nu: float) -> TailInverse:
         z = np.asarray(z, dtype=float)
         return np.power(nu * z / c_nu + pi_pow, -1.0 / nu)
 
-    return TailInverse(H=H, G=G, z_max=math.inf)
+    return TailInverse(H=H, G=G, z_max=math.inf, angles=_libm_angles(G))
 
 
 def _grazing_tail(base: TailInverse, eps: float) -> TailInverse:
@@ -135,7 +151,7 @@ def _grazing_tail(base: TailInverse, eps: float) -> TailInverse:
         z = np.asarray(z, dtype=float)
         return (eps / math.pi) * base.G(z / scale)
 
-    return TailInverse(H=H, G=G, z_max=math.inf)
+    return TailInverse(H=H, G=G, z_max=math.inf, angles=_libm_angles(G))
 
 
 def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
@@ -148,14 +164,27 @@ def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
         out = np.where(theta < eps, z_max, out)
         return np.where(theta >= 0.5 * math.pi, 0.0, out)
 
-    def G(z):
+    def half_sin(z):
+        # H(theta) = z at sin(theta/2) = q^(-1/2), q = z/k_c + 2; zero
+        # beyond z_max
         z = np.asarray(z, dtype=float)
         inside = z <= z_max
-        zc = np.where(inside, z, 0.0)
-        ang = 2.0 * np.arcsin(1.0 / np.sqrt(zc / k_c + 2.0))
-        return np.where(inside, ang, 0.0)
+        q = np.where(inside, z, 0.0)
+        q /= k_c
+        q += 2.0
+        return inside, q, np.where(inside, 1.0 / np.sqrt(q), 0.0)
 
-    return TailInverse(H=H, G=G, z_max=z_max)
+    def G(z):
+        return 2.0 * np.arcsin(half_sin(z)[2])
+
+    def angles(z):
+        inside, q, s = half_sin(z)
+        sin_t = np.sqrt(q - 1.0)
+        sin_t *= 2.0
+        sin_t /= q
+        return 2.0 * np.arcsin(s), s, np.where(inside, sin_t, 0.0)
+
+    return TailInverse(H=H, G=G, z_max=z_max, angles=angles)
 
 
 # ---------------------------------------------------------------------------

@@ -345,10 +345,9 @@ def one_shot_terms(rng, counts, kernel, z_lo, mass):
     """The sampler's five terms of every draw, (5, total), in draw order,
     from one array the length of all draws."""
     tot = int(np.sum(counts))
-    th = np.asarray(kernel.tail.G(z_lo + mass * rng.random(tot)))
+    th, sin_h, sin_t = kernel.tail.angles(z_lo + mass * rng.random(tot))
     cos_p, sin_p = coupling._azimuth_cos_sin(rng.random(tot))
-    sin_t = np.sin(th)
-    return np.stack((2.0 * np.sin(0.5 * th) ** 2, sin_t * cos_p,
+    return np.stack((2.0 * sin_h ** 2, sin_t * cos_p,
                      sin_t * sin_p, th * cos_p, th * sin_p))
 
 
@@ -581,4 +580,21 @@ def test_sampler_s1_matches_mpmath_at_grazing_angles():
     with mp.workdps(40):
         exact = np.array([float(1 - mp.cos(mp.mpf(t))) for t in theta])
     # measured 4.0e-16 with 2 sin^2(theta/2)
+    assert np.max(np.abs(s1 - exact) / exact) < 1e-15
+
+    # Coulomb eps = 0.01 over the criterion-12 window [eps, eta], from the
+    # support edge up: each term is 2 sin^2(theta/2) = 2/q, q = z/k_c + 2
+    kernel = CoulombKernel(eps=0.01)
+    z_lo = float(kernel.tail.H(1.0 / math.log(100.0)))
+    mass = kernel.tail.z_max - z_lo
+    s1 = coupling._angle_sums(rngstreams.stream(5, "slab-jump", 0),
+                              np.ones(n, dtype=np.int64), kernel, z_lo, mass,
+                              n)[0]
+    z = z_lo + mass * rngstreams.stream(5, "slab-jump", 0).random(n)
+    assert kernel.tail.G(z).min() < 1.001 * kernel.eps
+    with mp.workdps(40):
+        k_c = mp.mpf(kernel.k_c)
+        exact = np.array([float(2 / (mp.mpf(zi) / k_c + 2)) for zi in z])
+    # measured 4.4e-16 from the closed-form half-angle (6.8e-16 through
+    # np.sin(0.5 * theta))
     assert np.max(np.abs(s1 - exact) / exact) < 1e-15

@@ -201,6 +201,26 @@ def test_deviate_theta_edges():
     assert np.max(np.abs(vsp - v) / scale) < 1e-15
 
 
+def test_deviate_longitudinal_part_matches_mpmath_at_grazing_angles():
+    # v - v* along a coordinate axis, with a power-of-two length r: the
+    # frame has no component along it, so a's component there is exactly
+    # the computed -sin^2(theta/2) r.  The grazing pi/16 window's bottom
+    # (theta_min = eps/64) is where 1 - cos(theta) cancels.
+    import mpmath as mp
+    rng = np.random.default_rng(23)
+    theta = rng.uniform(PI / 1024, PI / 512, 2000)
+    axis = rng.integers(0, 3, 2000)
+    r = 2.0 ** rng.integers(-3, 4, 2000)
+    X = np.eye(3)[axis] * r[:, None]
+    _, _, a = G.deviate(X, np.zeros_like(X), theta,
+                        rng.uniform(0, 2 * PI, 2000))
+    got = a[np.arange(2000), axis] / r
+    with mp.workdps(40):
+        exact = np.array([float(-mp.sin(mp.mpf(t) / 2) ** 2) for t in theta])
+    # measured 3.6e-16 (0.5 * (1 - cos theta) was off by up to 1.1e-11)
+    assert np.max(np.abs(got - exact) / np.abs(exact)) < 4e-16
+
+
 def test_deviate_identical_velocities_noop():
     v = np.array([[1.0, 2.0, 3.0], [0.1, 0.0, -0.4]])
     vp, vsp, a = G.deviate(v, v, np.array([0.3, 2.0]), np.array([1.0, 4.0]))

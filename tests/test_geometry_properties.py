@@ -76,16 +76,20 @@ def _ref_frame(X):
     return (s * r)[..., None] * I0, (s * r)[..., None] * J0
 
 
-def _ref_deviate(v, w, theta, phi):
+def _ref_collide(v, w, sin_half, sin_theta, phi):
     X = v - w
     ok = np.linalg.norm(X, axis=-1) > 0.0
     Xs = np.where(ok[..., None], X, np.array([1.0, 0.0, 0.0]))
     I, J = _ref_frame(Xs)
     Gm = np.cos(phi)[..., None] * I + np.sin(phi)[..., None] * J
-    a = (-(0.5 * (1.0 - np.cos(theta))))[..., None] * Xs \
-        + (0.5 * np.sin(theta))[..., None] * Gm
+    a = (-(sin_half ** 2))[..., None] * Xs \
+        + (0.5 * sin_theta)[..., None] * Gm
     a = np.where(ok[..., None], a, 0.0)
     return v + a, w - a, a
+
+
+def _ref_deviate(v, w, theta, phi):
+    return _ref_collide(v, w, np.sin(0.5 * theta), np.sin(theta), phi)
 
 
 def _ref_jump_c(kernel, v, w, z, phi):
@@ -93,8 +97,9 @@ def _ref_jump_c(kernel, v, w, z, phi):
     r = np.linalg.norm(X, axis=-1)
     ok = r > 0.0
     rs = np.where(ok, r, 1.0)
-    theta = np.where(ok, kernel.tail.G(z / kernel.phi(rs)), 0.0)
-    return _ref_deviate(v, w, theta, phi)[2]
+    _, sin_half, sin_theta = kernel.tail.angles(z / kernel.phi(rs))
+    return _ref_collide(v, w, np.where(ok, sin_half, 0.0),
+                        np.where(ok, sin_theta, 0.0), phi)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests for the kernel tail inverses (H(G(z)) = z and G(H(theta))
-= theta for the soft, grazing and Coulomb families) and for the config
+= theta for the soft, grazing and Coulomb families, and the angle triple
+(theta, sin(theta/2), sin theta) of TailInverse.angles) and for the config
 serializer (dump -> load -> dump is byte-stable)."""
 
 import json
@@ -7,7 +8,9 @@ import math
 import os
 import tempfile
 
+import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +96,55 @@ def test_tail_round_trips_on_dense_grids():
         worst_z = max(worst_z, np.max(np.abs(t.H(t.G(z)) - z)
                                       / (z + _mid_z(kernel))))
     assert worst_theta <= THETA_RTOL and worst_z <= Z_RTOL
+
+
+# Largest relative error of the angle triple's sines against 40-digit
+# mpmath, over 802 jump coordinates per kernel (uniform and log-uniform,
+# the kernels of the round-trip grids above plus Coulomb eps = 0.3):
+# 2.2e-16 for Coulomb, 1.1e-16 for the libm families.  About two ulp.
+SIN_RTOL = 4.5e-16
+
+
+def _exact_sines(kernel, z, theta):
+    """sin(theta/2) and sin theta in 40 digits: for Coulomb those of the
+    exact angle of z (sin(theta/2) = q^(-1/2), q = z/k_c + 2), for the
+    libm families those of the returned theta, whose own error the round
+    trips above bound."""
+    with mp.workdps(40):
+        if isinstance(kernel, K.CoulombKernel):
+            q = mp.mpf(float(z)) / mp.mpf(kernel.k_c) + 2
+            return 1 / mp.sqrt(q), 2 * mp.sqrt(q - 1) / q
+        th = mp.mpf(float(theta))
+        return mp.sin(th / 2), mp.sin(th)
+
+
+@settings(max_examples=300)
+@given(_kernels(), st.lists(_FRACTION, min_size=1, max_size=6))
+def test_angles_give_g_and_its_sines(kernel, fractions):
+    t = kernel.tail
+    hi = kernel.support[1]
+    z_top = t.z_max if math.isfinite(t.z_max) else float(t.H(1e-12 * hi))
+    z = z_top * np.array(fractions + [0.0])
+    theta, sin_half, sin_theta = t.angles(z)
+    assert theta.tobytes() == np.asarray(t.G(z)).tobytes()
+    for i in range(z.size):
+        for got, exact in zip((sin_half[i], sin_theta[i]),
+                              _exact_sines(kernel, z[i], theta[i])):
+            assert abs(mp.mpf(float(got)) - exact) <= SIN_RTOL * abs(exact)
+
+
+def test_coulomb_angles_vanish_beyond_z_max():
+    for eps in (0.9, 0.01, 1e-8):
+        t = K.CoulombKernel(eps).tail
+        z = np.array([t.z_max, np.nextafter(t.z_max, math.inf),
+                      2.0 * t.z_max, math.inf])
+        theta, sin_half, sin_theta = t.angles(z)
+        assert theta[0] == pytest.approx(eps, rel=1e-12)
+        assert sin_half[0] > 0.0 and sin_theta[0] > 0.0
+        for got in (theta, sin_half, sin_theta):
+            assert got[1:].tobytes() == np.zeros(3).tobytes()
+        # one coordinate in, three 0-d angles out
+        assert [float(a) for a in t.angles(2.0 * t.z_max)] == [0.0] * 3
 
 
 # ---------------------------------------------------------------------------
