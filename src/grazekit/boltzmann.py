@@ -207,14 +207,11 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
         if acc.size:
             idx = owners[acc]
             D, ok, rs = _safe(D.take(acc, 1), r[acc])
-            # z uniform on [0, Phi(r) H(theta_min)]; the jump divides by
-            # the same Phi(r), so the angle law is the exact normalized
-            # tail law
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi_r = kernel.phi(rs)
-                z = rng.random(idx.size) * phi_r * H_max
-                phi_ang = rng.uniform(0.0, 2.0 * np.pi, idx.size)
-                a = _jump_c(kernel, D, ok, rs, phi_r, z, phi_ang)
+            # the angle's jump coordinate is uniform on [0, H(theta_min)]:
+            # the exact normalized tail law
+            u = rng.random(idx.size)
+            phi_ang = rng.uniform(0.0, 2.0 * np.pi, idx.size)
+            a = _jump_c(kernel, D, ok, rs, phi_ang, u, 0.0, H_max)
             X[:, idx] += a
             events += int(idx.size)
             M[idx] = Mo[acc] = _phi_floored(

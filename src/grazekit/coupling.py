@@ -37,17 +37,17 @@ Landau diffusion (0.30 % at the grazing default eps/64 with nu = 0.6), is
 left out on both sides alike.  Coulomb windows start at the support edge,
 so nothing is left out there.
 
-The jump sampler takes each azimuth phi = 2 pi u from the Philox words of
-rng.uniform(0, 2 pi) and evaluates cos phi, sin phi from a 1025-entry table
-and the angle-addition formula (_azimuth_cos_sin), within 5e-16 of np.cos
-and np.sin.  theta, sin(theta/2) and sin theta come from the kernel's
-tail.angles: the soft and grazing tails take both sines of theta = G(z)
-from libm, the Coulomb tail reads them off its closed-form inverse without
-a sine call.  Each particle's sums are pairwise (np.add.reduceat), and its
-(1 - cos theta) sum is that of the terms 2 sin^2(theta/2) rounded once.
-Draws, event counts and generator states are those of the libm, running-sum
-sampler; the sweep and coupled-run bytes differ from it at rounding level
-only.  The window moments come from kernels.window_moments.
+Each jump of the sampler reads one pair of generator words: its jump
+coordinate z = lo + mass u and its azimuth phi = 2 pi u'.  theta,
+sin(theta/2) and sin theta come from the kernel's tail.angles(u, lo, mass),
+which folds the window map into the closed-form inverse: the soft and
+grazing tails take both sines of theta from libm, the Coulomb tail reads
+them off its inverse without a sine call.  cos phi and sin phi come from a
+1025-entry table and the angle-addition formula (_azimuth_cos_sin), within
+5e-16 of np.cos and np.sin.  Each particle's sums are pairwise
+(np.add.reduceat), and its (1 - cos theta) sum is that of the terms
+2 sin^2(theta/2) rounded once.  The window moments come from
+kernels.window_moments.
 
 rate_sweep builds and checks every (eps, seed) cell first, then runs the
 cells on every core in the process's CPU affinity (a forked process pool;
@@ -175,11 +175,12 @@ class CouplingPlan:
 
     Stream consumption order per slab k is fixed: companion_stream(k) yields
     the n companion indices; jump_stream(k) yields, in order, the window
-    Poisson counts, the bulk angle/azimuth uniforms, the Gaussian-fallback
-    normals, then (if the kernel has mass above eta) the large-angle counts
-    and their angle/azimuth uniforms; gauss_stream(k) yields the Landau
-    normals used only at level "common".  Both sides therefore consume
-    identical companion indices and base draws in identical order.
+    Poisson counts, one interleaved (z, phi) pair of uniforms per window
+    jump, the Gaussian-fallback normals, then (if the kernel has mass above
+    eta) the large-angle counts and one (z, phi) pair per large-angle jump;
+    gauss_stream(k) yields the Landau normals used only at level "common".
+    Both sides therefore consume identical companion indices and base draws
+    in identical order.
 
     theta_min: bottom of the matching window, as in BoltzmannConfig.
     v_floor: Boltzmann speed floor, reg_delta: Landau regularization floor;
@@ -283,12 +284,12 @@ _AZ_S3, _AZ_S5 = -_AZ_STEP ** 3 / 6.0, _AZ_STEP ** 5 / 120.0
 
 def _azimuth_cos_sin(u):
     """cos and sin of the azimuths 2 pi u for uniforms u in [0, 1), in
-    draw order; overwrites u.
+    draw order.
 
     u * _AZ_CELLS is exact, so the table index j and the in-cell offset
     d = u * _AZ_CELLS - j are exact too; the azimuth is the table angle
     plus d * _AZ_STEP."""
-    t = np.multiply(u, _AZ_CELLS, out=u)
+    t = np.multiply(u, _AZ_CELLS)
     j = (t + 0.5).astype(np.intp)
     d = np.subtract(t, j, out=t)
     c, s = _AZ_COS.take(j), _AZ_SIN.take(j)
@@ -318,30 +319,32 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     z in [z_lo, z_lo+mass].  Returns a (5, n) array, (3, n) without
     theta_sums.
 
-    Draw order: rng.random(total) gives every draw's z coordinate, particle
-    by particle; then each block of L draws takes its azimuth uniforms from
-    rng.random(L), in block order.  These are the Philox words of one
-    uniform(0, 2 pi, total) call, and the generator ends in the same state.
-    Each particle's sums are one np.add.reduceat segment over its own
-    contiguous terms: pairwise, which differs from running sums at rounding
-    level only.  th and both sines come from kernel.tail.angles.  The (1-cos
-    th) terms, all positive, are 2 sin^2(th/2) (no cancellation at grazing
-    angles), and their sums are rounded once: each
+    Draw order: draw i, particle by particle, reads word 2i as its z
+    uniform and word 2i+1 as its azimuth uniform; each block takes its
+    words from one rng.random((size, 2)) call.  A draw's words depend on
+    its index alone, so they do not depend on the blocks, and the generator
+    ends 2 * total words past where it started.  th and both sines come
+    from kernel.tail.angles(u, z_lo, mass).  Each particle's sums are one
+    np.add.reduceat segment over its own contiguous terms (pairwise).  The
+    (1-cos th) terms, all positive, are 2 sin^2(th/2) (no cancellation at
+    grazing angles), and their sums are rounded once: each
     term splits into a multiple h of q = ulp(snap) plus the exact remainder,
     the h sum of a particle is exact (it stays below 2^53 q), and the
     remainders correct it far below an ulp.  A segment depends on its own
     terms alone, so the bytes do not depend on the blocks; a particle
     without draws keeps +0.0."""
     k = 5 if theta_sums else 3
-    tot = int(np.sum(counts))
-    u = rng.random(tot)
     sums = np.zeros((k, n))
     snap = math.ldexp(3.0, (2 * int(np.max(counts))).bit_length())
-    for p0, p1, s0, s1 in _blocks(counts, tot):
+    blocks = list(_blocks(counts, int(np.sum(counts))))
+    width = max((s1 - s0 for _, _, s0, s1 in blocks), default=0)
+    words, terms = np.empty((width, 2)), np.empty((k + 1, width))
+    for p0, p1, s0, s1 in blocks:
         size = s1 - s0
-        th, sin_h, sin_t = kernel.tail.angles(z_lo + mass * u[s0:s1])
-        cos_p, sin_p = _azimuth_cos_sin(rng.random(size))
-        w = np.empty((k + 1, size))
+        u = rng.random(out=words[:size])
+        th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, mass)
+        cos_p, sin_p = _azimuth_cos_sin(u[:, 1])
+        w = terms[:, :size]
         np.square(sin_h, out=w[0])
         w[0] *= 2.0
         # w[k] = h, w[0] rounded to a multiple of q; w[0] keeps the rest
@@ -413,6 +416,12 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     e_th2 = mom.theta_sq / mom.mass
     r_eta_win = 0.25 * np.pi * mom.theta_sq
     z_hi = mom_lg.mass  # H(eta): the window's z lies in [z_hi, z_hi+mass_w]
+    # z_hi + mass_w can round one ulp past z_max when the window starts at
+    # the Coulomb support edge; the sampler's map stays within it, so
+    # tail.angles never masks
+    mass_z = mass_w
+    while z_hi + mass_z > kernel.tail.z_max:
+        mass_z = math.nextafter(mass_z, 0.0)
     # jumps above eta only where that band has mass (Coulomb)
     mass_lg = z_hi if z_hi > 1e-14 else 0.0
     one_cos_lg = mom_lg.one_cos if mass_lg > 0.0 else 0.0
@@ -450,7 +459,7 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
         fb = counts > plan.normal_fallback
         events += int(counts.sum())
         s1, s2, s3, t2, t3 = _angle_sums(
-            rng_j, np.where(fb, 0, counts), kernel, z_hi, mass_w, n)
+            rng_j, np.where(fb, 0, counts), kernel, z_hi, mass_z, n)
         if np.any(fb):
             g = rng_j.standard_normal((int(fb.sum()), 3))
             kf = counts[fb].astype(float)

@@ -216,10 +216,11 @@ def phi_zero(X, Y):
     return np.arctan2(b, a)
 
 
-def _jump_c(kernel, X, ok, rs, phi_r, z, phi):
+def _jump_c(kernel, X, ok, rs, phi, *window):
     """jump_c of a component-first stack X = v - v* already passed through
-    _safe, with phi_r = Phi(rs): both sines come from the tail's angles."""
-    _, sin_half, sin_theta = kernel.tail.angles(z / phi_r)
+    _safe: both sines come from kernel.tail.angles(*window), a jump
+    coordinate z / Phi(rs) or uniforms with their window (u, lo, mass)."""
+    _, sin_half, sin_theta = kernel.tail.angles(*window)
     return _displacement(X, ok, rs, sin_half, sin_theta, phi)
 
 
@@ -232,7 +233,7 @@ def jump_c(kernel, v, v_star, z, phi):
     X = _stack(np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float),
                z, phi)
     X, ok, rs = _safe(X, _norm(X))
-    return _rows(_jump_c(kernel, X, ok, rs, kernel.phi(rs), z, phi))
+    return _rows(_jump_c(kernel, X, ok, rs, phi, z / kernel.phi(rs)))
 
 
 def jump_d(kernel, v, v_star, z, phi):

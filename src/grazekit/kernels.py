@@ -100,11 +100,21 @@ class TailInverse:
     H is continuous and decreasing from z_max (possibly inf) at the lower
     support edge down to 0 at the upper edge; G maps a jump coordinate
     z >= 0 back to an angle, with G(z) = 0 for z > z_max (no deviation).
-    angles(z) gives the three angle functions a jump reads, (theta,
-    sin(theta/2), sin theta) with theta = G(z) bitwise: the soft families
-    take both sines of theta from libm, the Coulomb tail reads them off
-    the closed form of its inverse, sin(theta/2) = q^(-1/2) and
-    sin theta = 2 sqrt(q - 1) / q, without going through theta.
+
+    angles(u, lo, mass) gives the three angle functions a jump reads,
+    (theta, sin(theta/2), sin theta), at z = lo + mass u for window
+    uniforms u in [0, 1].  The affine map is folded into each family's
+    closed form, so z itself is never formed:
+
+    * soft and grazing: theta = c (alpha u + beta)^(-1/nu), both sines
+      from libm;
+    * Coulomb: sin(theta/2) = q^(-1/2) and sin theta = 2 sqrt(q - 1) / q
+      with q = a u + b, a = mass / k_c, b = lo / k_c + 2, without a sine
+      call.  Angles beyond z_max are zeroed only when lo + mass > z_max.
+
+    Called as angles(z), without a window, u is the jump coordinate z
+    itself, beyond z_max always zeroed, and theta = G(z) bitwise: G is the
+    same formula at lo = 0, mass = 1.
     """
 
     H: callable
@@ -113,14 +123,28 @@ class TailInverse:
     angles: callable
 
 
-def _libm_angles(G):
-    """angles of a tail without a closed-form sine: theta = G(z), then
-    np.sin of theta/2 and of theta."""
-    def angles(z):
-        theta = np.asarray(G(z))
-        return theta, np.sin(0.5 * theta), np.sin(theta)
+def _power_tail(H, c: float, k: float, nu: float) -> TailInverse:
+    """Tail of a power-law family, G(z) = c (k z + pi^(-nu))^(-1/nu): the
+    soft kernel (c = 1, k = nu / c_nu) and its grazing rescaling."""
+    pi_pow = math.pi ** (-nu)
+    expo = -1.0 / nu
 
-    return angles
+    def theta(u, lo=0.0, mass=None):
+        u = np.asarray(u, dtype=float)
+        x = np.multiply(u, k if mass is None else k * mass,
+                        out=np.empty(u.shape))
+        x += k * lo + pi_pow
+        np.power(x, expo, out=x)
+        x *= c
+        return x
+
+    def angles(u, lo=0.0, mass=None):
+        th = theta(u, lo, mass)
+        half = np.multiply(th, 0.5)
+        return th, np.sin(half, out=half), np.sin(th)
+
+    return TailInverse(H=H, G=lambda z: theta(z), z_max=math.inf,
+                       angles=angles)
 
 
 def _soft_tail(c_nu: float, nu: float) -> TailInverse:
@@ -132,26 +156,19 @@ def _soft_tail(c_nu: float, nu: float) -> TailInverse:
         out = a * (np.power(theta, -nu) - pi_pow)
         return np.where(theta >= math.pi, 0.0, out)
 
-    def G(z):
-        z = np.asarray(z, dtype=float)
-        return np.power(nu * z / c_nu + pi_pow, -1.0 / nu)
-
-    return TailInverse(H=H, G=G, z_max=math.inf, angles=_libm_angles(G))
+    return _power_tail(H, 1.0, nu / c_nu, nu)
 
 
-def _grazing_tail(base: TailInverse, eps: float) -> TailInverse:
+def _grazing_tail(base: SoftKernel, eps: float) -> TailInverse:
     scale = (math.pi / eps) ** 2
 
     def H(theta):
         theta = np.asarray(theta, dtype=float)
-        out = scale * base.H(np.minimum(math.pi * theta / eps, math.pi))
+        out = scale * base.tail.H(np.minimum(math.pi * theta / eps, math.pi))
         return np.where(theta >= eps, 0.0, out)
 
-    def G(z):
-        z = np.asarray(z, dtype=float)
-        return (eps / math.pi) * base.G(z / scale)
-
-    return TailInverse(H=H, G=G, z_max=math.inf, angles=_libm_angles(G))
+    return _power_tail(H, eps / math.pi, base.nu / (base.c_nu * scale),
+                       base.nu)
 
 
 def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
@@ -164,27 +181,49 @@ def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
         out = np.where(theta < eps, z_max, out)
         return np.where(theta >= 0.5 * math.pi, 0.0, out)
 
-    def half_sin(z):
-        # H(theta) = z at sin(theta/2) = q^(-1/2), q = z/k_c + 2; zero
-        # beyond z_max
-        z = np.asarray(z, dtype=float)
-        inside = z <= z_max
-        q = np.where(inside, z, 0.0)
-        q /= k_c
-        q += 2.0
-        return inside, q, np.where(inside, 1.0 / np.sqrt(q), 0.0)
+    def half_sin(u, lo, mass):
+        # H(theta) = z at sin(theta/2) = q^(-1/2), q = z/k_c + 2.  inside
+        # is None when no z can pass z_max, else the mask of those that do
+        # not; the others are computed at u = 0 and zeroed by _zeroed
+        u = np.asarray(u, dtype=float)
+        inside = None
+        if mass is None:
+            inside, mass = u <= z_max, 1.0
+        elif lo + mass > z_max:
+            inside = lo + mass * u <= z_max
+        if inside is not None:
+            u = np.where(inside, u, 0.0)
+        q = np.multiply(u, mass / k_c, out=np.empty(u.shape))
+        q += lo / k_c + 2.0
+        s = np.sqrt(q, out=np.empty(u.shape))
+        np.divide(1.0, s, out=s)
+        return inside, q, s
+
+    def double_arcsin(s):
+        theta = np.arcsin(s, out=np.empty(s.shape))
+        theta *= 2.0
+        return theta
 
     def G(z):
-        return 2.0 * np.arcsin(half_sin(z)[2])
+        inside, _, s = half_sin(z, 0.0, None)
+        return _zeroed(inside, double_arcsin(s))[0]
 
-    def angles(z):
-        inside, q, s = half_sin(z)
-        sin_t = np.sqrt(q - 1.0)
+    def angles(u, lo=0.0, mass=None):
+        inside, q, s = half_sin(u, lo, mass)
+        sin_t = np.subtract(q, 1.0, out=np.empty(q.shape))
+        np.sqrt(sin_t, out=sin_t)
         sin_t *= 2.0
         sin_t /= q
-        return 2.0 * np.arcsin(s), s, np.where(inside, sin_t, 0.0)
+        return _zeroed(inside, double_arcsin(s), s, sin_t)
 
     return TailInverse(H=H, G=G, z_max=z_max, angles=angles)
+
+
+def _zeroed(inside, *arrays):
+    """The arrays, zeroed where inside is False (no mask when None)."""
+    if inside is None:
+        return arrays
+    return tuple(np.where(inside, a, 0.0) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +302,7 @@ class GrazingKernel:
 
     @functools.cached_property
     def tail(self) -> TailInverse:
-        return _grazing_tail(self.base.tail, self.eps)
+        return _grazing_tail(self.base, self.eps)
 
     def params(self) -> dict:
         return {"family": self.family, "gamma": self.gamma, "nu": self.nu,

@@ -1,14 +1,17 @@
-"""Named, counter-based random streams.
+"""Named, keyed random streams.
 
-Every stochastic component of the package draws from a Philox generator keyed
-by (seed, stream name, indices...). Philox is counter-based, so streams with
-distinct keys are independent and any stream can be reconstructed without
-replaying the others -- this is what makes runs bit-reproducible, and what
-lets coupling.rate_sweep run its (eps, seed) cells in separate processes
-with output identical to a one-process run.
+Every stochastic component of the package draws from a PCG64DXSM generator
+seeded from the key (seed, stream name, indices...).  numpy's SeedSequence
+hashes the whole key into the generator's initial state, and PCG64DXSM is
+the generator numpy recommends for many parallel streams, so streams with
+distinct keys are independent; a stream is rebuilt from its key alone,
+without replaying any other stream.  This is what makes runs
+bit-reproducible, and what lets coupling.rate_sweep run its (eps, seed)
+cells in separate processes with output identical to a one-process run.
 
 The stream name is hashed to a stable 32-bit tag; indices (step, slab,
-particle, ...) are folded into the spawn key unchanged.
+particle, ...) are folded into the spawn key unchanged.  This module is the
+only place that names a bit generator.
 """
 
 from __future__ import annotations
@@ -38,4 +41,4 @@ def stream(seed: int, name: str, *indices: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed) & ((1 << 64) - 1),
                                 spawn_key=substream_key(name, *indices))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))

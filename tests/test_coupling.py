@@ -14,7 +14,8 @@ from grazekit import artifacts, coupling, rngstreams
 from grazekit.coupling import (CouplingPlan, Subdivision, build_subdivision,
                                coupled_run, rate_sweep)
 from grazekit.errors import InstabilityError, ParameterError
-from grazekit.kernels import CoulombKernel, GrazingKernel, SoftKernel
+from grazekit.kernels import (CoulombKernel, GrazingKernel, SoftKernel,
+                              window_moments)
 from grazekit.particles import sample_initial
 
 GAUSS = {"name": "isotropic-gaussian", "sigma2": 1.0}
@@ -129,8 +130,8 @@ def test_grazing_sweep_frozen_values(grazing_sweep):
     assert rep.family == "grazing"
     assert rep.verdict == "decreasing"
     assert np.all(np.diff(rep.means) < 0.0)
-    assert float(rep.means.sum()) == pytest.approx(3.388325298595552, rel=1e-9)
-    assert rep.slope == pytest.approx(0.378703, rel=1e-4)
+    assert float(rep.means.sum()) == pytest.approx(3.4027649918520515, rel=1e-9)
+    assert rep.slope == pytest.approx(0.435215, rel=1e-4)
     assert rep.slope > 0.3
     assert rep.proven_exponent == pytest.approx(5.0 / 13.0, rel=1e-12)
     assert rep.conjectured_exponent == 1.0
@@ -156,7 +157,7 @@ def test_coulomb_mini_sweep_frozen_values():
                      T=0.3)
     assert rep.family == "coulomb"
     assert rep.verdict == "decreasing"
-    assert float(rep.means.sum()) == pytest.approx(0.8596969838615156,
+    assert float(rep.means.sum()) == pytest.approx(0.8457630576230581,
                                                    rel=1e-9)
     diffs = np.diff(rep.distances, axis=0)
     se = diffs.std(axis=1, ddof=1) / math.sqrt(10)
@@ -343,10 +344,11 @@ def test_sweep_cell_errors_surface_unchanged(monkeypatch):
 
 def one_shot_terms(rng, counts, kernel, z_lo, mass):
     """The sampler's five terms of every draw, (5, total), in draw order,
-    from one array the length of all draws."""
-    tot = int(np.sum(counts))
-    th, sin_h, sin_t = kernel.tail.angles(z_lo + mass * rng.random(tot))
-    cos_p, sin_p = coupling._azimuth_cos_sin(rng.random(tot))
+    from one (total, 2) array of word pairs: draw i reads word 2i as z and
+    word 2i+1 as the azimuth."""
+    u = rng.random((int(np.sum(counts)), 2))
+    th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, mass)
+    cos_p, sin_p = coupling._azimuth_cos_sin(u[:, 1])
     return np.stack((2.0 * sin_h ** 2, sin_t * cos_p,
                      sin_t * sin_p, th * cos_p, th * sin_p))
 
@@ -425,13 +427,12 @@ def test_blocked_sampler_matches_one_shot(monkeypatch, family, case, block,
             assert s.tobytes() == r.tobytes()
         assert same_state(new_rng.bit_generator.state,
                           ref_rng.bit_generator.state)
-        # the words the sampler drew when its azimuths came from uniform()
-        old_rng = rngstreams.stream(4, "slab-jump", 1)
-        old_rng.bit_generator.random_raw(drawn)
-        old_rng.random(int(counts.sum()))
-        old_rng.uniform(0.0, 2.0 * np.pi, int(counts.sum()))
+        # two words per draw, whatever the blocks
+        raw_rng = rngstreams.stream(4, "slab-jump", 1)
+        raw_rng.bit_generator.random_raw(drawn)
+        raw_rng.bit_generator.random_raw(2 * int(counts.sum()))
         assert same_state(new_rng.bit_generator.state,
-                          old_rng.bit_generator.state)
+                          raw_rng.bit_generator.state)
         # reduceat returns a term, not 0, for an empty segment
         idle = new[:, counts == 0]
         assert not np.any(idle) and not np.any(np.signbit(idle))
@@ -503,10 +504,33 @@ def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
         assert any(np.any(c == 0) and np.any(c > 0) for c in window)
 
 
-def test_sampler_memory_is_one_float_per_draw():
+def test_sampler_window_stays_inside_coulomb_z_max(monkeypatch):
+    # here H(eta) + (H(eps) - H(eta)) rounds one ulp past z_max = H(eps)
+    kernel = CoulombKernel(eps=0.9498182648544462)
+    eta = 1.2603072958246715
+    lo = window_moments(kernel, eta, kernel.support[1]).mass
+    assert lo + window_moments(kernel, kernel.eps, eta).mass \
+        > kernel.tail.z_max
+    windows = []
+    sampler = coupling._angle_sums
+
+    def spy(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
+        windows.append((z_lo, mass))
+        return sampler(rng, counts, kernel, z_lo, mass, n, theta_sums)
+
+    monkeypatch.setattr(coupling, "_angle_sums", spy)
+    cloud = sample_initial(GAUSS, 64, rngstreams.stream(2, "coupled-init"))
+    coupled_run(CouplingPlan(kernel=kernel, seed=2, eta=eta, v_floor=0.1,
+                             reg_delta=0.1,
+                             subdivision=build_subdivision(sqrt_inv, 0.3, 1)),
+                cloud)
+    assert windows and all(z_lo + mass <= kernel.tail.z_max
+                           for z_lo, mass in windows)
+
+
+def test_sampler_memory_is_a_few_blocks():
     kernel = GrazingKernel(gamma=-0.5, nu=0.6, eps=np.pi / 16)
     counts = np.full(4096, 512)  # 2 097 152 draws, 32 particles per block
-    tot = int(counts.sum())
     mass = float(np.asarray(kernel.tail.H(kernel.eps / 64.0)))
     rng = rngstreams.stream(0, "slab-jump", 0)
     tracemalloc.start()
@@ -515,10 +539,10 @@ def test_sampler_memory_is_one_float_per_draw():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the z uniforms of every draw, plus one block's temporaries (measured
-    # 16.6 block arrays); the one-shot sampler held 8 arrays the length of
-    # all draws at its peak
-    assert peak < 8 * tot + 20 * 8 * coupling._BLOCK
+    # one block's word pairs, terms and temporaries, whatever the number of
+    # draws (measured 20.5 block arrays, 2.7 MB); an array the length of
+    # all draws would add 128 block arrays
+    assert peak < 24 * 8 * coupling._BLOCK
 
 
 def sum_errors(counts, kernel, lo, hi):
@@ -550,13 +574,12 @@ def test_sampler_sums_at_least_as_accurate_as_running_sums():
     err_got, err_seq = sum_errors(
         counts_rng.poisson(400.0, 512), GrazingKernel(eps=eps, **GRAZING),
         eps / 64.0, eps)
-    # measured 8.7e-17 against 1.9e-15 for the running sums (the s1 sums
+    # measured 8.7e-17 against 1.7e-15 for the running sums (the s1 sums
     # are rounded once)
     assert err_got <= err_seq and err_got < 1.5e-16
     # below 8 terms numpy sums a segment one term after another, so on
     # sparse counts the two orders tie in law and either may come out
-    # ahead: measured 2.22e-16 against 2.19e-16 (larger on 3 of 8 other
-    # count draws)
+    # ahead: measured 2.22e-16 against 2.88e-16
     err_got, _ = sum_errors(counts_rng.poisson(2.0, 2000),
                             CoulombKernel(eps=0.01), 0.01,
                             1.0 / math.log(100.0))
@@ -565,7 +588,7 @@ def test_sampler_sums_at_least_as_accurate_as_running_sums():
 
 def test_sampler_s1_matches_mpmath_at_grazing_angles():
     # one draw per particle, so each s1 is a single 1 - cos(theta) term;
-    # 1 - np.cos(theta) loses up to 1.2e-11 of it to cancellation here
+    # 1 - np.cos(theta) loses up to 1.1e-11 of it to cancellation here
     import mpmath as mp
     eps = np.pi / 16
     kernel = GrazingKernel(eps=eps, **GRAZING)
@@ -574,12 +597,13 @@ def test_sampler_s1_matches_mpmath_at_grazing_angles():
     stream = rngstreams.stream(5, "slab-jump", 0)
     s1 = coupling._angle_sums(stream, np.ones(n, dtype=np.int64), kernel,
                               0.0, mass, n)[0]
-    u = rngstreams.stream(5, "slab-jump", 0).random(n)  # the draws' z words
-    theta = kernel.tail.G(mass * u)
+    # the draws' z words, and their angles as the sampler maps them
+    u = rngstreams.stream(5, "slab-jump", 0).random((n, 2))[:, 0]
+    theta = kernel.tail.angles(u, 0.0, mass)[0]
     assert theta.min() < 1.1 * eps / 64.0
     with mp.workdps(40):
         exact = np.array([float(1 - mp.cos(mp.mpf(t))) for t in theta])
-    # measured 4.0e-16 with 2 sin^2(theta/2)
+    # measured 3.0e-16 with 2 sin^2(theta/2)
     assert np.max(np.abs(s1 - exact) / exact) < 1e-15
 
     # Coulomb eps = 0.01 over the criterion-12 window [eps, eta], from the
@@ -590,11 +614,12 @@ def test_sampler_s1_matches_mpmath_at_grazing_angles():
     s1 = coupling._angle_sums(rngstreams.stream(5, "slab-jump", 0),
                               np.ones(n, dtype=np.int64), kernel, z_lo, mass,
                               n)[0]
-    z = z_lo + mass * rngstreams.stream(5, "slab-jump", 0).random(n)
-    assert kernel.tail.G(z).min() < 1.001 * kernel.eps
+    u = rngstreams.stream(5, "slab-jump", 0).random((n, 2))[:, 0]
+    assert kernel.tail.angles(u, z_lo, mass)[0].min() < 1.001 * kernel.eps
     with mp.workdps(40):
         k_c = mp.mpf(kernel.k_c)
-        exact = np.array([float(2 / (mp.mpf(zi) / k_c + 2)) for zi in z])
-    # measured 4.4e-16 from the closed-form half-angle (6.8e-16 through
+        exact = np.array([float(2 / ((z_lo + mass * mp.mpf(ui)) / k_c + 2))
+                          for ui in u])
+    # measured 5.9e-16 from the closed-form half-angle (6.4e-16 through
     # np.sin(0.5 * theta))
     assert np.max(np.abs(s1 - exact) / exact) < 1e-15

@@ -12,6 +12,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "grazekit"
 # every stream in the package is built as rngstreams.stream(seed, "name", ...)
 CALL = re.compile(r"rngstreams\.stream\(")
 NAMED_CALL = re.compile(r'rngstreams\.stream\(\s*[^,()]+,\s*"([^"]+)"')
+# what builds a generator without a stream key
+GENERATOR = re.compile(r"\bGenerator\(|\bdefault_rng\b|\bRandomState\b|"
+                       r"\b(?:PCG64(?:DXSM)?|Philox|SFC64|MT19937)\b")
 
 
 def source_stream_names():
@@ -44,3 +47,15 @@ def test_same_key_same_draws_distinct_keys_differ():
     assert not np.array_equal(a, rngstreams.stream(5, "slab-jump", 3).random(8))
     assert not np.array_equal(a, rngstreams.stream(5, "slab-comp", 2).random(8))
     assert not np.array_equal(a, rngstreams.stream(6, "slab-jump", 2).random(8))
+
+
+def test_only_rngstreams_names_a_generator():
+    # a generator built anywhere else would draw outside the keyed streams
+    for path in sorted(SRC.glob("*.py")):
+        found = GENERATOR.findall(path.read_text(encoding="utf-8"))
+        if path.name == "rngstreams.py":
+            assert set(found) == {"Generator(", "PCG64DXSM"}
+        else:
+            assert not found, f"{path.name} names {found}"
+    assert type(rngstreams.stream(0, "slab-jump", 1).bit_generator) \
+        is np.random.PCG64DXSM
