@@ -39,8 +39,8 @@ lam caps each owner's candidate rate (the drawn candidates follow the
 per-owner majorants, usually far fewer); in symmetric mode it caps the
 expected event count of any pair.
 
-For the Coulomb kernel the angular support already starts at eps, so
-theta_min plays no role and the global rate is 2*pi*H_eps(eps)*
+For the Coulomb kernel the angular support already starts at eps, so it
+takes no theta_min and the global rate is 2*pi*H_eps(eps)*
 (v_floor+h_eps)^-3 without truncation.
 """
 
@@ -68,10 +68,10 @@ class BoltzmannConfig:
     """Parameters of one Boltzmann particle run.
 
     theta_min defaults to eps/64 for grazing kernels and pi/256 for plain
-    soft ones; it is ignored for Coulomb kernels (support starts at eps).
+    soft ones; Coulomb kernels refuse it (their support starts at eps).
     v_floor defaults to 1e-3 of the initial cloud's RMS speed, resolved at
     the start of run(); a direct step() call resolves it from the current
-    cloud instead.
+    cloud instead.  drift_subsample (nanbu mode only) defaults to 64.
     """
 
     kernel: object
@@ -82,7 +82,7 @@ class BoltzmannConfig:
     v_floor: float = None
     update_mode: str = "nanbu"
     seed: int = 0
-    drift_subsample: int = 64
+    drift_subsample: int = None
     rate_cap: float = 1e4
 
     def __post_init__(self):
@@ -95,8 +95,12 @@ class BoltzmannConfig:
             raise ParameterError("T must be >= 0")
         if self.update_mode not in _UPDATE_MODES:
             raise ParameterError(f"update_mode must be one of {_UPDATE_MODES}")
-        if self.drift_subsample < 1:
-            raise ParameterError("drift_subsample must be >= 1")
+        if self.drift_subsample is not None:
+            if self.update_mode != "nanbu":
+                raise ParameterError("'drift_subsample' is read only by "
+                                     "update_mode 'nanbu'")
+            if self.drift_subsample < 1:
+                raise ParameterError("drift_subsample must be >= 1")
         if not (self.rate_cap > 0.0):
             raise ParameterError("rate_cap must be positive")
 
@@ -106,6 +110,9 @@ def _check_jump_options(kernel, theta_min, v_floor):
     config (this one and coupling.CouplingPlan)."""
     if not isinstance(kernel, _KERNEL_TYPES):
         raise ParameterError("kernel must be a soft/grazing/coulomb kernel")
+    if theta_min is not None and isinstance(kernel, CoulombKernel):
+        raise ParameterError("coulomb kernels take no 'theta_min' (their "
+                             "support starts at eps)")
     if theta_min is not None and not (0.0 < theta_min <= np.pi):
         raise ParameterError("theta_min must lie in (0, pi]")
     if v_floor is not None and not (v_floor >= 0.0):
@@ -277,8 +284,10 @@ def step(cloud, config, rng):
             f"(rate_cap {config.rate_cap:.3g}); decrease dt or raise v_floor")
 
     if config.update_mode == "nanbu":
+        drift_subsample = (64 if config.drift_subsample is None
+                           else config.drift_subsample)
         Xn, events = _step_nanbu(cloud.velocities, kernel, theta_eff, v_floor,
-                                 config.dt, config.drift_subsample, rng)
+                                 config.dt, drift_subsample, rng)
     else:
         Xn, events = _step_symmetric(cloud.velocities, kernel, theta_eff,
                                      v_floor, config.dt, rng)

@@ -1,18 +1,28 @@
 """Command-line entry point: simulations, sweeps, verifiers, artifacts.
 
 Options resolve in three layers: hard defaults < config file (--config)
-< explicit flags, with flag names mirroring config keys.  Every command
-validates everything before writing anything, emits its artifacts in one
-pass, and finishes with manifest.json (config echo, seed, content hash per
-output file).  Exit codes: 0 success, 1 a verifier or sweep verdict failed,
-2 usage/config errors.
+< explicit flags.  Each flag is a config.KEYS key, "--" + key with "_" as
+"-", read by its kind's text parser.  A command's keys are derived from
+what it builds: the parameters of kernel_from_params, coupled_run and
+rate_sweep (with the CouplingPlan fields a sweep forwards), and the fields
+of BoltzmannConfig, LandauConfig and CouplingPlan but kernel, seed and
+subdivision.  The initial_* keys are the sample_initial parameters.  Only
+keys of no signature are listed: schedule, subdivision_n, seed where a
+command draws, and the verify-* and fit-rate keys.  A command takes a flag
+for each of its keys and refuses any other config key but version; a key
+left out takes its signature's default.
 
-The default output directory is the config's out_dir, else the
-GRAZEKIT_OUT_DIR environment variable, else the current directory.
+Every command validates everything before writing anything, emits its
+artifacts in one pass, and finishes with manifest.json (config echo, seed,
+content hash per output file).  Exit codes: 0 success, 1 a verifier or
+sweep verdict failed, 2 usage/config errors.  The default output directory
+is the config's out_dir, else the GRAZEKIT_OUT_DIR environment variable,
+else the current directory.
 """
 
 import argparse
 import csv
+import inspect
 import math
 import sys
 
@@ -20,16 +30,16 @@ import numpy as np
 
 from . import artifacts, boltzmann, landau, rngstreams
 from .boltzmann import BoltzmannConfig
-from .config import (CONFIG_VERSION, default_out_dir, echo_form,
-                     format_angle, load_config, parse_angle, validate_config)
-from .coupling import (CouplingPlan, build_subdivision, coupled_run,
-                       default_h, fit_verdict, rate_sweep)
+from .config import (CONFIG_VERSION, KEYS, default_out_dir, echo_form,
+                     flag_type, format_angle, load_config, validate_config)
+from .coupling import (_SWEEP_RECIPE, CouplingPlan, build_subdivision,
+                       coupled_run, default_h, fit_verdict, rate_sweep)
 from .errors import (DegenerateInputError, InstabilityError, ParameterError,
                      StabilityError)
 from .geometry import deviate, frame, gamma_vec, phi_zero
 from .kernels import k_constant, kernel_from_params, r_eta, theta_moment
 from .landau import LandauConfig
-from .particles import sample_initial
+from .particles import _DISTS, sample_initial
 from .verifiers import (PoissonIntegralSpec, gronwall_bound_check,
                         poisson_gaussian_w2, psi)
 
@@ -40,80 +50,50 @@ __all__ = ["main", "build_parser"]
 # option plumbing
 # ---------------------------------------------------------------------------
 
-def _angle_arg(text):
-    return parse_angle(text, "angle")
-
-
-def _angle_list_arg(text):
-    return [parse_angle(v, "eps_list") for v in text.split(",")]
-
-
-def _int_list_arg(text):
-    """Comma list of integers, or a:b for range(a, b)."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(v) for v in text.split(",")]
-
-
-def _float_list_arg(text):
-    return [float(v) for v in text.split(",")]
-
-
-_FLAG_TYPES = {
-    "family": str, "gamma": float, "nu": float, "eps": _angle_arg,
-    "h_eps": float, "n": int, "dt": float, "T": float,
-    "theta_min": _angle_arg, "v_floor": float, "update_mode": str,
-    "drift_subsample": int, "rate_cap": float, "pairing": str, "m": int,
-    "reg_delta": float, "initial_name": str, "initial_sigma2": float,
-    "initial_sigma2_cold": float, "initial_sigma2_hot": float,
-    "initial_hot_fraction": float, "initial_radius": float,
-    "eps_list": _angle_list_arg, "seeds": _int_list_arg, "p": int,
-    "level": str, "eta": _angle_arg, "truncation_m": float,
-    "normal_fallback": int, "subdivision_n": int, "w2_mode": str,
-    "samples": int, "t_list": _float_list_arg, "seed": int,
-    "schedule": _float_list_arg, "out_dir": str,
-}
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def _add_flags(sub, keys):
     for key in keys:
-        if key == "tanaka":
-            sub.add_argument("--tanaka", action=argparse.BooleanOptionalAction,
-                             default=None)
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key == "T":
-            flag = "--T"
-        sub.add_argument(flag, dest=key, type=_FLAG_TYPES[key], default=None,
-                         metavar=key.upper())
+        how = ({"action": argparse.BooleanOptionalAction}
+               if KEYS[key].text is None
+               else {"type": flag_type(key), "metavar": key.upper()})
+        sub.add_argument(_flag(key), dest=key, default=None, **how)
 
 
-_KERNEL_KEYS = ("family", "gamma", "nu", "eps", "h_eps")
-_BOLTZ_KEYS = ("n", "dt", "T", "theta_min", "v_floor", "update_mode",
-               "drift_subsample", "rate_cap")
-_LANDAU_KEYS = ("gamma", "n", "dt", "T", "pairing", "m", "reg_delta")
-_INITIAL_KEYS = ("initial_name", "initial_sigma2", "initial_sigma2_cold",
-                 "initial_sigma2_hot", "initial_hot_fraction",
-                 "initial_radius")
-_PLAN_KEYS = ("tanaka", "level", "eta", "truncation_m", "normal_fallback",
-              "subdivision_n", "w2_mode")
-# The config keys each command reads, and so its flags.  Any other key
-# (beyond version, seed and out_dir) is refused rather than ignored.
-_COMMAND_KEYS = {
-    "simulate-boltzmann": (_KERNEL_KEYS + _BOLTZ_KEYS + _INITIAL_KEYS
-                           + ("schedule",)),
-    "simulate-landau": _LANDAU_KEYS + _INITIAL_KEYS + ("schedule",),
-    "coupled-run": (_KERNEL_KEYS + ("n", "T", "theta_min", "v_floor",
-                                    "reg_delta") + _INITIAL_KEYS + _PLAN_KEYS),
-    "rate-sweep": ("family", "gamma", "nu", "eps_list", "seeds", "n", "T",
-                   "p", "tanaka", "level", "normal_fallback", "w2_mode"),
+def _keys(target):
+    """The config keys a dataclass or function reads: its parameters that
+    are table keys, but seed (a key only where a command draws from it)."""
+    return tuple(name for name in inspect.signature(target).parameters
+                 if name in KEYS and name != "seed")
+
+
+_KERNEL_KEYS = _keys(kernel_from_params)
+_BOLTZ_KEYS = _keys(BoltzmannConfig)
+_LANDAU_KEYS = _keys(LandauConfig)
+_PLAN_KEYS = _keys(CouplingPlan)
+_RUN_KEYS = _keys(coupled_run)
+_SWEEP_KEYS = _keys(rate_sweep) + tuple(k for k in _PLAN_KEYS
+                                        if k not in _SWEEP_RECIPE)
+# initial_name, and initial_ plus each sample_initial distribution parameter
+_INITIAL_KEYS = ("initial_name",) + tuple(
+    "initial_" + k for params in _DISTS.values() for k in params)
+_PARTICLE_KEYS = _INITIAL_KEYS + ("schedule", "seed")
+# The config keys each command reads, and so its flags.  Any other key but
+# version is refused rather than ignored.
+_COMMAND_KEYS = {command: keys + ("out_dir",) for command, keys in {
+    "simulate-boltzmann": _KERNEL_KEYS + _BOLTZ_KEYS + _PARTICLE_KEYS,
+    "simulate-landau": _LANDAU_KEYS + _PARTICLE_KEYS,
+    # the cloud size, and the horizon and slab count of the subdivision
+    "coupled-run": (_KERNEL_KEYS + ("n", "T", "subdivision_n") + _PLAN_KEYS
+                    + _RUN_KEYS + _INITIAL_KEYS + ("seed",)),
+    "rate-sweep": _SWEEP_KEYS,
     "verify-kernels": ("family", "gamma", "nu", "eps_list", "h_eps"),
-    "verify-geometry": ("samples",),
-    "verify-appendix": ("samples", "t_list"),
+    "verify-geometry": ("samples", "seed"),
+    "verify-appendix": ("samples", "t_list", "seed"),
     "fit-rate": ("family",),
-}
-_COMMON_KEYS = ("version", "seed", "out_dir")
+}.items()}
 _COMMAND_HELP = {
     "simulate-boltzmann": "Nanbu/symmetric Boltzmann particle run",
     "simulate-landau": "regularized Landau particle run",
@@ -130,18 +110,16 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="grazekit",
         description="Grazing-collision limit experiments: particle "
-                    "simulators, coupled sweeps, and property verifiers.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="JSON config file; flags override its keys")
-    common.add_argument("--out-dir", dest="out_dir", default=None,
-                        help="artifact directory (default: config out_dir, "
-                             "else $GRAZEKIT_OUT_DIR, else '.')")
-    common.add_argument("--seed", dest="seed", type=int, default=None)
+                    "simulators, coupled sweeps, and property verifiers.  "
+                    "Artifacts go to --out-dir, else $GRAZEKIT_OUT_DIR, "
+                    "else the current directory.")
     subs = parser.add_subparsers(dest="command", required=True)
     for command, keys in _COMMAND_KEYS.items():
-        sub = subs.add_parser(command, parents=[common],
+        # no abbreviated flags: --seed must not read as --seeds
+        sub = subs.add_parser(command, allow_abbrev=False,
                               help=_COMMAND_HELP[command])
+        sub.add_argument("--config", default=None,
+                         help="JSON config file; flags override its keys")
         if command == "fit-rate":
             sub.add_argument("--input", required=True,
                              help="sweep CSV (eps,seed,t,paired_l2,...)")
@@ -151,69 +129,56 @@ def build_parser():
 
 def _merge_options(args):
     """Config-file values overridden by explicit flags, then validated."""
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = {"version": CONFIG_VERSION}
-    for key in list(_FLAG_TYPES) + ["tanaka"]:
+    cfg = load_config(args.config) if args.config else {
+        "version": CONFIG_VERSION}
+    for key in KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    cfg.setdefault("version", CONFIG_VERSION)
     return validate_config(cfg, source="options")
 
 
 def _require(cfg, *keys):
     for key in keys:
         if key not in cfg:
-            flag = "--" + key.replace("_", "-") if key != "T" else "--T"
             raise ParameterError(
-                f"missing required field '{key}' (flag {flag})")
+                f"missing required field '{key}' (flag {_flag(key)})")
     return [cfg[k] for k in keys]
 
 
 def _check_fields(cfg, command):
     """Refuse config keys the command would silently ignore."""
-    unread = sorted(set(cfg) - set(_COMMAND_KEYS[command]) - set(_COMMON_KEYS))
+    unread = sorted(set(cfg) - set(_COMMAND_KEYS[command]) - {"version"})
     if unread:
         raise ParameterError(
             f"{command} does not read field(s) {', '.join(map(repr, unread))}; "
             "remove them from the config")
 
 
-def _echo(cfg):
-    """Manifest config echo: everything but the output location, so the
-    manifest depends only on what was run and what it produced."""
+def _write(cfg, out_dir, files):
+    """Write the artifacts and manifest.json: the seed and the config echo
+    without out_dir, so the manifest depends only on what was run and what
+    it produced."""
     echo = echo_form(cfg)
     echo.pop("out_dir", None)
-    return echo
+    artifacts.write_artifacts(out_dir, files, echo, cfg.get("seed", 0))
 
 
-def _given(cfg, *keys):
+def _given(cfg, keys):
     """The keys of cfg among `keys`: a key the config leaves out takes the
     default of the signature it is passed to."""
     return {k: cfg[k] for k in keys if k in cfg}
 
 
-def _build_kernel(cfg, eps=None):
-    family, = _require(cfg, "family")
-    return kernel_from_params(family, gamma=cfg.get("gamma"),
-                              nu=cfg.get("nu"),
-                              eps=cfg.get("eps") if eps is None else eps,
-                              h_eps=cfg.get("h_eps"))
-
-
-_DIST_KEYS = {"initial_sigma2": "sigma2", "initial_sigma2_cold": "sigma2_cold",
-              "initial_sigma2_hot": "sigma2_hot",
-              "initial_hot_fraction": "hot_fraction",
-              "initial_radius": "radius"}
+def _build_kernel(cfg, **override):
+    _require(cfg, "family")
+    return kernel_from_params(**_given(cfg, _KERNEL_KEYS), **override)
 
 
 def _initial_cloud(cfg, n, seed):
-    dist = {"name": cfg.get("initial_name", "isotropic-gaussian")}
-    for key, name in _DIST_KEYS.items():
-        if key in cfg:
-            dist[name] = cfg[key]
+    dist = {"name": "isotropic-gaussian"}
+    dist.update((k.removeprefix("initial_"), cfg[k])
+                for k in _INITIAL_KEYS if k in cfg)
     return sample_initial(dist, n, rngstreams.stream(seed, "cli-init"))
 
 
@@ -221,34 +186,31 @@ def _initial_cloud(cfg, n, seed):
 # simulation commands
 # ---------------------------------------------------------------------------
 
+def _simulate(cfg, out_dir, run, run_cfg):
+    """A particle run from the initial_* cloud, written out as snapshots
+    at the scheduled times and their diagnostics."""
+    traj = run(run_cfg, _initial_cloud(cfg, run_cfg.n, run_cfg.seed),
+               cfg.get("schedule"))
+    _write(cfg, out_dir, {
+        "snapshots.csv": artifacts.snapshots_csv_text(traj),
+        "diagnostics.json": artifacts.diagnostics_json_text(traj)})
+    return traj
+
+
 def _cmd_simulate_boltzmann(cfg, out_dir):
     kernel = _build_kernel(cfg)
-    n, dt, T = _require(cfg, "n", "dt", "T")
-    seed = cfg.get("seed", 0)
-    run_cfg = BoltzmannConfig(
-        kernel=kernel, n=n, dt=dt, T=T, seed=seed,
-        **_given(cfg, "theta_min", "v_floor", "update_mode",
-                 "drift_subsample", "rate_cap"))
-    cloud = _initial_cloud(cfg, n, seed)
-    traj = boltzmann.run(run_cfg, cloud, cfg.get("schedule"))
-    files = {"snapshots.csv": artifacts.snapshots_csv_text(traj),
-             "diagnostics.json": artifacts.diagnostics_json_text(traj)}
-    artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
+    _require(cfg, "n", "dt", "T")
+    traj = _simulate(cfg, out_dir, boltzmann.run, BoltzmannConfig(
+        kernel=kernel, seed=cfg.get("seed", 0), **_given(cfg, _BOLTZ_KEYS)))
     print(f"simulate-boltzmann: {len(traj.clouds)} snapshot(s), "
           f"{traj.clouds[-1].events} collision event(s) -> {out_dir}")
     return 0
 
 
 def _cmd_simulate_landau(cfg, out_dir):
-    gamma, n, dt, T = _require(cfg, "gamma", "n", "dt", "T")
-    seed = cfg.get("seed", 0)
-    run_cfg = LandauConfig(gamma=gamma, n=n, dt=dt, T=T, seed=seed,
-                           **_given(cfg, "pairing", "m", "reg_delta"))
-    cloud = _initial_cloud(cfg, n, seed)
-    traj = landau.run(run_cfg, cloud, cfg.get("schedule"))
-    files = {"snapshots.csv": artifacts.snapshots_csv_text(traj),
-             "diagnostics.json": artifacts.diagnostics_json_text(traj)}
-    artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
+    _require(cfg, "gamma", "n", "dt", "T")
+    traj = _simulate(cfg, out_dir, landau.run, LandauConfig(
+        seed=cfg.get("seed", 0), **_given(cfg, _LANDAU_KEYS)))
     print(f"simulate-landau: {len(traj.clouds)} snapshot(s) -> {out_dir}")
     return 0
 
@@ -261,29 +223,24 @@ def _cmd_coupled_run(cfg, out_dir):
         kernel=kernel, seed=seed,
         subdivision=build_subdivision(default_h, T,
                                       cfg.get("subdivision_n", 4)),
-        **_given(cfg, "theta_min", "v_floor", "reg_delta", "tanaka", "level",
-                 "eta", "truncation_m", "normal_fallback"))
+        **_given(cfg, _PLAN_KEYS))
     cloud = _initial_cloud(cfg, n, seed)
-    result = coupled_run(plan, cloud, **_given(cfg, "w2_mode"))
-    files = {"coupled.csv": artifacts.coupled_csv_text(result),
-             "coupled_summary.json": artifacts.coupled_summary_json_text(result)}
-    artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
+    result = coupled_run(plan, cloud, **_given(cfg, _RUN_KEYS))
+    _write(cfg, out_dir, {
+        "coupled.csv": artifacts.coupled_csv_text(result),
+        "coupled_summary.json": artifacts.coupled_summary_json_text(result)})
     print(f"coupled-run: terminal paired-L2 {result.paired_l2[-1]:.6g} "
           f"(sup {result.sup_paired_l2:.6g}) -> {out_dir}")
     return 0
 
 
 def _cmd_rate_sweep(cfg, out_dir):
-    family, eps_list, n, T = _require(cfg, "family", "eps_list", "n", "T")
-    seed = cfg.get("seed", 0)
-    report = rate_sweep(
-        family, eps_list, cfg.get("seeds", list(range(10))), n=n, T=T,
-        **_given(cfg, "gamma", "nu", "p", "tanaka", "level", "w2_mode",
-                 "normal_fallback"))
-    files = {"sweep.csv": artifacts.sweep_csv_text(report),
-             "sweep_summary.json": artifacts.sweep_summary_json_text(report)}
-    artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
-    print(f"rate-sweep [{family}]: verdict {report.verdict}, slope "
+    _require(cfg, "family", "eps_list", "n", "T")
+    report = rate_sweep(**_given(cfg, _SWEEP_KEYS))
+    _write(cfg, out_dir, {
+        "sweep.csv": artifacts.sweep_csv_text(report),
+        "sweep_summary.json": artifacts.sweep_summary_json_text(report)})
+    print(f"rate-sweep [{report.family}]: verdict {report.verdict}, slope "
           f"{report.slope:.4f} +/- {report.slope_stderr:.4f} -> {out_dir}")
     return 0 if report.verdict == "decreasing" else 1
 
@@ -411,9 +368,8 @@ def _cmd_verify_appendix(cfg, out_dir):
 
 
 def _finish_verify(cfg, out_dir, name, rows):
-    seed = cfg.get("seed", 0)
     table = artifacts.verifier_table_csv_text(rows)
-    artifacts.write_artifacts(out_dir, {name: table}, _echo(cfg), seed)
+    _write(cfg, out_dir, {name: table})
     failed = [r[0] for r in rows if not r[3]]
     print(table, end="")
     if failed:
@@ -475,10 +431,8 @@ def _cmd_fit_rate(cfg, out_dir, path):
             dist[i, j] = terminal[(e, s)]
     fit = fit_verdict(dist, eps_vals, family)
 
-    seed = cfg.get("seed", 0)
     body = {"family": family, "eps_list": eps_vals, "seeds": seed_vals, **fit}
-    files = {"fit.json": artifacts.json_text(body)}
-    artifacts.write_artifacts(out_dir, files, _echo(cfg), seed)
+    _write(cfg, out_dir, {"fit.json": artifacts.json_text(body)})
     print(f"fit-rate [{family}]: verdict {fit['verdict']}, slope "
           f"{fit['slope']:.4f} +/- {fit['slope_stderr']:.4f} -> {out_dir}")
     return 0 if fit["verdict"] == "decreasing" else 1
@@ -510,7 +464,7 @@ def main(argv=None):
     try:
         cfg = _merge_options(args)
         _check_fields(cfg, args.command)
-        out_dir = args.out_dir or default_out_dir(cfg)
+        out_dir = default_out_dir(cfg)
         if args.command == "fit-rate":
             return _cmd_fit_rate(cfg, out_dir, args.input)
         return _DISPATCH[args.command](cfg, out_dir)

@@ -645,8 +645,14 @@ def _run_cells(cells, order):
 _FAMILIES = ("grazing", "coulomb")
 
 
-def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
-               w2_mode="none", **plan_options):
+# The CouplingPlan fields a sweep's recipe sets in every cell; its
+# plan_options may set every other field.
+_SWEEP_RECIPE = ("kernel", "seed", "subdivision", "theta_min", "v_floor",
+                 "reg_delta", "eta", "truncation_m")
+
+
+def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
+               nu=None, p=5, w2_mode="none", **plan_options):
     """Coupled-distance sweep over a decreasing eps grid.
 
     Per (eps, seed) cell: build the kernel at eps (kernels.kernel_from_params;
@@ -658,8 +664,9 @@ def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
     any runs, so a bad grid point fails before any compute.  The cells then
     run on every core in this process's CPU affinity, smallest eps first;
     the report is identical to a one-core run.  The fit and verdict are
-    fit_verdict's.  plan_options (tanaka, level, normal_fallback) go to
-    every cell's CouplingPlan; the recipe sets its other fields.
+    fit_verdict's.  seeds defaults to 0..9.  plan_options (tanaka, level,
+    normal_fallback) go to every cell's CouplingPlan; the recipe sets the
+    _SWEEP_RECIPE fields.
     """
     if family not in _FAMILIES:
         raise ParameterError("rate sweeps need family 'grazing' or 'coulomb'")
@@ -696,9 +703,8 @@ def rate_sweep(family, eps_list, seeds, *, n, T, gamma=None, nu=None, p=5,
                 math.sqrt(2.0 * m2_0) * math.log(1.0 / eps) ** (2.0 / (2.0 * p + 3.0))
             # grazing floors default to 1e-3 of the RMS speed in coupled_run;
             # theta_min keeps the kernel default: eps/64 for the grazing
-            # family, the support bottom eps for Coulomb.  Every other plan
-            # field is named here, so plan_options can set no more than
-            # tanaka, level and normal_fallback.
+            # family, the support bottom eps for Coulomb.  The recipe sets
+            # the _SWEEP_RECIPE fields, plan_options the others.
             floor = 0.05 * math.sqrt(m2_0) if family == "coulomb" else None
             plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
                                 theta_min=None, v_floor=floor, reg_delta=floor,

@@ -124,14 +124,17 @@ class LandauCoefficients:
 
 @dataclass(frozen=True)
 class LandauConfig:
-    """Parameters of one Landau particle run."""
+    """Parameters of one Landau particle run.
+
+    m, the companions (subsampled) or matching rounds (conservative) per
+    step, defaults to 64; full pairing refuses it."""
 
     gamma: float
     n: int
     dt: float
     T: float
     pairing: str = "subsampled"
-    m: int = 64
+    m: int = None
     reg_delta: float = None
     seed: int = 0
 
@@ -148,8 +151,12 @@ class LandauConfig:
         if self.pairing == "full" and self.n > _FULL_PAIRING_CAP:
             raise ParameterError(
                 f"full pairing is for validation runs with N <= {_FULL_PAIRING_CAP}")
-        if self.m < 1:
-            raise ParameterError("m must be >= 1")
+        if self.m is not None:
+            if self.pairing == "full":
+                raise ParameterError("pairing 'full' takes no 'm' (it "
+                                     "evaluates every pair)")
+            if self.m < 1:
+                raise ParameterError("m must be >= 1")
         if self.reg_delta is not None and not (self.reg_delta >= 0.0):
             raise ParameterError("reg_delta must be >= 0")
 
@@ -216,14 +223,15 @@ def step(cloud, config, rng):
     coeffs = LandauCoefficients(config.gamma,
                                 speed_floor(config.reg_delta, cloud))
     X = cloud.velocities
+    m = 64 if config.m is None else config.m
     # overflow/invalid intermediates surface as the non-finite check below
     with np.errstate(over="ignore", invalid="ignore"):
         if config.pairing == "full":
             Xn, events = _step_full(X, coeffs, config.dt, rng)
         elif config.pairing == "subsampled":
-            Xn, events = _step_subsampled(X, coeffs, config.dt, config.m, rng)
+            Xn, events = _step_subsampled(X, coeffs, config.dt, m, rng)
         else:
-            Xn, events = _step_conservative(X, coeffs, config.dt, config.m, rng)
+            Xn, events = _step_conservative(X, coeffs, config.dt, m, rng)
     return next_cloud(cloud, Xn, config.dt, events)
 
 

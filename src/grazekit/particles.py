@@ -73,6 +73,13 @@ def recenter(v: np.ndarray) -> np.ndarray:
     return v
 
 
+# each named initial distribution's parameters, with their defaults
+_DISTS = {"isotropic-gaussian": {"sigma2": 1.0},
+          "two-temperature": {"sigma2_cold": 0.5, "sigma2_hot": 2.0,
+                              "hot_fraction": 0.5},
+          "uniform-ball": {"radius": 1.0}}
+
+
 def sample_initial(dist: dict, n: int, rng: np.random.Generator,
                    *, recenter_momentum: bool = False) -> ParticleCloud:
     """Draw an N-particle initial cloud from a named distribution.
@@ -82,34 +89,36 @@ def sample_initial(dist: dict, n: int, rng: np.random.Generator,
       two-temperature:    {"sigma2_cold": a, "sigma2_hot": b,
                            "hot_fraction": f} — Gaussian mixture
       uniform-ball:       {"radius": R} — uniform on the solid ball
+    A parameter the named distribution does not take is an error.
     """
     if n < 2:
         raise ParameterError("need at least 2 particles")
     name = dist.get("name")
+    if name not in _DISTS:
+        raise ParameterError(f"unknown initial distribution {name!r}")
+    unread = sorted(set(dist) - {"name"} - set(_DISTS[name]))
+    if unread:
+        raise ParameterError(f"initial distribution {name!r} does not take "
+                             f"{', '.join(map(repr, unread))}")
+    par = {k: float(dist.get(k, value)) for k, value in _DISTS[name].items()}
     if name == "isotropic-gaussian":
-        s2 = float(dist.get("sigma2", 1.0))
-        if s2 <= 0:
+        if par["sigma2"] <= 0:
             raise ParameterError("sigma2 must be positive")
-        v = rng.normal(scale=np.sqrt(s2), size=(n, 3))
+        v = rng.normal(scale=np.sqrt(par["sigma2"]), size=(n, 3))
     elif name == "two-temperature":
-        a = float(dist.get("sigma2_cold", 0.5))
-        b = float(dist.get("sigma2_hot", 2.0))
-        f = float(dist.get("hot_fraction", 0.5))
+        a, b, f = par["sigma2_cold"], par["sigma2_hot"], par["hot_fraction"]
         if not (a > 0 and b > 0 and 0.0 <= f <= 1.0):
             raise ParameterError("bad mixture parameters")
         hot = rng.random(n) < f
         scale = np.where(hot, np.sqrt(b), np.sqrt(a))
         v = rng.normal(size=(n, 3)) * scale[:, None]
-    elif name == "uniform-ball":
-        R = float(dist.get("radius", 1.0))
-        if R <= 0:
+    else:
+        if par["radius"] <= 0:
             raise ParameterError("radius must be positive")
         u = rng.normal(size=(n, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        r = R * rng.random(n) ** (1.0 / 3.0)
+        r = par["radius"] * rng.random(n) ** (1.0 / 3.0)
         v = u * r[:, None]
-    else:
-        raise ParameterError(f"unknown initial distribution {name!r}")
     if recenter_momentum:
         v = recenter(v)
     return ParticleCloud(velocities=v)

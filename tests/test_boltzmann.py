@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from grazekit import boltzmann, geometry, rngstreams
 from grazekit.boltzmann import BoltzmannConfig, run, step
+from grazekit.coupling import CouplingPlan, build_subdivision, default_h
 from grazekit.geometry import deviate, jump_c, row_norm
 from grazekit.errors import ParameterError, StabilityError
 from grazekit.kernels import (CoulombKernel, GrazingKernel, SoftKernel,
@@ -143,16 +144,16 @@ def test_coulomb_rate_bound_and_cap():
         run(cfg, c0, schedule=[0.1])
 
 
-def test_coulomb_ignores_theta_min():
-    # angular support already starts at eps, so theta_min has no effect
+def test_coulomb_refuses_theta_min():
+    # the angular support already starts at eps, so a theta_min would
+    # change nothing: both jump-process configs refuse it
     ck = CoulombKernel(eps=0.2)
-    c0 = sample_initial(GAUSS, 64, rngstreams.stream(3, "init-ci"))
-    outs = []
-    for th in (None, 0.5):
-        cfg = BoltzmannConfig(kernel=ck, n=64, dt=0.01, T=0.05, theta_min=th,
-                              v_floor=0.0, seed=9)
-        outs.append(run(cfg, c0, schedule=[0.05]).clouds[-1].velocities)
-    assert np.array_equal(outs[0], outs[1])
+    with pytest.raises(ParameterError, match="'theta_min'"):
+        BoltzmannConfig(kernel=ck, n=64, dt=0.01, T=0.05, theta_min=0.5)
+    sub = build_subdivision(default_h, 0.5, 1)
+    with pytest.raises(ParameterError, match="'theta_min'"):
+        CouplingPlan(kernel=ck, seed=0, subdivision=sub, theta_min=0.5)
+    CouplingPlan(kernel=ck, seed=0, subdivision=sub)
 
 
 def test_config_validation():
@@ -163,7 +164,9 @@ def test_config_validation():
                 dict(good, theta_min=0.0), dict(good, theta_min=4.0),
                 dict(good, v_floor=-1.0), dict(good, update_mode="euler"),
                 dict(good, drift_subsample=0), dict(good, rate_cap=0.0),
-                dict(good, kernel="coulomb")):
+                dict(good, kernel="coulomb"),
+                # symmetric mode applies no drift, so it reads no subsample
+                dict(good, update_mode="symmetric", drift_subsample=64)):
         with pytest.raises(ParameterError):
             BoltzmannConfig(**bad)
 

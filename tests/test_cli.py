@@ -250,6 +250,8 @@ SIMULATE_BOLTZMANN = ["simulate-boltzmann", "--family", "grazing",
                       "--n", "48", "--dt", "0.05", "--T", "0.1"]
 SIMULATE_LANDAU = ["simulate-landau", "--gamma", "-1.5", "--n", "32",
                    "--dt", "0.05", "--T", "0.1"]
+VERIFY_KERNELS = ["verify-kernels", "--family", "grazing", "--gamma", "-0.5",
+                  "--nu", "0.6", "--eps-list", "pi/2"]
 
 
 @pytest.mark.parametrize("base, keys", [
@@ -260,8 +262,12 @@ SIMULATE_LANDAU = ["simulate-landau", "--gamma", "-1.5", "--n", "32",
     (SIMULATE_BOLTZMANN, {"h_eps": 0.3}),
     (COUPLED_RUN, {"dt": 1e-3}),
     (RATE_SWEEP, {"h_eps": 0.5}),
+    # neither draws from a seed (a sweep seeds each cell from its seeds)
+    (RATE_SWEEP, {"seed": 5}),
+    (VERIFY_KERNELS, {"seed": 5}),
 ], ids=["rate-sweep", "simulate-landau", "simulate-boltzmann",
-        "simulate-boltzmann-h_eps", "coupled-run-dt", "rate-sweep-h_eps"])
+        "simulate-boltzmann-h_eps", "coupled-run-dt", "rate-sweep-h_eps",
+        "rate-sweep-seed", "verify-kernels-seed"])
 def test_config_keys_a_command_never_reads_exit_2(tmp_path, base, keys,
                                                    capsys):
     # a config key outside the command's own set is refused, not echoed
@@ -274,6 +280,64 @@ def test_config_keys_a_command_never_reads_exit_2(tmp_path, base, keys,
     # the same command without the stray keys runs
     if base is not RATE_SWEEP:
         assert main(base + ["--out-dir", str(out)]) == 0
+
+
+COULOMB_RUN = ["simulate-boltzmann", "--family", "coulomb", "--eps", "0.1",
+               "--n", "48", "--dt", "0.01", "--T", "0.02"]
+COULOMB_COUPLED = ["coupled-run", "--family", "coulomb", "--eps", "0.1",
+                   "--n", "48", "--T", "0.3", "--subdivision-n", "2"]
+
+
+@pytest.mark.parametrize("base, flags, refused", [
+    # a Coulomb support starts at eps: no theta_min below it
+    (COULOMB_RUN, ["--theta-min", "0.5"], "theta_min"),
+    (COULOMB_COUPLED, ["--theta-min", "0.5"], "theta_min"),
+    # symmetric mode applies no drift, full pairing takes every pair
+    (SIMULATE_BOLTZMANN + ["--update-mode", "symmetric"],
+     ["--drift-subsample", "2"], "drift_subsample"),
+    (SIMULATE_LANDAU + ["--pairing", "full"], ["--m", "3"], "m"),
+    # the default initial distribution is isotropic-gaussian
+    (SIMULATE_LANDAU, ["--initial-radius", "3", "--initial-sigma2-hot", "9"],
+     "radius', 'sigma2_hot"),
+], ids=["simulate-boltzmann-coulomb-theta_min",
+        "coupled-run-coulomb-theta_min", "symmetric-drift_subsample",
+        "full-pairing-m", "gaussian-radius"])
+def test_options_the_run_never_reads_exit_2(tmp_path, base, flags, refused,
+                                            capsys):
+    out = tmp_path / "never"
+    assert main(base + flags + ["--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert f"'{refused}'" in capsys.readouterr().err
+    # the same command without the refused options runs
+    assert main(base + ["--out-dir", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["rate-sweep", "verify-kernels",
+                                     "fit-rate"])
+def test_seed_is_a_flag_only_where_a_command_draws(tmp_path, capsys,
+                                                   command):
+    # none of these draws from a seed (a sweep seeds each cell from its
+    # seeds, and --seed is no abbreviation of --seeds)
+    args = {"rate-sweep": RATE_SWEEP, "verify-kernels": VERIFY_KERNELS,
+            "fit-rate": ["fit-rate", "--family", "grazing", "--input",
+                         str(tmp_path / "sweep.csv")]}[command]
+    assert main(args + ["--seed", "5", "--out-dir", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+def test_fit_rate_refuses_a_seed_key(tmp_path, capsys):
+    rows = ["eps,seed,t,paired_l2,w2,m2_boltz,m2_landau"]
+    for eps, dist in ((0.5, 0.4), (0.25, 0.2)):
+        for seed in (0, 1, 2):
+            rows.append(f"{eps},{seed},0.3,{dist + 0.01 * seed},nan,3.0,3.0")
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join(rows) + "\n")
+    args = ["fit-rate", "--input", str(path), "--family", "grazing",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(args + ["--config", write_config(tmp_path, seed=5)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(args) == 0
 
 
 def test_fit_rate_inconclusive_exits_1(tmp_path):
@@ -316,7 +380,7 @@ def test_fit_rate_input_validation(tmp_path):
 # option plumbing
 # ---------------------------------------------------------------------------
 
-def test_usage_and_config_errors_exit_2(tmp_path):
+def test_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     bad = tmp_path / "bad.json"
@@ -328,6 +392,19 @@ def test_usage_and_config_errors_exit_2(tmp_path):
     # bad angle literal in a flag
     assert main(["verify-kernels", "--family", "grazing", "--gamma", "-0.5",
                  "--nu", "0.6", "--eps-list", "pi/zero"]) == 2
+    # a flag's type error says what is wrong, in the config's own words
+    err = capsys.readouterr().err
+    assert ("argument --eps-list: field 'eps_list[0]': bad angle literal "
+            "'pi/zero' (expected pi/k with integer k >= 1)") in err
+    assert main(SIMULATE_BOLTZMANN + ["--eps", "pi/zero"]) == 2
+    assert main(SIMULATE_BOLTZMANN + ["--n", "many"]) == 2
+    assert main(RATE_SWEEP + ["--seeds", "0:x"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --eps: field 'eps': bad angle literal 'pi/zero'" in err
+    assert "argument --n: field 'n': expected an integer" in err
+    assert ("argument --seeds: field 'seeds': expected a list of integers"
+            in err)
+    assert "_arg" not in err
 
 
 def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):

@@ -1,15 +1,24 @@
 """Tests for the flat JSON config layer: angle literals, schema checks,
-lossless round trips."""
+lossless round trips, and the key table that drives the command line."""
 
+import argparse
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grazekit.config import (CONFIG_VERSION, default_out_dir, echo_form,
-                             format_angle, load_config, parse_angle,
-                             validate_config)
+from grazekit import cli
+from grazekit.boltzmann import BoltzmannConfig
+from grazekit.cli import _flag
+from grazekit.config import (CONFIG_VERSION, KEYS, default_out_dir,
+                             echo_form, format_angle, load_config,
+                             parse_angle, validate_config)
+from grazekit.coupling import CouplingPlan
 from grazekit.errors import ParameterError
+from grazekit.landau import LandauConfig
 
 GOOD_DOC = {
     "version": 1,
@@ -135,3 +144,79 @@ def test_default_out_dir_resolution(monkeypatch):
     monkeypatch.setenv("GRAZEKIT_OUT_DIR", "/tmp/envdir")
     assert default_out_dir({}) == "/tmp/envdir"
     assert default_out_dir({"out_dir": "chosen"}) == "chosen"
+
+
+# ---------------------------------------------------------------------------
+# the key table: every key read somewhere, every command's flags its keys
+
+def _subcommand_flags():
+    """Each subcommand's config-key flags, by dest."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {command: {a.dest for a in sub._actions
+                      if a.option_strings and a.dest in KEYS}
+            for command, sub in subs.choices.items()}
+
+
+def test_every_table_key_is_read_by_a_command():
+    read = set().union(*map(set, cli._COMMAND_KEYS.values()))
+    assert read | {"version"} == set(KEYS)
+
+
+def test_every_subcommand_takes_exactly_its_keys_as_flags():
+    flags = _subcommand_flags()
+    assert flags == {c: set(k) for c, k in cli._COMMAND_KEYS.items()}
+    for command, keys in cli._COMMAND_KEYS.items():
+        assert len(set(keys)) == len(keys), command
+
+
+@pytest.mark.parametrize("cls, command", [
+    (BoltzmannConfig, "simulate-boltzmann"),
+    (LandauConfig, "simulate-landau"),
+    (CouplingPlan, "coupled-run"),
+])
+def test_every_config_field_is_a_key_of_its_command(cls, command):
+    # kernel, seed and subdivision are built from other keys
+    built = {"kernel", "seed", "subdivision"}
+    fields = {f.name for f in dataclasses.fields(cls) if f.init} - built
+    assert fields <= set(cli._COMMAND_KEYS[command])
+
+
+_TEXT_VALUES = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "angle": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(1, 4096).map(lambda k: f"pi/{k}"),
+                       st.just("pi"), st.just(" PI/8 ")),
+    "str": st.text(max_size=8),
+    "bool": st.booleans(),
+}
+
+
+def _spell(value):
+    """A JSON scalar as a command line writes it."""
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(set(KEYS) - {"version"})), st.data())
+def test_flag_text_and_json_give_the_same_value(key, data):
+    kind = KEYS[key].name
+    element = _TEXT_VALUES[kind.removesuffix(" list")]
+    if kind == "bool":
+        value = data.draw(element)
+        arg = _flag(key) if value else "--no-" + _flag(key)[2:]
+    elif kind == "int list" and data.draw(st.booleans()):
+        lo, hi = (data.draw(st.integers(-50, 50)) for _ in range(2))
+        value = list(range(lo, hi))
+        arg = f"{_flag(key)}={lo}:{hi}"
+    elif kind.endswith(" list"):
+        value = data.draw(st.lists(element, min_size=1, max_size=4))
+        arg = f"{_flag(key)}={','.join(map(_spell, value))}"
+    else:
+        value = data.draw(element)
+        arg = f"{_flag(key)}={_spell(value)}"
+    command = next(c for c, keys in cli._COMMAND_KEYS.items() if key in keys)
+    args = cli.build_parser().parse_args([command, arg])
+    assert getattr(args, key) == validate_config(
+        {"version": CONFIG_VERSION, key: value})[key]

@@ -123,6 +123,9 @@ def test_config_validation():
         LandauConfig(gamma=-1.0, n=4096, dt=0.01, T=1.0, pairing="full")
     with pytest.raises(ParameterError):
         LandauConfig(gamma=-1.0, n=8, dt=0.01, T=1.0, m=0)
+    # full pairing evaluates every pair, so it reads no m
+    with pytest.raises(ParameterError, match="'m'"):
+        LandauConfig(gamma=-1.0, n=8, dt=0.01, T=1.0, pairing="full", m=64)
     LandauConfig(gamma=-3.0, n=2048, dt=0.01, T=1.0, pairing="full")
 
 

@@ -77,6 +77,18 @@ def test_sampling_rejects_bad_specs():
         sample_initial({"name": "isotropic-gaussian"}, 1, rng)
 
 
+def test_sampling_rejects_parameters_the_distribution_does_not_take():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError) as err:
+        sample_initial({"name": "isotropic-gaussian", "radius": 3.0,
+                        "sigma2_hot": 9.0}, 100, rng)
+    assert "'radius', 'sigma2_hot'" in str(err.value)
+    with pytest.raises(ParameterError, match="'sigma2'"):
+        sample_initial({"name": "uniform-ball", "sigma2": 1.0}, 100, rng)
+    with pytest.raises(ParameterError, match="'radius'"):
+        sample_initial({"name": "two-temperature", "radius": 1.0}, 100, rng)
+
+
 def test_recenter():
     rng = np.random.default_rng(103)
     v = rng.normal(size=(4096, 3)) * 3 + 0.7

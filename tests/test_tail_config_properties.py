@@ -236,23 +236,23 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _ANGLE = st.one_of(_FINITE, st.just("pi"),
                    st.integers(1, C._MAX_PI_DENOM).map(lambda k: f"pi/{k}"),
                    st.integers(1, C._MAX_PI_DENOM).map(lambda k: math.pi / k))
-_BY_CONVERTER = {
-    C._int: st.integers(-2 ** 63, 2 ** 63),
-    C._int_list: st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4),
-    C._float: _FINITE,
-    C._float_list: st.lists(_FINITE, max_size=4),
-    C._str: st.text(max_size=8),
-    C._bool: st.booleans(),
-    C._angle: _ANGLE,
-    C._angle_list: st.lists(_ANGLE, max_size=4),
+_BY_KIND = {
+    "int": st.integers(-2 ** 63, 2 ** 63),
+    "int list": st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4),
+    "float": _FINITE,
+    "float list": st.lists(_FINITE, max_size=4),
+    "str": st.text(max_size=8),
+    "bool": st.booleans(),
+    "angle": _ANGLE,
+    "angle list": st.lists(_ANGLE, max_size=4),
 }
 
 
 @st.composite
 def _config_docs(draw):
     keys = draw(st.sets(st.sampled_from(
-        [k for k in C._SCHEMA if k != "version"])))
-    doc = {k: draw(_BY_CONVERTER[C._SCHEMA[k]]) for k in sorted(keys)}
+        [k for k in C.KEYS if k != "version"])))
+    doc = {k: draw(_BY_KIND[C.KEYS[k].name]) for k in sorted(keys)}
     doc["version"] = C.CONFIG_VERSION
     return doc
 
