@@ -53,11 +53,10 @@ from . import rngstreams
 from .errors import ParameterError, StabilityError
 from .geometry import _jump_c, _norm, _safe, deviate, row_norm
 from .kernels import CoulombKernel, GrazingKernel, SoftKernel, residual_k
-from .particles import sample_initial  # noqa: F401  (re-export)
 from .particles import speed_floor
 from .trajectory import check_cloud_size, next_cloud, run_schedule
 
-__all__ = ["BoltzmannConfig", "step", "run", "sample_initial"]
+__all__ = ["BoltzmannConfig", "step", "run"]
 
 _UPDATE_MODES = ("nanbu", "symmetric")
 _KERNEL_TYPES = (SoftKernel, GrazingKernel, CoulombKernel)

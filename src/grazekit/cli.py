@@ -36,7 +36,7 @@ from .coupling import (_SWEEP_RECIPE, CouplingPlan, build_subdivision,
                        coupled_run, default_h, fit_verdict, rate_sweep)
 from .errors import (DegenerateInputError, InstabilityError, ParameterError,
                      StabilityError)
-from .geometry import deviate, frame, gamma_vec, phi_zero
+from .geometry import deviate, frame, gamma_from_frame, phi_zero
 from .kernels import k_constant, kernel_from_params, r_eta, theta_moment
 from .landau import LandauConfig
 from .particles import _DISTS, sample_initial
@@ -161,7 +161,13 @@ def _write(cfg, out_dir, files):
     it produced."""
     echo = echo_form(cfg)
     echo.pop("out_dir", None)
-    artifacts.write_artifacts(out_dir, files, echo, cfg.get("seed", 0))
+    artifacts.write_artifacts(out_dir, files, echo, _seed(cfg))
+
+
+def _seed(cfg):
+    """The run's seed: the config's, else 0.  The default is not echoed
+    into the config, so a manifest shows only the keys that were given."""
+    return cfg.get("seed", 0)
 
 
 def _given(cfg, keys):
@@ -201,7 +207,7 @@ def _cmd_simulate_boltzmann(cfg, out_dir):
     kernel = _build_kernel(cfg)
     _require(cfg, "n", "dt", "T")
     traj = _simulate(cfg, out_dir, boltzmann.run, BoltzmannConfig(
-        kernel=kernel, seed=cfg.get("seed", 0), **_given(cfg, _BOLTZ_KEYS)))
+        kernel=kernel, seed=_seed(cfg), **_given(cfg, _BOLTZ_KEYS)))
     print(f"simulate-boltzmann: {len(traj.clouds)} snapshot(s), "
           f"{traj.clouds[-1].events} collision event(s) -> {out_dir}")
     return 0
@@ -210,7 +216,7 @@ def _cmd_simulate_boltzmann(cfg, out_dir):
 def _cmd_simulate_landau(cfg, out_dir):
     _require(cfg, "gamma", "n", "dt", "T")
     traj = _simulate(cfg, out_dir, landau.run, LandauConfig(
-        seed=cfg.get("seed", 0), **_given(cfg, _LANDAU_KEYS)))
+        seed=_seed(cfg), **_given(cfg, _LANDAU_KEYS)))
     print(f"simulate-landau: {len(traj.clouds)} snapshot(s) -> {out_dir}")
     return 0
 
@@ -218,7 +224,7 @@ def _cmd_simulate_landau(cfg, out_dir):
 def _cmd_coupled_run(cfg, out_dir):
     kernel = _build_kernel(cfg)
     n, T = _require(cfg, "n", "T")
-    seed = cfg.get("seed", 0)
+    seed = _seed(cfg)
     plan = CouplingPlan(
         kernel=kernel, seed=seed,
         subdivision=build_subdivision(default_h, T,
@@ -288,7 +294,7 @@ def _cmd_verify_geometry(cfg, out_dir):
     samples = cfg.get("samples", 20000)
     if samples < 2:
         raise ParameterError("samples must be >= 2")
-    seed = cfg.get("seed", 0)
+    seed = _seed(cfg)
     rng = rngstreams.stream(seed, "verify-geometry")
     v = rng.normal(size=(samples, 3))
     w = rng.normal(size=(samples, 3))
@@ -316,12 +322,13 @@ def _cmd_verify_geometry(cfg, out_dir):
                     np.max(np.abs(np.sum(J * J, axis=1) / r_sq - 1.0)))
 
     y = x + 0.3 * rng.normal(size=(samples, 3))
+    IY, JY = frame(y)
     phi0 = phi_zero(x, y)
     gap = np.linalg.norm(x - y, axis=1)
     ratio = 0.0
     for phi_j in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
-        diff = gamma_vec(x, np.full(samples, phi_j)) \
-            - gamma_vec(y, phi_j + phi0)
+        diff = gamma_from_frame(I, J, np.full(samples, phi_j)) \
+            - gamma_from_frame(IY, JY, phi_j + phi0)
         ratio = max(ratio, np.max(np.linalg.norm(diff, axis=1) / gap))
 
     rows = [
@@ -337,7 +344,7 @@ def _cmd_verify_geometry(cfg, out_dir):
 def _cmd_verify_appendix(cfg, out_dir):
     samples = cfg.get("samples", 2048)
     t_list = cfg.get("t_list", [1.0, 10.0, 100.0])
-    seed = cfg.get("seed", 0)
+    seed = _seed(cfg)
 
     x = np.linspace(0.0, 3.0, 601)
     px = psi(x)

@@ -28,12 +28,11 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError
-from .kernels import k_constant, theta_moment
+from .kernels import k_constant, theta_moment, theta_rule
 
 __all__ = [
     "row_norm",
     "frame",
-    "gamma_vec",
     "gamma_from_frame",
     "deviate",
     "phi_zero",
@@ -152,14 +151,6 @@ def gamma_from_frame(I, J, phi):
     return np.cos(phi)[..., None] * I + np.sin(phi)[..., None] * J
 
 
-def gamma_vec(X, phi):
-    """In-plane deviation direction of norm |X|, orthogonal to X."""
-    phi = np.asarray(phi, dtype=float)
-    Xc = _stack(X, phi)
-    I, J = _frame(Xc, _checked_norm(Xc))
-    return _rows(np.cos(phi) * I + np.sin(phi) * J)
-
-
 def _safe(X, r):
     """(X with zero rows replaced by e_0, ok = r > 0, r or 1) for a
     component-first stack X with row norms r."""
@@ -254,28 +245,6 @@ def jump_d(kernel, v, v_star, z, phi):
 # quadrature identity reports
 
 
-def _theta_panels(kernel, lo: float, hi: float, n_panels: int = 48,
-                  order: int = 16):
-    """Gauss-Legendre nodes/weights for integral(f(theta) beta(theta)),
-    panels geometric toward the singular lower edge."""
-    s_lo, s_hi = kernel.support
-    lo = max(lo, s_lo)
-    hi = min(hi, s_hi)
-    if s_lo == 0.0:
-        edges = hi * np.concatenate(
-            [[lo / hi if lo > 0 else 0.0],
-             np.geomspace(max(lo / hi, 1e-10), 1.0, n_panels)])
-    else:
-        edges = np.geomspace(lo, hi, n_panels + 1)
-    edges = np.unique(np.clip(edges, lo, hi))
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    a, b = edges[:-1], edges[1:]
-    nodes = (0.5 * (b - a)[:, None] * xg[None, :]
-             + 0.5 * (a + b)[:, None]).ravel()
-    weights = (0.5 * (b - a)[:, None] * wg[None, :]).ravel()
-    return nodes, weights * kernel.beta(nodes)
-
-
 def jump_identity_report(kernel, pairs, *, n_phi: int = 32) -> dict:
     """Quadrature check of the two jump-size identities on given velocity
     pairs, integrating through jump_c / jump_d themselves.
@@ -294,7 +263,7 @@ def jump_identity_report(kernel, pairs, *, n_phi: int = 32) -> dict:
     Phi = kernel.phi(r)
     k = k_constant(kernel)
     m4 = theta_moment(kernel, 4.0)
-    nodes, bweights = _theta_panels(kernel, 0.0, math.pi)
+    nodes, bweights = theta_rule(kernel)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
 
     quad_c = np.zeros(len(pairs))

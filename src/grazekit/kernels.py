@@ -19,8 +19,10 @@ Each family carries a closed-form tail integral H(theta) = integral_theta
 of beta and its inverse G = H^{-1}, which converts a uniform jump coordinate
 z into a deviation angle. All normalizations and tail inverses are exact
 closed forms, and so are the window moments every simulator reads
-(window_moments); quadrature is used only for the Coulomb theta_moment and
-for the verification reports.
+(window_moments).  Every other beta-integral (the Coulomb theta_moment and
+the verification reports, here and in geometry) sums one quadrature rule,
+theta_rule; only the Coulomb cross-check's independent z-space route
+uses adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "kernel_from_params",
     "soft_normalizer",
     "coulomb_normalizer",
+    "theta_rule",
     "theta_moment",
     "window_moments",
     "k_constant",
@@ -52,7 +55,7 @@ __all__ = [
     "coulomb_mismatch_report",
 ]
 
-_QUAD_TOL = 1e-10  # absolute tolerance for adaptive quadrature throughout
+_QUAD_TOL = 1e-10  # absolute tolerance of the z-space cross-check quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +395,41 @@ def kernel_from_params(family: str, *, gamma: float | None = None,
 # angular moments
 
 
-def _quad_split(f, lo: float, hi: float, splits: int) -> float:
-    """Adaptive quadrature on `splits` geometric panels toward lo > 0, for
-    integrands that steepen at the lower endpoint."""
-    edges = [lo] + [lo * (hi / lo) ** (j / splits) for j in range(1, splits)] + [hi]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(f, a, b, epsabs=_QUAD_TOL / splits,
-                                epsrel=1e-12, limit=200)
-        total += val
-    return total
+# theta_rule's _PANELS panels of _ORDER Gauss-Legendre nodes: the first from
+# lo up to the floor max(lo, _FLOOR * hi), empty when lo is above _FLOOR * hi,
+# then geometric ones from that floor up to hi
+_PANELS, _ORDER, _FLOOR = 48, 16, 1e-10
+
+
+def theta_rule(kernel: Kernel, lo=0.0, hi: float = math.pi):
+    """Nodes theta and weights w * beta(theta) with sum(w f(theta)) close to
+    integral(f * beta) over [lo, hi] clipped to the kernel support.
+
+    The one quadrature rule for beta-integrals with no closed form.  Its
+    panels are geometric toward the lower edge, where beta is singular.  lo
+    is a scalar, giving 1-D nodes and weights, or one value per row, giving
+    (len(lo), _PANELS * _ORDER) arrays.
+    """
+    s_lo, s_hi = kernel.support
+    hi = min(hi, s_hi)
+    lo = np.maximum(lo, s_lo)
+    edges = np.concatenate(
+        [np.expand_dims(lo, -1),
+         np.geomspace(np.maximum(lo, _FLOOR * hi), hi, _PANELS, axis=-1)],
+        axis=-1)
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    # per call, not at import: leggauss's first eigensolve costs ~0.7 MB RSS
+    xg, wg = np.polynomial.legendre.leggauss(_ORDER)
+    shape = lo.shape + (-1,)
+    nodes = (0.5 * (b - a) * xg + 0.5 * (a + b)).reshape(shape)
+    weights = (0.5 * (b - a) * wg).reshape(shape)
+    return nodes, weights * kernel.beta(nodes)
 
 
 def theta_moment(kernel: Kernel, power: float) -> float:
     """integral(theta^power * beta(theta)) over the kernel support.
 
-    Soft and grazing kernels use the closed form; Coulomb integrates
-    adaptively with geometric splitting toward the lower support edge.
+    Soft and grazing kernels use the closed form; Coulomb sums theta_rule.
     Preconditions: power > nu for soft families (divergent otherwise),
     power >= 0 for Coulomb.
     """
@@ -426,9 +447,8 @@ def theta_moment(kernel: Kernel, power: float) -> float:
     if isinstance(kernel, CoulombKernel):
         if power < 0:
             raise ParameterError(f"moment power must be >= 0, got {power}")
-        lo, hi = kernel.support
-        return _quad_split(lambda t: t ** power * float(kernel.beta(t)),
-                           lo, hi, 24)
+        nodes, weights = theta_rule(kernel)
+        return float(np.sum(nodes ** power * weights))
     raise ParameterError(f"not a kernel: {kernel!r}")
 
 
@@ -522,34 +542,30 @@ def r_eta(kernel: Kernel, eta: float) -> float:
 # verification reports
 
 
-def _pair_integral_soft(kernel: SoftKernel | GrazingKernel,
-                        x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """I(x, y) = integral((G(z/x) - G(z/y))^2 dz, 0..inf) for a soft-family
-    kernel, evaluated by the substitution z = x * H(theta).
+def _pair_integral(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """I(x, y) = integral((G(z/x) - G(z/y))^2 dz, z >= 0) per pair, by the
+    substitution z = b * H(theta) with b = max(x, y).
 
-    Vectorized over pairs; the integrand is handled with geometric panels
-    toward the lower support edge where beta is singular.
+    The smaller-speed branch G(z/s), s = min(x, y), dies once z > s z_max,
+    i.e. below theta* = G(z_max s / b), the lower support edge when z_max is
+    infinite.  Above theta* both branches live and theta_rule integrates;
+    below it G(z/b) = theta alone does, so the part is b times the closed
+    theta^2 moment of [lo, theta*].
     """
     tail = kernel.tail
-    hi = kernel.support[1]
-    # geometric panel ladder from hi*1e-10 down to 0, dense near the
-    # singular lower edge
-    n_geo, order = 48, 16
-    edges = hi * np.concatenate([[0.0], np.power(10.0, np.linspace(-10, 0, n_geo))])
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    a = edges[:-1]
-    b = edges[1:]
-    nodes = 0.5 * (b - a)[:, None] * xg[None, :] + 0.5 * (a + b)[:, None]
-    weights = (0.5 * (b - a)[:, None] * wg[None, :]).ravel()
-    nodes = nodes.ravel()
-
-    beta_vals = kernel.beta(nodes)
-    H_vals = tail.H(nodes)
-    x = np.asarray(x, dtype=float)[:, None]
-    y = np.asarray(y, dtype=float)[:, None]
-    G_other = tail.G(x * H_vals[None, :] / y)
-    integrand = (nodes[None, :] - G_other) ** 2 * beta_vals[None, :]
-    return np.sum(integrand * weights[None, :], axis=1) * x[:, 0]
+    lo, hi = kernel.support
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    b = np.maximum(x, y)
+    s = np.minimum(x, y)
+    theta_star = np.clip(tail.G(tail.z_max * s / b), lo, hi)
+    nodes, weights = theta_rule(kernel, theta_star)
+    other = tail.G(b[:, None] * tail.H(nodes) / s[:, None])
+    both = np.sum((nodes - other) ** 2 * weights, axis=1)
+    # uncached: an entry per pair would flush the simulators' cached windows
+    single = [window_moments.__wrapped__(kernel, lo, t).theta_sq
+              for t in theta_star]
+    return b * (both + single)
 
 
 def scaling_agreement_report(gamma: float, nu: float, eps_list,
@@ -570,7 +586,7 @@ def scaling_agreement_report(gamma: float, nu: float, eps_list,
     for eps in eps_list:
         kern = (SoftKernel(gamma, nu) if eps >= math.pi
                 else GrazingKernel(gamma, nu, eps))
-        values[float(eps)] = _pair_integral_soft(kern, x, y)
+        values[float(eps)] = _pair_integral(kern, x, y)
     mats = np.stack(list(values.values()))
     ref = mats[0]
     max_rel_dev = float(np.max(np.abs(mats - ref[None, :]) /
@@ -584,63 +600,6 @@ def scaling_agreement_report(gamma: float, nu: float, eps_list,
         "ratio_min": float(np.min(ratio[envelope > 0])),
         "ratio_max": float(np.max(ratio[envelope > 0])),
     }
-
-
-def _pair_integral_coulomb(kernel: CoulombKernel, x: np.ndarray,
-                           y: np.ndarray) -> np.ndarray:
-    """I(x, y) = integral((G_eps(z/x) - G_eps(z/y))^2 dz, 0..max*z_max) for the
-    Coulomb kernel, via the substitution z = b * H_eps(theta) with
-    b = max(x, y), split at the angle where the smaller-speed branch dies.
-    """
-    tail = kernel.tail
-    lo, hi = kernel.support
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b = np.maximum(x, y)
-    s = np.minimum(x, y)
-    # With z = b*H(theta): the s-branch G(z/s) vanishes once z > s*z_max,
-    # i.e. theta < theta_star with H(theta_star) = (s/b)*z_max.
-    theta_star = np.asarray(tail.G(tail.z_max * s / b), dtype=float)
-    theta_star = np.clip(theta_star, lo, hi)
-
-    order = 24
-    xg, wg = np.polynomial.legendre.leggauss(order)
-
-    def piece(a_arr, b_arr, f):
-        # integral over [a, b] per pair of f(theta) * b*beta(theta)
-        nodes = 0.5 * (b_arr - a_arr)[:, None] * xg[None, :] \
-            + 0.5 * (a_arr + b_arr)[:, None]
-        weights = 0.5 * (b_arr - a_arr)[:, None] * wg[None, :]
-        beta_vals = kernel.beta(nodes.ravel()).reshape(nodes.shape)
-        return np.sum(f(nodes) * beta_vals * weights, axis=1) * b
-
-    n_panel = 24
-
-    def panels(a_arr, b_arr, f):
-        total = np.zeros_like(a_arr)
-        for j in range(n_panel):
-            lo_j = a_arr + (b_arr - a_arr) * j / n_panel
-            hi_j = a_arr + (b_arr - a_arr) * (j + 1) / n_panel
-            total += piece(lo_j, hi_j, f)
-        return total
-
-    H = tail.H
-    G = tail.G
-
-    def f_both(theta):
-        # both branches alive: (theta - G(b*H(theta)/s))^2
-        other = G(b[:, None] * np.asarray(H(theta.ravel())).reshape(theta.shape)
-                  / s[:, None])
-        return (theta - other) ** 2
-
-    def f_single(theta):
-        # only the larger-speed branch alive: G(z/b) = theta, other is 0
-        return theta ** 2
-
-    # theta in [theta_star, hi]: both alive. theta in [lo, theta_star]: single.
-    out = panels(theta_star, np.full_like(theta_star, hi), f_both)
-    out += panels(np.full_like(theta_star, lo), theta_star, f_single)
-    return out
 
 
 def _pair_integral_coulomb_zspace(kernel: CoulombKernel, x: float,
@@ -679,7 +638,7 @@ def coulomb_mismatch_report(eps_list, pairs, *, cross_check_pair=None) -> dict:
     sup_ratio = 0.0
     for eps in eps_list:
         kern = CoulombKernel(float(eps), h_eps=0.0)
-        vals = _pair_integral_coulomb(kern, x, y)
+        vals = _pair_integral(kern, x, y)
         envelope = (x - y) ** 2 / (x + y) \
             + (b / math.log(1.0 / eps)) * np.log(b / s)
         ok = envelope > 0
@@ -693,8 +652,8 @@ def coulomb_mismatch_report(eps_list, pairs, *, cross_check_pair=None) -> dict:
     if cross_check_pair is not None:
         cx, cy, ceps = cross_check_pair
         kern = CoulombKernel(float(ceps), h_eps=0.0)
-        v_theta = float(_pair_integral_coulomb(kern, np.array([cx]),
-                                               np.array([cy]))[0])
+        v_theta = float(_pair_integral(kern, np.array([cx]),
+                                       np.array([cy]))[0])
         v_z = _pair_integral_coulomb_zspace(kern, cx, cy)
         report["cross_check"] = {
             "theta_route": v_theta,

@@ -8,9 +8,9 @@ so the suite is bit-reproducible run to run.
 
 Measured reference points (pilot, this machine):
   1. momentum 4.4e-16, energy 1.3e-15, deviation length 7.8e-16 (0.8 s)
-  2. worst normalization error 4.4e-16; Coulomb limit off by 0.046 (0.01 s)
-  3. worst rel error 2.1e-11, worst linearization ratio 0.367 (0.9 s)
-  4. scaling deviation 1.1e-14; Coulomb sup ratio 0.5641 (0.1 s)
+  2. worst normalization error 2.2e-16; Coulomb limit off by 0.046 (0.01 s)
+  3. worst rel error 2.1e-11, worst linearization ratio 0.367 (1.0 s)
+  4. scaling deviation 4.5e-13; Coulomb sup ratio 0.5641 (0.2 s)
   5. Tanaka ratio 1.000000 (0.4 s)
   6. sigma identities 8.4e-16 / 1.4e-16; divergence FD 1.6e-10 (1.8 s)
   7. Boltzmann |sum v| 9.0e-14, m2 drift 0.0; Landau drifts +0.0134 and

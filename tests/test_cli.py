@@ -110,6 +110,26 @@ def test_simulate_boltzmann_byte_identical_and_overridable(tmp_path):
     assert m1["outputs"]["snapshots.csv"] != m3["outputs"]["snapshots.csv"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate-landau", "--gamma", "-1.5", "--n", "32", "--dt", "0.05",
+     "--T", "0.1"],
+    ["coupled-run", "--family", "grazing", "--gamma", "-0.5", "--nu", "0.6",
+     "--eps", "pi/8", "--n", "48", "--T", "0.3", "--subdivision-n", "2"],
+    ["verify-geometry", "--samples", "64"],
+], ids=["simulate-landau", "coupled-run", "verify-geometry"])
+def test_seed_defaults_to_zero_without_echo(tmp_path, argv):
+    # a run without --seed draws as --seed 0 and records seed 0, but its
+    # config echo holds only the keys that were given
+    assert main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+    assert main(argv + ["--seed", "0", "--out-dir", str(tmp_path / "zero")]) \
+        == 0
+    default, zero = (json.loads((tmp_path / d / "manifest.json").read_text())
+                     for d in ("default", "zero"))
+    assert default["seed"] == zero["seed"] == 0
+    assert default["outputs"] == zero["outputs"]
+    assert "seed" not in default["config"] and zero["config"]["seed"] == 0
+
+
 def test_simulate_landau_runs(tmp_path):
     assert main(["simulate-landau", "--gamma", "-1.5", "--n", "32",
                  "--dt", "0.05", "--T", "0.1", "--seed", "2",

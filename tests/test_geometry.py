@@ -122,25 +122,26 @@ def test_frame_cross_bit_identical_to_np_cross(case):
 # gamma
 
 
-def test_gamma_vec_basics():
+def test_gamma_from_frame_basics():
     rng = np.random.default_rng(10)
     X = rand_vecs(rng, 1000)
     phi = rng.uniform(0, 2 * PI, 1000)
-    Gm = G.gamma_vec(X, phi)
+    I, J = G.frame(X)
+    Gm = G.gamma_from_frame(I, J, phi)
     r2 = np.sum(X * X, axis=1)
     assert np.max(np.abs(np.sum(Gm * X, axis=1)) / r2) < 1e-12
     np.testing.assert_allclose(np.linalg.norm(Gm, axis=1), np.sqrt(r2),
                                rtol=1e-12)
     # phi = 0 gives I itself
-    I, _ = G.frame(X)
-    np.testing.assert_array_equal(G.gamma_vec(X, np.zeros(1000)), I)
+    np.testing.assert_array_equal(G.gamma_from_frame(I, J, np.zeros(1000)),
+                                  I)
 
 
 def test_gamma_zero_angular_mean():
     rng = np.random.default_rng(11)
     x = rng.normal(size=3)
     phis = 2 * PI * np.arange(10_000) / 10_000
-    Gm = G.gamma_vec(np.broadcast_to(x, (10_000, 3)), phis)
+    Gm = G.gamma_from_frame(*G.frame(np.broadcast_to(x, (10_000, 3))), phis)
     mean = Gm.mean(axis=0) * 2 * PI
     assert np.max(np.abs(mean)) < 1e-10 * np.linalg.norm(x)
 
@@ -150,7 +151,8 @@ def test_gamma_second_moment_identity():
     rng = np.random.default_rng(12)
     phis = 2 * PI * np.arange(10_000) / 10_000
     for x in rng.normal(size=(10, 3)):
-        Gm = G.gamma_vec(np.broadcast_to(x, (10_000, 3)), phis)
+        Gm = G.gamma_from_frame(*G.frame(np.broadcast_to(x, (10_000, 3))),
+                                phis)
         M = (Gm[:, :, None] * Gm[:, None, :]).mean(axis=0) * 2 * PI
         target = PI * (np.dot(x, x) * np.eye(3) - np.outer(x, x))
         assert np.max(np.abs(M - target)) < 1e-8 * np.dot(x, x)
@@ -311,10 +313,12 @@ def test_tanaka_antipodal():
     X = rng.normal(size=(500, 3))
     Y = -X
     p0 = G.phi_zero(X, Y)
+    IX, JX = G.frame(X)
+    IY, JY = G.frame(Y)
     for j in range(8):
         phi = np.full(500, 2 * PI * j / 8)
-        diff = np.linalg.norm(
-            G.gamma_vec(X, phi) - G.gamma_vec(Y, phi + p0), axis=1)
+        diff = np.linalg.norm(G.gamma_from_frame(IX, JX, phi)
+                              - G.gamma_from_frame(IY, JY, phi + p0), axis=1)
         assert np.all(diff <= 3 * np.linalg.norm(X - Y, axis=1) + 1e-12)
 
 

@@ -361,6 +361,27 @@ def test_window_moments_clip_to_the_support_and_cache():
     assert K.window_moments(c, 0.1, 1.0) is K.window_moments(c, 0.1, 1.0)
 
 
+def test_theta_rule_matches_window_moments_row_by_row():
+    # each row of a vector lo is the scalar rule at that lo, clipped to the
+    # support, and sums to the closed-form moments of [lo, top] (measured
+    # worst 2.1e-11, at nu = 1.2 from 0, where theta^2 beta is singular)
+    for kern in criterion_grid():
+        s_lo, top = kern.support
+        lows = np.array([0.0, s_lo, 0.3 * top, 0.9 * top])
+        nodes, weights = K.theta_rule(kern, lows)
+        assert nodes.shape == weights.shape == (4, 768)
+        for row, lo in enumerate(lows):
+            n1, w1 = K.theta_rule(kern, lo)
+            np.testing.assert_array_equal(nodes[row], n1)
+            np.testing.assert_array_equal(weights[row], w1)
+            assert np.all((n1 >= max(lo, s_lo)) & (n1 <= top))
+            mom = K.window_moments(kern, lo, top)
+            assert np.sum(n1 ** 2 * w1) == pytest.approx(mom.theta_sq,
+                                                          rel=1e-10)
+            assert np.sum(2.0 * np.sin(0.5 * n1) ** 2 * w1) == \
+                pytest.approx(mom.one_cos, rel=1e-10)
+
+
 def test_r_eta_window():
     for kern in criterion_grid():
         assert K.r_eta(kern, PI) == pytest.approx(1.0, abs=1e-11)
@@ -387,7 +408,7 @@ def test_scaling_agreement_is_eps_free():
 def test_pair_integral_frozen_value():
     # x=1, y=2, eps=pi/4; 40-digit z-space reference: 0.332441507099
     g = K.GrazingKernel(-0.5, 0.6, PI / 4)
-    v = K._pair_integral_soft(g, np.array([1.0]), np.array([2.0]))[0]
+    v = K._pair_integral(g, np.array([1.0]), np.array([2.0]))[0]
     assert v == pytest.approx(0.332441507099, rel=1e-10)
 
 
@@ -411,7 +432,7 @@ def test_coulomb_mismatch_report():
 def test_coulomb_pair_integral_dual_route():
     kern = K.CoulombKernel(0.1, h_eps=0.0)
     for x, y in ((1.0, 2.0), (0.5, 3.0), (2.0, 2.0)):
-        v_theta = float(K._pair_integral_coulomb(
+        v_theta = float(K._pair_integral(
             kern, np.array([x]), np.array([y]))[0])
         v_z = K._pair_integral_coulomb_zspace(kern, x, y)
         assert v_theta == pytest.approx(v_z, rel=1e-9, abs=1e-14)

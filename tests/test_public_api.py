@@ -1,10 +1,10 @@
-"""Package structure: every public name has a caller, and quadrature
-lives in two modules.
+"""Package structure: every public name is defined where it is exported
+and has a caller, and quadrature lives in two modules with one panel rule.
 
-A name in a module's __all__ must be used somewhere in the package or in
-the acceptance suite: as a name, an attribute or an import.  A public
-function that only its own tests call is dead weight; wire it in or delete
-it together with its tests.
+A name in a module's __all__ must be defined by that module, not re-exported
+from another, and used somewhere in the package or in the acceptance suite:
+as a name, an attribute or an import.  A public function that only its own
+tests call is dead weight; wire it in or delete it together with its tests.
 """
 
 import ast
@@ -22,6 +22,28 @@ def public_names(tree):
                 for t in node.targets):
             return ast.literal_eval(node.value)
     return []
+
+
+def defined_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_every_public_name_is_defined_where_exported():
+    strays = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        strays += [f"{path.stem}.{name}" for name in public_names(tree)
+                   if name not in defined_names(tree)]
+    assert strays == []
 
 
 def referenced_names(tree):
@@ -61,9 +83,13 @@ def imports_scipy_integrate(tree):
 
 
 def test_only_kernels_and_verifiers_integrate():
-    # kernels integrates the Coulomb theta_moment and the verification
-    # reports, verifiers the Gronwall ODE; every other module takes its
-    # beta-moments from kernels.window_moments
+    # kernels runs the Coulomb cross-check's z-space quad, verifiers the
+    # Gronwall ODE; every other beta-integral is a closed form from
+    # kernels.window_moments or a sum over kernels.theta_rule, the one
+    # Gauss-Legendre panel rule
     users = sorted(path.stem for path in SOURCES if imports_scipy_integrate(
         ast.parse(path.read_text(encoding="utf-8"))))
     assert users == ["kernels", "verifiers"]
+    rules = sorted(path.stem for path in SOURCES
+                   if "leggauss" in path.read_text(encoding="utf-8"))
+    assert rules == ["kernels"]
