@@ -171,8 +171,8 @@ KEYS = {
     "initial_hot_fraction": _FLOAT, "initial_radius": _FLOAT,
     # coupling / sweeps
     "eps_list": _ANGLE_LIST, "seeds": _INT_LIST, "p": _INT, "tanaka": _BOOL,
-    "level": _STR, "eta": _ANGLE, "truncation_m": _FLOAT,
-    "normal_fallback": _INT, "subdivision_n": _INT, "w2_mode": _STR,
+    "eta": _ANGLE, "normal_fallback": _INT, "subdivision_n": _INT,
+    "w2_mode": _STR,
     # verifiers
     "samples": _INT, "t_list": _FLOAT_LIST,
     # bookkeeping

@@ -5,19 +5,19 @@ Landau particle system Y through the slabs of a time subdivision, sharing
 randomness so that the paired-L2 distance sqrt(mean |V_i - Y_i|^2) isolates
 the grazing-limit error instead of Monte Carlo noise:
 
-* level "common":   both sides use the same companion index per (particle,
-  slab), with coefficients frozen at the slab start.
-* level "gaussian": additionally, the Landau diffusion increment per
-  (particle, slab) is built from the same draws as the Boltzmann jump
-  aggregate: the window angle sums Sum(theta cos phi), Sum(theta sin phi),
-  standardized, drive the transverse band of per-direction variance
+* both sides use the same companion index per (particle, slab), with
+  coefficients frozen at the slab start;
+* the Landau diffusion increment per (particle, slab) is built from the
+  same draws as the Boltzmann jump aggregate: the window angle sums
+  Sum(theta cos phi), Sum(theta sin phi), standardized, drive the
+  transverse band of per-direction variance
   Delta * Phi * (pi/4) int_window theta^2 beta (the r_eta-scaled Landau
   tensor, an exact moment match of the linearized jump aggregate), and when
   the kernel carries angular mass above the window top eta (Coulomb) the
   remaining Landau band (pi/4) int_{theta>eta} theta^2 beta is driven by
-  the standardized above-eta jump sums -- the Landau increment keeps its
-  full diffusion covariance while staying maximally correlated with the
-  Boltzmann path.
+  the standardized above-eta jump sums.  Every pair with Z = Y - Y_c != 0
+  gets both bands, so the Landau increment keeps its full diffusion
+  covariance while staying maximally correlated with the Boltzmann path.
 
 Both sides integrate their mean drift with the frozen-coefficient
 exponential map (relative-velocity contraction e^{-k Phi Delta}) and add
@@ -164,9 +164,6 @@ def build_subdivision(h, T, n):
 # coupling plan
 # ---------------------------------------------------------------------------
 
-_LEVELS = ("common", "gaussian")
-
-
 @dataclass(frozen=True)
 class CouplingPlan:
     """Everything one coupled run reads besides its initial cloud: the
@@ -177,16 +174,19 @@ class CouplingPlan:
     the n companion indices; jump_stream(k) yields, in order, the window
     Poisson counts, one interleaved (z, phi) pair of uniforms per window
     jump, the Gaussian-fallback normals, then (if the kernel has mass above
-    eta) the large-angle counts and one (z, phi) pair per large-angle jump;
-    gauss_stream(k) yields the Landau normals used only at level "common".
-    Both sides therefore consume identical companion indices and base draws
-    in identical order.
+    eta) the large-angle counts and one (z, phi) pair per large-angle jump.
+    The Landau side draws nothing of its own: its kicks are the standardized
+    jump sums, so both sides consume identical companion indices and base
+    draws in identical order.
 
     theta_min: bottom of the matching window, as in BoltzmannConfig.
     v_floor: Boltzmann speed floor, reg_delta: Landau regularization floor;
     each defaults to 1e-3 of the initial cloud's RMS speed.
-    eta: top of the matching window (defaults to the kernel support top).
-    truncation_m: companions with |Y| >= M contribute no Landau diffusion.
+    eta: top of the matching window (defaults to the kernel support top,
+    and may not exceed it).
+    tanaka: rotate the Landau kicks by the Tanaka azimuth phi0.
+    normal_fallback: pairs with more window jumps than this take the
+    conditional Gaussian aggregate instead of sampled jumps.
     """
 
     kernel: object
@@ -196,9 +196,7 @@ class CouplingPlan:
     v_floor: float = None
     reg_delta: float = None
     tanaka: bool = True
-    level: str = "gaussian"
     eta: float = None
-    truncation_m: float = math.inf
     normal_fallback: int = 100_000
 
     def __post_init__(self):
@@ -206,12 +204,10 @@ class CouplingPlan:
         _check_gamma(self.kernel.gamma)
         if self.reg_delta is not None and not (self.reg_delta >= 0.0):
             raise ParameterError("reg_delta must be >= 0")
-        if self.level not in _LEVELS:
-            raise ParameterError(f"level must be one of {_LEVELS}")
-        if self.eta is not None and not (self.eta > 0.0):
-            raise ParameterError("eta must be positive")
-        if not (self.truncation_m > 0.0):
-            raise ParameterError("truncation_m must be positive")
+        top = self.kernel.support[1]
+        if self.eta is not None and not (0.0 < self.eta <= top):
+            raise ParameterError(f"eta must lie in (0, {top}], up to the "
+                                 f"kernel support top; got {self.eta}")
         if self.normal_fallback < 0:
             raise ParameterError("normal_fallback must be >= 0")
 
@@ -220,9 +216,6 @@ class CouplingPlan:
 
     def jump_stream(self, k):
         return rngstreams.stream(self.seed, "slab-jump", k)
-
-    def gauss_stream(self, k):
-        return rngstreams.stream(self.seed, "slab-gauss", k)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +377,7 @@ def _check_run(plan, initial_cloud, w2_mode):
     kernel = plan.kernel
     sup_lo, sup_hi = kernel.support
     lo_win = max(_theta_min_eff(plan), sup_lo)
-    eta = sup_hi if plan.eta is None else min(float(plan.eta), sup_hi)
+    eta = sup_hi if plan.eta is None else plan.eta
     if not lo_win < eta:
         raise ParameterError(f"matching window [{lo_win}, {eta}] is empty")
 
@@ -430,7 +423,6 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     k_full = np.pi * (mom.one_cos + one_cos_lg) + k_res
 
     gamma = kernel.gamma
-    m_trunc = plan.truncation_m
 
     V = initial_cloud.velocities.copy()
     Y = initial_cloud.velocities.copy()
@@ -502,35 +494,28 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
         # per-direction variance is Delta*Phi_L*(pi/4) int theta^2 beta over
         # [theta_min, support top]: the window band (r_eta_win) is driven by
         # the matched window draws, the above-eta band (r_tail) by the
-        # standardized large-jump aggregate (or fresh normals off-level)
+        # standardized large-jump aggregate
         contract_l = np.exp(-2.0 * phi_l * delta_t)
         Y_new = Yc + contract_l[:, None] * Z
-        if plan.level == "gaussian":
-            sig_t = 2.0 * np.sqrt(delta_t * phi_v * r_eta_win)
-            u2, u3 = t2 / sig_t, t3 / sig_t
-            if mass_lg > 0.0:
-                sig_lg = np.sqrt(delta_t * phi_v * np.pi * mom_lg.sin_sq)
-                ut2, ut3 = l2 / sig_lg, l3 / sig_lg
-        else:
-            g = plan.gauss_stream(k).standard_normal((n, 4))
-            u2, u3 = g[:, 0], g[:, 1]
-            if mass_lg > 0.0:
-                ut2, ut3 = g[:, 2], g[:, 3]
+        sig_t = 2.0 * np.sqrt(delta_t * phi_v * r_eta_win)
+        u2, u3 = t2 / sig_t, t3 / sig_t
+        if mass_lg > 0.0:
+            sig_lg = np.sqrt(delta_t * phi_v * np.pi * mom_lg.sin_sq)
+            ut2, ut3 = l2 / sig_lg, l3 / sig_lg
         # Tanaka: the Landau frame takes the azimuth offset phi0, i.e. the
         # kick coordinates rotate by R(phi0) relative to the Boltzmann draws
         cos0, sin0 = np.cos(phi0), np.sin(phi0)
         u2r = cos0 * u2 - sin0 * u3
         u3r = sin0 * u2 + cos0 * u3
-        diff_ok = okZ & (row_norm(Yc) < m_trunc)
-        if np.any(diff_ok):
-            i_z, j_z = frame(Z[diff_ok])
-            amp = np.sqrt(delta_t * phi_l[diff_ok] * r_eta_win)
-            kick2, kick3 = amp * u2r[diff_ok], amp * u3r[diff_ok]
+        if np.any(okZ):
+            i_z, j_z = frame(Z[okZ])
+            amp = np.sqrt(delta_t * phi_l[okZ] * r_eta_win)
+            kick2, kick3 = amp * u2r[okZ], amp * u3r[okZ]
             if mass_lg > 0.0:
-                amp_t = np.sqrt(delta_t * phi_l[diff_ok] * r_tail)
-                kick2 += amp_t * (cos0 * ut2 - sin0 * ut3)[diff_ok]
-                kick3 += amp_t * (sin0 * ut2 + cos0 * ut3)[diff_ok]
-            Y_new[diff_ok] += kick2[:, None] * i_z + kick3[:, None] * j_z
+                amp_t = np.sqrt(delta_t * phi_l[okZ] * r_tail)
+                kick2 += amp_t * (cos0 * ut2 - sin0 * ut3)[okZ]
+                kick3 += amp_t * (sin0 * ut2 + cos0 * ut3)[okZ]
+            Y_new[okZ] += kick2[:, None] * i_z + kick3[:, None] * j_z
 
         bad = ~(np.all(np.isfinite(V_new), axis=1)
                 & np.all(np.isfinite(Y_new), axis=1))
@@ -648,7 +633,7 @@ _FAMILIES = ("grazing", "coulomb")
 # The CouplingPlan fields a sweep's recipe sets in every cell; its
 # plan_options may set every other field.
 _SWEEP_RECIPE = ("kernel", "seed", "subdivision", "theta_min", "v_floor",
-                 "reg_delta", "eta", "truncation_m")
+                 "reg_delta", "eta")
 
 
 def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
@@ -657,16 +642,15 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
 
     Per (eps, seed) cell: build the kernel at eps (kernels.kernel_from_params;
     Coulomb takes no gamma or nu, and its h_eps is eps), derive the window
-    eta, the subdivision resolution n_sub of the profile default_h, the
-    diffusion truncation M and the floors from the recipe with moment
-    exponent p, run the coupled integrator on n particles up to T, and
-    record the terminal paired-L2.  Every cell is built and checked before
-    any runs, so a bad grid point fails before any compute.  The cells then
-    run on every core in this process's CPU affinity, smallest eps first;
-    the report is identical to a one-core run.  The fit and verdict are
-    fit_verdict's.  seeds defaults to 0..9.  plan_options (tanaka, level,
-    normal_fallback) go to every cell's CouplingPlan; the recipe sets the
-    _SWEEP_RECIPE fields.
+    eta, the subdivision resolution n_sub of the profile default_h and the
+    floors from the recipe with moment exponent p, run the coupled
+    integrator on n particles up to T, and record the terminal paired-L2.
+    Every cell is built and checked before any runs, so a bad grid point
+    fails before any compute.  The cells then run on every core in this
+    process's CPU affinity, smallest eps first; the report is identical to
+    a one-core run.  The fit and verdict are fit_verdict's.  seeds defaults
+    to 0..9.  plan_options (tanaka, normal_fallback) go to every cell's
+    CouplingPlan; the recipe sets the _SWEEP_RECIPE fields.
     """
     if family not in _FAMILIES:
         raise ParameterError("rate sweeps need family 'grazing' or 'coulomb'")
@@ -690,25 +674,22 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         if family == "grazing":
             # the window exhausts the support: no angular mass above eta,
             # r_eta = 1 (the degenerate-bound regime)
-            eta = kern.support[1]
             small = eps
+            eta = kern.support[1]
         else:
-            eta = min(1.0 / math.log(1.0 / eps), kern.support[1])
             small = 1.0 / math.log(1.0 / eps)
+            eta = min(small, kern.support[1])
         sub = build_subdivision(default_h, T, max(1, round(small ** -expo)))
         for s in seeds:
-            m2_0 = clouds[s].m2()
-            m_trunc = math.sqrt(2.0 * m2_0) * small ** (-2.0 / (2.0 * p + 3.0)) \
-                if family == "grazing" else \
-                math.sqrt(2.0 * m2_0) * math.log(1.0 / eps) ** (2.0 / (2.0 * p + 3.0))
             # grazing floors default to 1e-3 of the RMS speed in coupled_run;
             # theta_min keeps the kernel default: eps/64 for the grazing
             # family, the support bottom eps for Coulomb.  The recipe sets
             # the _SWEEP_RECIPE fields, plan_options the others.
-            floor = 0.05 * math.sqrt(m2_0) if family == "coulomb" else None
+            floor = 0.05 * math.sqrt(clouds[s].m2()) \
+                if family == "coulomb" else None
             plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
                                 theta_min=None, v_floor=floor, reg_delta=floor,
-                                eta=eta, truncation_m=m_trunc, **plan_options)
+                                eta=eta, **plan_options)
             _check_run(plan, clouds[s], w2_mode)
             cells.append((plan, clouds[s], w2_mode))
 

@@ -18,7 +18,7 @@ Measured reference points (pilot, this machine):
   8. all nine grids satisfy the gap and Riemann bounds (0.01 s)
   9. all twelve cases satisfied, worst integrator gap 7.7e-9 (2.2 s)
  10. ratios 0.58 / 0.23 / 0.46, controls 0.12 / 0.18 / 0.47 (3.7 s)
- 11. means 1.197 / 0.943 / 0.712 / 0.510, slope 0.410 +- 0.022 (9 s)
+ 11. means 0.936 / 0.491 / 0.244 / 0.120, slope 0.989 +- 0.016 (4 s)
  12. strictly decreasing, every paired diff below 2 stderr (2.5 s)
 """
 
@@ -266,9 +266,10 @@ def test_criterion_10_poisson_gaussian_distance():
 @pytest.mark.slow
 def test_criterion_11_grazing_rate_sweep():
     # Full-scale grazing sweep: mean coupled distance strictly decreasing in
-    # eps and the fitted log-log slope at least 0.3 (measured 0.410 +- 0.022,
-    # consistent with the 5/13 ~ 0.385 envelope for fifth moments);
-    # an "inconclusive" verdict is a failure at these settings.
+    # eps and the fitted log-log slope at least 0.3 (measured 0.989 +- 0.016:
+    # above the proven rate 5/13 ~ 0.385 of the bound for fifth moments, and
+    # close to the conjectured rate 1 of the gap); an "inconclusive" verdict
+    # is a failure at these settings.
     rep = rate_sweep("grazing", [math.pi / 2, math.pi / 4, math.pi / 8,
                                  math.pi / 16], range(10), n=4096, T=0.5,
                      gamma=-0.5, nu=0.6)

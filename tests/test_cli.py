@@ -168,6 +168,17 @@ def test_coupled_run_artifacts(tmp_path):
     assert summary["terminal_w2"] is None  # w2_mode defaults to none
 
 
+def test_coupled_run_eta_above_support_exits_2(tmp_path, capsys):
+    # eta 0.5 lies above the pi/8 grazing support: refused, not clipped
+    out = tmp_path / "never"
+    assert main(COUPLED_RUN + ["--eta", "0.5", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "0.5" in err and str(math.pi / 8) in err
+    for flag, value in (("--level", "common"), ("--truncation-m", "4.0")):
+        assert main(COUPLED_RUN + [flag, value, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, kernel_args, eps_list, seeds", [
     ("grazing", ["--gamma", "-0.5", "--nu", "0.6"], "pi/2,pi/4,pi/8,pi/16",
      "0:10"),

@@ -70,9 +70,10 @@ def test_validate_accepts_and_normalizes():
 
 
 def test_validate_rejects_unknown_keys_by_name():
-    doc = dict(GOOD_DOC, extra_knob=3)
-    with pytest.raises(ParameterError, match="extra_knob"):
-        validate_config(doc)
+    for key, value in (("extra_knob", 3), ("level", "common"),
+                       ("truncation_m", 4.0)):
+        with pytest.raises(ParameterError, match=f"unknown field.*'{key}'"):
+            validate_config(dict(GOOD_DOC, **{key: value}))
 
 
 def test_validate_version_handling():
