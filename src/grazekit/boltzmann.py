@@ -53,7 +53,7 @@ from . import rngstreams
 from .errors import ParameterError, StabilityError
 from .geometry import _jump_c, _norm, _safe, deviate, row_norm
 from .kernels import CoulombKernel, GrazingKernel, SoftKernel, residual_k
-from .particles import speed_floor
+from .particles import draw_companions, speed_floor
 from .trajectory import check_cloud_size, next_cloud, run_schedule
 
 __all__ = ["BoltzmannConfig", "step", "run"]
@@ -150,12 +150,6 @@ def _phi_floored(kernel, r, v_floor):
     return kernel.phi(np.maximum(r, v_floor))
 
 
-def _fresh_companions(rng, owners, n):
-    """One uniform companion per owner, self excluded."""
-    j = rng.integers(0, n - 1, size=owners.shape)
-    return j + (j >= owners)
-
-
 def _nn_bound(tree, P, owners):
     """Lower bound on the distance from each row of P to the nearest point
     of the tree's cloud other than the owner's own: the second neighbour
@@ -204,7 +198,7 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     events = 0
     while owners.size:
         V = X if owners.size == n else X.take(owners, 1)
-        D = V - W0.take(_fresh_companions(rng, owners, n), 1)
+        D = V - W0.take(draw_companions(rng, owners, n), 1)
         r = _norm(D)
         Mo = M[owners]
         accept = rng.random(owners.size) * Mo <= \
@@ -231,8 +225,7 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     k_res = residual_k(kernel, theta_eff)
     if k_res > 0.0:
         m = min(drift_sub, n - 1)
-        J = rng.integers(0, n - 1, size=(n, m))
-        J[J >= everyone[:, None]] += 1
+        J = draw_companions(rng, everyone[:, None], n, (n, m))
         Z = X[:, None, :] - X0.take(J, 0)
         phi_fl = _phi_floored(kernel, row_norm(Z), v_floor)
         X -= k_res * dt * np.mean(phi_fl[:, :, None] * Z, axis=1)

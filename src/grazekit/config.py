@@ -171,7 +171,7 @@ KEYS = {
     "initial_hot_fraction": _FLOAT, "initial_radius": _FLOAT,
     # coupling / sweeps
     "eps_list": _ANGLE_LIST, "seeds": _INT_LIST, "p": _INT, "tanaka": _BOOL,
-    "eta": _ANGLE, "normal_fallback": _INT, "subdivision_n": _INT,
+    "eta": _ANGLE, "subdivision_n": _INT,
     "w2_mode": _STR,
     # verifiers
     "samples": _INT, "t_list": _FLOAT_LIST,

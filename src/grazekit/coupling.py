@@ -27,9 +27,11 @@ The V side additionally carries its longitudinal fluctuation, the
 non-Gaussian shape of the sampled above-eta jumps and the exact-versus-
 linearized angle geometry; those have no Landau counterpart and are part of
 the measured gap.  A Tanaka azimuth rotation phi0 aligns the Landau pair
-frame with the Boltzmann pair frame when the toggle is on.  Per-pair
-candidate counts above normal_fallback switch to their conditional Gaussian
-aggregate (same moments), keeping cost bounded at small eps.
+frame with the Boltzmann pair frame when the toggle is on; each side builds
+its pair frame once per slab, and the alignment reads those same frames.
+Per-pair candidate counts above _NORMAL_FALLBACK (100 000) switch to their
+conditional Gaussian aggregate (same moments), keeping cost bounded at
+small eps.
 
 Neither side carries the jumps below the window bottom theta_min beyond
 their mean drift (k_res): their diffusion, a share r_eta(theta_min) of the
@@ -65,12 +67,13 @@ import numpy as np
 from . import rngstreams
 from .boltzmann import _check_jump_options, _theta_min_eff
 from .errors import InstabilityError, ParameterError
-from .geometry import frame, phi_zero, row_norm
+from .geometry import _align, _dot, _frame, _norm, _safe
 from .kernels import (CoulombKernel, kernel_from_params, residual_k,
                       window_moments)
-from .landau import _check_gamma
+from .landau import _check_gamma, _scalar_factor
 from .metrics import _W2_SIZE_GUARD, w2_exact
-from .particles import ParticleCloud, sample_initial, speed_floor
+from .particles import (ParticleCloud, draw_companions, sample_initial,
+                        speed_floor)
 
 __all__ = ["Subdivision", "default_h", "build_subdivision", "CouplingPlan",
            "CoupledResult", "coupled_run", "SweepReport", "rate_sweep",
@@ -185,8 +188,6 @@ class CouplingPlan:
     eta: top of the matching window (defaults to the kernel support top,
     and may not exceed it).
     tanaka: rotate the Landau kicks by the Tanaka azimuth phi0.
-    normal_fallback: pairs with more window jumps than this take the
-    conditional Gaussian aggregate instead of sampled jumps.
     """
 
     kernel: object
@@ -197,7 +198,6 @@ class CouplingPlan:
     reg_delta: float = None
     tanaka: bool = True
     eta: float = None
-    normal_fallback: int = 100_000
 
     def __post_init__(self):
         _check_jump_options(self.kernel, self.theta_min, self.v_floor)
@@ -208,8 +208,6 @@ class CouplingPlan:
         if self.eta is not None and not (0.0 < self.eta <= top):
             raise ParameterError(f"eta must lie in (0, {top}], up to the "
                                  f"kernel support top; got {self.eta}")
-        if self.normal_fallback < 0:
-            raise ParameterError("normal_fallback must be >= 0")
 
     def companion_stream(self, k):
         return rngstreams.stream(self.seed, "slab-comp", k)
@@ -236,6 +234,12 @@ class CoupledResult:
     @property
     def sup_paired_l2(self):
         return float(np.max(self.paired_l2))
+
+
+# A pair with more window jumps in a slab than this takes the conditional
+# Gaussian aggregate of its jump sums (same moments) instead of sampled
+# jumps, which bounds the cost of near-coincident Coulomb pairs.
+_NORMAL_FALLBACK = 100_000
 
 
 # The jump sampler works on blocks of whole particles of about _BLOCK draws,
@@ -422,49 +426,63 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     # total (1-cos) drift mass: compensated window + large jumps + sub-window
     k_full = np.pi * (mom.one_cos + one_cos_lg) + k_res
 
-    gamma = kernel.gamma
-
-    V = initial_cloud.velocities.copy()
-    Y = initial_cloud.velocities.copy()
-    times = [0.0]
-    dists = [0.0]
+    # both clouds component-first (3, n), as geometry works on them
+    V = initial_cloud.velocities.T.copy()
+    Y = V.copy()
+    times, dists = [0.0], [0.0]
     m2b, m2l = [initial_cloud.m2()], [initial_cloud.m2()]
     w2s = [0.0 if w2_mode == "all" else np.nan]
     events = 0
 
     for k, (t0, t1) in enumerate(slabs):
         delta_t = t1 - t0
-        comp = plan.companion_stream(k).integers(0, n - 1, size=n)
-        comp += comp >= np.arange(n)
+        comp = draw_companions(plan.companion_stream(k), np.arange(n), n)
         rng_j = plan.jump_stream(k)
 
-        Vc, Yc = V.take(comp, 0), Y.take(comp, 0)
-        X = V - Vc
-        Z = Y - Yc
-        rX = row_norm(X)
-        rZ = row_norm(Z)
+        Vc, Yc = V.take(comp, 1), Y.take(comp, 1)
+        X, Z = V - Vc, Y - Yc
+        rX, rZ = _norm(X), _norm(Z)
         phi_v = np.asarray(kernel.phi(np.maximum(rX, v_floor)), dtype=float)
-        phi_l = np.maximum(rZ, delta) ** gamma
+        phi_l = _scalar_factor(np.maximum(rZ, delta), kernel.gamma)
+        # one frame per side, shared by its kicks and the Tanaka alignment;
+        # a pair with zero relative velocity gets a stand-in frame and kicks
+        # masked to zero (geometry._safe)
+        Xs, okX, rXs = _safe(X, rX)
+        Zs, okZ, rZs = _safe(Z, rZ)
+        IX, JX = _frame(Xs, rXs)
+        IZ, JZ = _frame(Zs, rZs)
+        # Tanaka: the Landau frame takes the azimuth offset phi0, i.e. the
+        # kick coordinates rotate by R(phi0) relative to the Boltzmann draws
+        phi0 = np.where(okX & okZ, _align(IX, JX, IZ, JZ), 0.0) \
+            if plan.tanaka else np.zeros(n)
+        cos0, sin0 = np.cos(phi0), np.sin(phi0)
 
         lam = delta_t * phi_v * 2.0 * np.pi * mass_w
         counts = rng_j.poisson(lam)
-        fb = counts > plan.normal_fallback
+        fb = counts > _NORMAL_FALLBACK
         events += int(counts.sum())
         s1, s2, s3, t2, t3 = _angle_sums(
             rng_j, np.where(fb, 0, counts), kernel, z_hi, mass_z, n)
-        if np.any(fb):
-            g = rng_j.standard_normal((int(fb.sum()), 3))
-            kf = counts[fb].astype(float)
-            s1[fb] = kf * mu1 + np.sqrt(kf * var1) * g[:, 0]
-            sd_th = np.sqrt(kf * e_th2 / 2.0)
-            # sin(theta) ~ theta in the fallback regime: reuse the same
-            # normals so the matched pair stays perfectly correlated
-            t2[fb], t3[fb] = sd_th * g[:, 1], sd_th * g[:, 2]
-            s2[fb], s3[fb] = t2[fb], t3[fb]
+        g = rng_j.standard_normal((int(fb.sum()), 3))
+        kf = counts[fb].astype(float)
+        s1[fb] = kf * mu1 + np.sqrt(kf * var1) * g[:, 0]
+        sd_th = np.sqrt(kf * e_th2 / 2.0)
+        # sin(theta) ~ theta in the fallback regime: reuse the same normals
+        # so the matched pair stays perfectly correlated
+        t2[fb], t3[fb] = sd_th * g[:, 1], sd_th * g[:, 2]
+        s2[fb], s3[fb] = t2[fb], t3[fb]
         # center the window longitudinal sum by its compensator
         s1 -= lam * mu1
 
-        l2 = l3 = None
+        # Landau transverse kicks of total per-direction variance
+        # Delta*Phi_L*(pi/4) int theta^2 beta over [theta_min, support top]:
+        # the window band (r_eta_win) is driven by the matched window draws,
+        # the above-eta band (r_tail) by the standardized large-jump aggregate
+        sig_t = 2.0 * np.sqrt(delta_t * phi_v * r_eta_win)
+        u2, u3 = t2 / sig_t, t3 / sig_t
+        amp = np.sqrt(delta_t * phi_l * r_eta_win)
+        kick2 = amp * (cos0 * u2 - sin0 * u3)
+        kick3 = amp * (sin0 * u2 + cos0 * u3)
         if mass_lg > 0.0:
             lam_lg = delta_t * phi_v * 2.0 * np.pi * mass_lg
             counts_lg = rng_j.poisson(lam_lg)
@@ -474,51 +492,22 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
             s1 += l1 - lam_lg * (one_cos_lg / mass_lg)
             s2 += l2
             s3 += l3
-
-        okX = rX > 0.0
-        okZ = rZ > 0.0
-        both = okX & okZ
-        phi0 = np.zeros(n)
-        if plan.tanaka and np.any(both):
-            phi0[both] = phi_zero(X[both], Z[both])
-
-        # --- V side: exponential mean drift + centered fluctuations
-        contract_v = np.exp(-k_full * phi_v * delta_t)
-        V_new = Vc + contract_v[:, None] * X
-        if np.any(okX):
-            i_x, j_x = frame(X[okX])
-            V_new[okX] += (-0.5 * s1[okX, None] * X[okX]
-                           + 0.5 * (s2[okX, None] * i_x + s3[okX, None] * j_x))
-
-        # --- Y side: exponential drift + transverse diffusion whose total
-        # per-direction variance is Delta*Phi_L*(pi/4) int theta^2 beta over
-        # [theta_min, support top]: the window band (r_eta_win) is driven by
-        # the matched window draws, the above-eta band (r_tail) by the
-        # standardized large-jump aggregate
-        contract_l = np.exp(-2.0 * phi_l * delta_t)
-        Y_new = Yc + contract_l[:, None] * Z
-        sig_t = 2.0 * np.sqrt(delta_t * phi_v * r_eta_win)
-        u2, u3 = t2 / sig_t, t3 / sig_t
-        if mass_lg > 0.0:
             sig_lg = np.sqrt(delta_t * phi_v * np.pi * mom_lg.sin_sq)
             ut2, ut3 = l2 / sig_lg, l3 / sig_lg
-        # Tanaka: the Landau frame takes the azimuth offset phi0, i.e. the
-        # kick coordinates rotate by R(phi0) relative to the Boltzmann draws
-        cos0, sin0 = np.cos(phi0), np.sin(phi0)
-        u2r = cos0 * u2 - sin0 * u3
-        u3r = sin0 * u2 + cos0 * u3
-        if np.any(okZ):
-            i_z, j_z = frame(Z[okZ])
-            amp = np.sqrt(delta_t * phi_l[okZ] * r_eta_win)
-            kick2, kick3 = amp * u2r[okZ], amp * u3r[okZ]
-            if mass_lg > 0.0:
-                amp_t = np.sqrt(delta_t * phi_l[okZ] * r_tail)
-                kick2 += amp_t * (cos0 * ut2 - sin0 * ut3)[okZ]
-                kick3 += amp_t * (sin0 * ut2 + cos0 * ut3)[okZ]
-            Y_new[okZ] += kick2[:, None] * i_z + kick3[:, None] * j_z
+            amp_t = np.sqrt(delta_t * phi_l * r_tail)
+            kick2 += amp_t * (cos0 * ut2 - sin0 * ut3)
+            kick3 += amp_t * (sin0 * ut2 + cos0 * ut3)
 
-        bad = ~(np.all(np.isfinite(V_new), axis=1)
-                & np.all(np.isfinite(Y_new), axis=1))
+        # both sides: exponential mean drift (the relative velocity contracts
+        # by e^{-k_full Phi_V Delta}, e^{-2 Phi_L Delta}) + centered
+        # fluctuations
+        V_new = Vc + np.exp(-k_full * phi_v * delta_t) * X
+        V_new += np.where(okX, -0.5 * s1 * X + 0.5 * (s2 * IX + s3 * JX), 0.0)
+        Y_new = Yc + np.exp(-2.0 * phi_l * delta_t) * Z
+        Y_new += np.where(okZ, kick2 * IZ + kick3 * JZ, 0.0)
+
+        bad = ~(np.all(np.isfinite(V_new), axis=0)
+                & np.all(np.isfinite(Y_new), axis=0))
         if np.any(bad):
             idx = np.where(bad)[0]
             raise InstabilityError(
@@ -527,15 +516,17 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
         V, Y = V_new, Y_new
 
         times.append(t1)
-        dists.append(float(np.sqrt(np.mean(np.sum((V - Y) ** 2, axis=1)))))
-        m2b.append(float(np.mean(np.sum(V * V, axis=1))))
-        m2l.append(float(np.mean(np.sum(Y * Y, axis=1))))
+        D = V - Y
+        dists.append(float(np.sqrt(np.mean(_dot(D, D)))))
+        m2b.append(float(np.mean(_dot(V, V))))
+        m2l.append(float(np.mean(_dot(Y, Y))))
         last = k == len(slabs) - 1
         if w2_mode == "all" or (w2_mode == "terminal" and last):
-            w2s.append(w2_exact(V, Y))
+            w2s.append(w2_exact(V.T, Y.T))
         else:
             w2s.append(np.nan)
 
+    V, Y = np.ascontiguousarray(V.T), np.ascontiguousarray(Y.T)
     return CoupledResult(
         times=np.array(times), paired_l2=np.array(dists), w2=np.array(w2s),
         m2_boltz=np.array(m2b), m2_landau=np.array(m2l),
@@ -649,8 +640,8 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
     fails before any compute.  The cells then run on every core in this
     process's CPU affinity, smallest eps first; the report is identical to
     a one-core run.  The fit and verdict are fit_verdict's.  seeds defaults
-    to 0..9.  plan_options (tanaka, normal_fallback) go to every cell's
-    CouplingPlan; the recipe sets the _SWEEP_RECIPE fields.
+    to 0..9.  plan_options (tanaka) go to every cell's CouplingPlan; the
+    recipe sets the _SWEEP_RECIPE fields.
     """
     if family not in _FAMILIES:
         raise ParameterError("rate sweeps need family 'grazing' or 'coulomb'")

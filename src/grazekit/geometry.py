@@ -200,8 +200,13 @@ def phi_zero(X, Y):
     (empirically the constant is 1).
     """
     Xc, Yc = _stack(X), _stack(Y)
-    IX, JX = _frame(Xc, _checked_norm(Xc))
-    IY, JY = _frame(Yc, _checked_norm(Yc))
+    return _align(*_frame(Xc, _checked_norm(Xc)),
+                  *_frame(Yc, _checked_norm(Yc)))
+
+
+def _align(IX, JX, IY, JY):
+    """phi_zero from the component-first frames (IX, JX) of X and (IY, JY)
+    of Y, already built."""
     a = _dot(IX, IY) + _dot(JX, JY)
     b = _dot(IX, JY) - _dot(JX, IY)
     return np.arctan2(b, a)

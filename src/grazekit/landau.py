@@ -26,7 +26,7 @@ import numpy as np
 from . import rngstreams
 from .errors import DegenerateInputError, ParameterError
 from .geometry import row_norm
-from .particles import speed_floor
+from .particles import draw_companions, speed_floor
 from .trajectory import check_cloud_size, next_cloud, run_schedule
 
 __all__ = [
@@ -50,34 +50,39 @@ def sigma_eval(gamma, z):
                               [  0,  z1, -z2 ]]
 
     satisfying sigma sigma^T = |z|^gamma (|z|^2 Id - z z^T), sigma^T z = 0
-    and sigma(-z) = -sigma(z).  Raises DegenerateInputError at z = 0; the
+    and sigma(-z) = -sigma(z): the stepper's noise term applied to the unit
+    increments, one column each.  Raises DegenerateInputError at z = 0; the
     stepping code regularizes upstream instead of calling this.
     """
-    _check_gamma(gamma)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (3,):
-        raise ParameterError("z must be a 3-vector")
-    r = np.linalg.norm(z)
-    if r == 0.0:
-        raise DegenerateInputError("sigma(z) needs |z| > 0")
-    z1, z2, z3 = z
-    mat = np.array([[z2, -z3, 0.0],
-                    [-z1, 0.0, z3],
-                    [0.0, z1, -z2]])
-    return r ** (gamma / 2.0) * mat
+    coeffs, z, r = _checked_pair(gamma, z, "sigma")
+    return coeffs._noise(z, np.eye(3), r).T
 
 
 def b_eval(gamma, z):
     """Drift vector b(z) = -2 |z|^gamma z (the divergence of the rows of
-    the diffusion matrix).  Odd: b(-z) = -b(z)."""
-    _check_gamma(gamma)
+    the diffusion matrix), the stepper's drift term.  Odd: b(-z) = -b(z)."""
+    coeffs, z, r = _checked_pair(gamma, z, "b")
+    return coeffs._drift(z, r)
+
+
+def _checked_pair(gamma, z, name):
+    """Unregularized LandauCoefficients(gamma), the 3-vector z, |z| > 0."""
+    coeffs = LandauCoefficients(gamma)
     z = np.asarray(z, dtype=float)
     if z.shape != (3,):
         raise ParameterError("z must be a 3-vector")
-    r = np.linalg.norm(z)
+    r = row_norm(z)
     if r == 0.0:
-        raise DegenerateInputError("b(z) needs |z| > 0")
-    return -2.0 * r ** gamma * z
+        raise DegenerateInputError(f"{name}(z) needs |z| > 0")
+    return coeffs, z, r
+
+
+def _scalar_factor(rf, power):
+    """rf ** power where rf > 0, else 0: a pair coefficient's regularized
+    scalar factor at rf = max(|z|, reg_delta), without 0 ** power at a
+    coincident pair when reg_delta is 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(rf > 0.0, rf ** power, 0.0)
 
 
 def _check_gamma(gamma):
@@ -105,15 +110,10 @@ class LandauCoefficients:
         return self._drift(Z, rf), self._noise(Z, dB, rf)
 
     def _drift(self, Z, rf):
-        w = np.zeros_like(rf)
-        alive = rf > 0.0
-        w[alive] = rf[alive] ** self.gamma
-        return -2.0 * w[..., None] * Z
+        return -2.0 * _scalar_factor(rf, self.gamma)[..., None] * Z
 
     def _noise(self, Z, dB, rf):
-        pref = np.zeros_like(rf)
-        alive = rf > 0.0
-        pref[alive] = rf[alive] ** (self.gamma / 2.0)
+        pref = _scalar_factor(rf, self.gamma / 2.0)
         z1, z2, z3 = Z[..., 0], Z[..., 1], Z[..., 2]
         b1, b2, b3 = dB[..., 0], dB[..., 1], dB[..., 2]
         out = np.stack([z2 * b1 - z3 * b2,
@@ -178,8 +178,7 @@ def _step_full(X, coeffs, dt, rng, block=256):
 
 def _step_subsampled(X, coeffs, dt, m, rng):
     n = X.shape[0]
-    J = rng.integers(0, n - 1, size=(n, m))
-    J[J >= np.arange(n)[:, None]] += 1
+    J = draw_companions(rng, np.arange(n)[:, None], n, (n, m))
     Z = X[:, None, :] - X.take(J, 0)
     dB = rng.normal(scale=np.sqrt(dt), size=Z.shape)
     db, ns = coeffs.terms(Z, dB)

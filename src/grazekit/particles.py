@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["ParticleCloud", "sample_initial", "recenter", "speed_floor"]
+__all__ = ["ParticleCloud", "sample_initial", "recenter", "speed_floor",
+           "draw_companions"]
 
 
 @dataclass
@@ -58,6 +59,15 @@ def speed_floor(value, cloud: ParticleCloud) -> float:
     """A configured speed floor (v_floor, reg_delta), or its default when
     None: 1e-3 of the cloud's RMS speed."""
     return 1e-3 * np.sqrt(cloud.m2()) if value is None else float(value)
+
+
+def draw_companions(rng, owners, n, size=None):
+    """Uniform companions among n particles, never the owner itself: one
+    rng.integers(0, n - 1) call of size (default: owners' shape), each draw
+    at or above its (broadcast) owner's index shifted up by one."""
+    j = rng.integers(0, n - 1, size=np.shape(owners) if size is None else size)
+    j += j >= owners
+    return j
 
 
 def recenter(v: np.ndarray) -> np.ndarray:

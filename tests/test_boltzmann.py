@@ -12,7 +12,7 @@ from grazekit.geometry import deviate, jump_c, row_norm
 from grazekit.errors import ParameterError, StabilityError
 from grazekit.kernels import (CoulombKernel, GrazingKernel, SoftKernel,
                               r_eta, residual_k)
-from grazekit.particles import ParticleCloud, sample_initial
+from grazekit.particles import ParticleCloud, draw_companions, sample_initial
 
 GAUSS = {"name": "isotropic-gaussian", "sigma2": 1.0}
 
@@ -250,7 +250,7 @@ def _reference_step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     events = 0
     owners = np.where(clock < 1.0)[0]
     while owners.size:
-        comp = B._fresh_companions(rng, owners, n)
+        comp = draw_companions(rng, owners, n)
         W = X0[comp]
         V = X[owners]
         r = np.linalg.norm(V - W, axis=1)
@@ -297,7 +297,7 @@ def _global_cap_step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub,
     events = 0
     for rnd in range(int(counts.max())):
         owners = np.where(counts > rnd)[0]
-        comp = B._fresh_companions(rng, owners, n)
+        comp = draw_companions(rng, owners, n)
         W = X0[comp]
         V = X[owners]
         r = np.linalg.norm(V - W, axis=1)
@@ -440,7 +440,7 @@ def test_nanbu_majorant_bounds_every_companion(kernel, v_floor, X0):
         if idx.size == 0:
             continue
         V = X.take(idx, 1).T
-        W = X0[B._fresh_companions(rng, idx, n)]
+        W = X0[draw_companions(rng, idx, n)]
         theta = np.pi * 10.0 ** rng.uniform(-4.0, 0.0, idx.size)
         a = deviate(V, W, theta, rng.uniform(0.0, 2.0 * np.pi, idx.size))[2]
         X[:, idx] += a.T

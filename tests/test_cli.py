@@ -174,7 +174,8 @@ def test_coupled_run_eta_above_support_exits_2(tmp_path, capsys):
     assert main(COUPLED_RUN + ["--eta", "0.5", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "0.5" in err and str(math.pi / 8) in err
-    for flag, value in (("--level", "common"), ("--truncation-m", "4.0")):
+    for flag, value in (("--level", "common"), ("--truncation-m", "4.0"),
+                        ("--normal-fallback", "300")):
         assert main(COUPLED_RUN + [flag, value, "--out-dir", str(out)]) == 2
     assert not out.exists()
 

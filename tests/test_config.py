@@ -71,7 +71,7 @@ def test_validate_accepts_and_normalizes():
 
 def test_validate_rejects_unknown_keys_by_name():
     for key, value in (("extra_knob", 3), ("level", "common"),
-                       ("truncation_m", 4.0)):
+                       ("truncation_m", 4.0), ("normal_fallback", 300)):
         with pytest.raises(ParameterError, match=f"unknown field.*'{key}'"):
             validate_config(dict(GOOD_DOC, **{key: value}))
 

@@ -6,6 +6,7 @@ frozen here; sweeps and coupled runs are deterministic given (config, seed).
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from grazekit.coupling import (CouplingPlan, Subdivision, build_subdivision,
 from grazekit.errors import InstabilityError, ParameterError
 from grazekit.kernels import (CoulombKernel, GrazingKernel, SoftKernel,
                               window_moments)
-from grazekit.particles import sample_initial
+from grazekit.particles import ParticleCloud, sample_initial
 
 GAUSS = {"name": "isotropic-gaussian", "sigma2": 1.0}
 
@@ -182,8 +183,7 @@ def test_coupled_run_compat_errors():
 def test_plan_validation():
     sub = build_subdivision(sqrt_inv, 0.5, 1)
     kern = GrazingKernel(eps=np.pi / 4, **GRAZING)
-    for bad in ({"eta": -0.1}, {"normal_fallback": -1},
-                {"kernel": "grazing"}, {"theta_min": 0.0},
+    for bad in ({"eta": -0.1}, {"kernel": "grazing"}, {"theta_min": 0.0},
                 {"theta_min": 4.0}, {"v_floor": -1.0}, {"reg_delta": -1.0}):
         with pytest.raises(ParameterError):
             CouplingPlan(**{"kernel": kern, "seed": 0, "subdivision": sub,
@@ -200,19 +200,45 @@ def test_plan_validation():
         CouplingPlan(kernel=hard, seed=0, subdivision=sub)
 
 
-def test_forced_gaussian_fallback_path():
+def test_forced_gaussian_fallback_path(monkeypatch):
     kern, sub, cloud = grazing_setup(64)
-    forced = CouplingPlan(kernel=kern, seed=3, subdivision=sub,
-                          normal_fallback=0)
-    res = coupled_run(forced, cloud)
-    res2 = coupled_run(forced, cloud)
+    plan = CouplingPlan(kernel=kern, seed=3, subdivision=sub)
+    samp = coupled_run(plan, cloud)
+    monkeypatch.setattr(coupling, "_NORMAL_FALLBACK", 0)
+    res = coupled_run(plan, cloud)
+    res2 = coupled_run(plan, cloud)
     assert np.array_equal(res.paired_l2, res2.paired_l2)
     assert np.all(np.isfinite(res.paired_l2))
     # aggregate moments match the sampled path to leading order, so the
     # distances land in the same regime
-    samp = coupled_run(CouplingPlan(kernel=kern, seed=3, subdivision=sub),
-                       cloud)
     assert 0.3 < res.paired_l2[-1] / samp.paired_l2[-1] < 3.0
+
+
+@pytest.mark.parametrize("reg_delta", [None, 0.0])
+@pytest.mark.parametrize("family", ["grazing", "coulomb"])
+def test_zero_relative_velocity_rows_stay_finite_and_quiet(family, reg_delta):
+    # the second half of the cloud duplicates the first, so a particle that
+    # draws its own duplicate has X = Z = 0 in slab 0: a stand-in frame, a
+    # masked kick, and with reg_delta = 0 no 0 ** gamma Landau factor
+    half = sample_initial(GAUSS, 32, rngstreams.stream(1, "coupled-init"))
+    cloud = ParticleCloud(np.concatenate([half.velocities] * 2))
+    kern = (GrazingKernel(eps=np.pi / 8, **GRAZING) if family == "grazing"
+            else CoulombKernel(eps=0.01))
+    plan = CouplingPlan(kernel=kern, seed=3, reg_delta=reg_delta,
+                        subdivision=build_subdivision(sqrt_inv, 0.5, 4))
+    n = cloud.n
+    j = plan.companion_stream(0).integers(0, n - 1, size=n)
+    comp = j + (j >= np.arange(n))
+    assert np.flatnonzero(comp == (np.arange(n) + n // 2) % n).tolist() \
+        == [7, 27, 42]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = coupled_run(plan, cloud, w2_mode="all")
+    for field in ("paired_l2", "w2", "m2_boltz", "m2_landau"):
+        assert np.all(np.isfinite(getattr(res, field)))
+    assert np.all(np.isfinite(res.boltz_cloud.velocities))
+    assert np.all(np.isfinite(res.landau_cloud.velocities))
+    assert res.events > 0
 
 
 def test_w2_modes():
@@ -457,9 +483,9 @@ def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
         floor = 0.05 * math.sqrt(3)
         plan = CouplingPlan(kernel=CoulombKernel(eps=0.01), seed=5,
                             subdivision=sub, v_floor=floor, reg_delta=floor,
-                            eta=1.0 / math.log(100.0),
-                            normal_fallback=300 if setup == "coulomb-fallback"
-                            else 100_000)
+                            eta=1.0 / math.log(100.0))
+        if setup == "coulomb-fallback":
+            monkeypatch.setattr(coupling, "_NORMAL_FALLBACK", 300)
     new = coupled_run(plan, cloud, w2_mode="all")
     calls = []
     monkeypatch.setattr(coupling, "_angle_sums", reference_sampler(calls))
