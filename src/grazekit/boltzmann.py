@@ -47,7 +47,6 @@ takes no theta_min and the global rate is 2*pi*H_eps(eps)*
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import spatial
 
 from . import rngstreams
 from .errors import ParameterError, StabilityError
@@ -181,7 +180,10 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     # every companion w of an owner at V has |V - w| >= d, the distance to
     # the nearest non-self step-start row, so M = Phi(max(d, v_floor))
     # bounds its floored velocity factor until the owner jumps
-    tree = spatial.cKDTree(X0)
+    # scipy loads at the first nanbu step, not at import, so commands that
+    # never step nanbu (rate-sweep among them) start without it
+    from scipy.spatial import cKDTree
+    tree = cKDTree(X0)
     everyone = np.arange(n)
     d_q = _nn_bound(tree, X0, everyone)
     d = d_q.copy()

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError
 
@@ -611,12 +610,12 @@ def _pair_integral_coulomb_zspace(kernel: CoulombKernel, x: float,
     def f(z):
         return float((tail.G(z / x) - tail.G(z / y)) ** 2)
 
+    # scipy loads here, not at import: no simulator or sweep calls this
+    from scipy.integrate import quad
     hi1 = s * tail.z_max
     hi2 = b * tail.z_max
-    v1, _ = integrate.quad(f, 0.0, hi1, epsabs=_QUAD_TOL, epsrel=1e-12,
-                           limit=400)
-    v2, _ = integrate.quad(f, hi1, hi2, epsabs=_QUAD_TOL, epsrel=1e-12,
-                           limit=400)
+    v1, _ = quad(f, 0.0, hi1, epsabs=_QUAD_TOL, epsrel=1e-12, limit=400)
+    v2, _ = quad(f, hi1, hi2, epsabs=_QUAD_TOL, epsrel=1e-12, limit=400)
     return v1 + v2
 
 

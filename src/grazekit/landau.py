@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rngstreams
 from .errors import DegenerateInputError, ParameterError
-from .geometry import row_norm
+from .geometry import _NP, row_norm
 from .particles import draw_companions, speed_floor
 from .trajectory import check_cloud_size, next_cloud, run_schedule
 
@@ -40,6 +40,8 @@ __all__ = [
 
 _FULL_PAIRING_CAP = 2048
 _PAIRINGS = ("full", "subsampled", "conservative")
+# the increment components _noise multiplies against Z's _NP gathers
+_NOISE_B = np.array([[0, 2, 1], [1, 0, 2]])
 
 
 def sigma_eval(gamma, z):
@@ -113,13 +115,11 @@ class LandauCoefficients:
         return -2.0 * _scalar_factor(rf, self.gamma)[..., None] * Z
 
     def _noise(self, Z, dB, rf):
+        # rows z2 b1 - z3 b2, z3 b3 - z1 b1 and z1 b2 - z2 b3: one gathered
+        # product stack, as in geometry._cross_c
         pref = _scalar_factor(rf, self.gamma / 2.0)
-        z1, z2, z3 = Z[..., 0], Z[..., 1], Z[..., 2]
-        b1, b2, b3 = dB[..., 0], dB[..., 1], dB[..., 2]
-        out = np.stack([z2 * b1 - z3 * b2,
-                        -z1 * b1 + z3 * b3,
-                        z1 * b2 - z2 * b3], axis=-1)
-        return pref[..., None] * out
+        P = Z[..., _NP] * dB[..., _NOISE_B]
+        return pref[..., None] * (P[..., 0, :] - P[..., 1, :])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import spatial
-from scipy.optimize import linear_sum_assignment
-from scipy.special import digamma
 
 from .errors import ParameterError
 
@@ -37,7 +34,11 @@ def w2_exact(A, B) -> float:
             f"N={n} above the exact-assignment guard {_W2_SIZE_GUARD}; "
             "compare subsampled clouds, or use the paired-L2 distance, "
             "an upper bound of W2")
-    cost = spatial.distance.cdist(A, B, "sqeuclidean")
+    # scipy loads in the call, not at import, so commands that never
+    # measure W2 or entropy (rate-sweep among them) start without it
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+    cost = cdist(A, B, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(cost[rows, cols].sum() / n)
 
@@ -49,7 +50,9 @@ def entropy_knn(V, k: int = 4) -> float:
     n = V.shape[0]
     if n < k + 1:
         raise ParameterError(f"need at least {k + 1} points for k={k}")
-    tree = spatial.cKDTree(V)
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+    tree = cKDTree(V)
     # k+1 because the first neighbor is the point itself
     dist, _ = tree.query(V, k=k + 1, workers=-1)
     r = np.maximum(dist[:, k], 1e-300)

@@ -18,7 +18,6 @@ the CLI renders as pass/fail rows.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError
 from .metrics import w2_exact
@@ -141,9 +140,11 @@ def gronwall_bound_check(a, gamma_fn, T, samples=20000, breakpoints=()):
     if not np.all(np.isfinite(probe)) or np.any(probe < 0):
         raise ParameterError("gamma_fn must be finite and nonnegative on [0, T]")
 
+    # scipy loads here, not at import: only verify-appendix integrates
+    from scipy.integrate import quad, solve_ivp
     K = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        seg, _ = integrate.quad(gamma_fn, lo, hi, limit=200)
+        seg, _ = quad(gamma_fn, lo, hi, limit=200)
         K += seg
     if not np.isfinite(K):
         raise ParameterError("gamma_fn is not integrable on [0, T]")
@@ -160,7 +161,7 @@ def gronwall_bound_check(a, gamma_fn, T, samples=20000, breakpoints=()):
 
         steps = max(10, int(round(samples * (hi - lo) / T)))
         rho = _rk4_saturated(rho, g, lo, hi, steps)
-        sol = integrate.solve_ivp(
+        sol = solve_ivp(
             lambda t, y: [g(t) * psi(y[0])], (lo, hi), [rho_alt],
             method="RK45", rtol=1e-10, atol=1e-13)
         if not sol.success:

@@ -3,9 +3,14 @@ schemas, byte-identical reruns, flag/config precedence."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import grazekit
 from grazekit.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -455,3 +460,55 @@ def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main(["rate-sweep", "--help"]) == 0
+
+
+# Runs the commands in one fresh interpreter and prints, after each, whether
+# any scipy module is loaded; the last stdout line is the JSON record.
+_SCIPY_PROBE = """
+import json, sys
+from grazekit import cli
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+cli.build_parser()
+stages = [["build_parser", 0, scipy_loaded()]]
+for name, argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    stages.append([name, code, scipy_loaded()])
+print(json.dumps(stages))
+"""
+
+
+def test_scipy_loads_only_in_the_commands_that_call_it(tmp_path):
+    # rate-sweep, the verify tables, fit-rate and a coupled run without W2
+    # never call scipy, so they must start and finish without importing it
+    sweep, fit = tmp_path / "sweep", tmp_path / "fit"
+    runs = [
+        ["rate-sweep", RATE_SWEEP + ["--seeds", "0:10",
+                                     "--out-dir", str(sweep)]],
+        ["coupled-run", COUPLED_RUN + ["--w2-mode", "none",
+                                       "--out-dir", str(tmp_path / "c")]],
+        ["verify-geometry", ["verify-geometry", "--samples", "4000",
+                             "--out-dir", str(tmp_path / "g")]],
+        ["verify-kernels", ["verify-kernels", "--family", "coulomb",
+                            "--eps-list", "0.3,0.1",
+                            "--out-dir", str(tmp_path / "k")]],
+        ["fit-rate", ["fit-rate", "--family", "grazing",
+                      "--input", str(sweep / "sweep.csv"),
+                      "--out-dir", str(fit)]],
+        ["coupled-run-w2", COUPLED_RUN + ["--w2-mode", "terminal",
+                                          "--out-dir", str(tmp_path / "w")]],
+    ]
+    src = str(pathlib.Path(grazekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           json.dumps(runs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert stages[0] == ["build_parser", 0, False]
+    assert stages[1:-1] == [[name, 0, False] for name, _ in runs[:-1]]
+    # terminal W2 runs the exact assignment, which imports scipy
+    assert stages[-1] == ["coupled-run-w2", 0, True]

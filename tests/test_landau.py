@@ -1,14 +1,19 @@
 """Tests for the Landau particle stepper and its coefficient identities."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grazekit import rngstreams
 from grazekit.errors import (DegenerateInputError, InstabilityError,
                              ParameterError)
+from grazekit.geometry import row_norm
 from grazekit.landau import (LandauCoefficients, LandauConfig,
-                             _step_conservative, b_eval, run, sigma_eval,
-                             step)
+                             _scalar_factor, _step_conservative, b_eval, run,
+                             sigma_eval, step)
 from grazekit.particles import ParticleCloud, sample_initial
 
 
@@ -51,6 +56,52 @@ def test_sigma_spot_value_and_oddness():
     np.testing.assert_allclose(s @ s.T, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
     z = np.array([0.3, -1.2, 0.7])
     np.testing.assert_array_equal(sigma_eval(-1.5, -z), -sigma_eval(-1.5, z))
+
+
+def _noise_by_stack(coeffs, Z, dB, rf):
+    """sigma_delta(Z) @ dB from six component views and a stack, the
+    reference LandauCoefficients._noise must match byte for byte."""
+    pref = _scalar_factor(rf, coeffs.gamma / 2.0)
+    z1, z2, z3 = Z[..., 0], Z[..., 1], Z[..., 2]
+    b1, b2, b3 = dB[..., 0], dB[..., 1], dB[..., 2]
+    out = np.stack([z2 * b1 - z3 * b2,
+                    -z1 * b1 + z3 * b3,
+                    z1 * b2 - z2 * b3], axis=-1)
+    return pref[..., None] * out
+
+
+# exact small values (zeros of both signs among them) and magnitudes over
+# 60 decades, so no product or power overflows
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]),
+    st.builds(lambda m, neg: -m if neg else m,
+              st.floats(min_value=1e-30, max_value=1e30), st.booleans()))
+
+
+@st.composite
+def _separations(draw):
+    shape = draw(st.sampled_from([(3,), (1, 3), (7, 3), (5, 4, 3)]))
+    size = math.prod(shape)
+    Z, dB = (np.array(draw(st.lists(_COMPONENT, min_size=size,
+                                    max_size=size))).reshape(shape)
+             for _ in range(2))
+    return Z, dB
+
+
+@settings(max_examples=300)
+@given(_separations(), st.sampled_from([-3.0, -1.3, -0.5]),
+       st.sampled_from([0.0, 1e-3, 1.0]))
+def test_noise_matches_stack_formula_bytes(sep, gamma, reg_delta):
+    Z, dB = sep
+    coeffs = LandauCoefficients(gamma, reg_delta)
+    rf = np.maximum(row_norm(Z), reg_delta)
+    got, want = coeffs._noise(Z, dB, rf), _noise_by_stack(coeffs, Z, dB, rf)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if Z.ndim == 1 and row_norm(Z) > 0.0:
+        sigma = sigma_eval(gamma, Z)
+        ref = _noise_by_stack(LandauCoefficients(gamma), Z, np.eye(3),
+                              row_norm(Z)).T
+        assert sigma.tobytes() == ref.tobytes()
 
 
 def test_b_spot_value_and_oddness():

@@ -1,5 +1,6 @@
 """Package structure: every public name is defined where it is exported
-and has a caller, and quadrature lives in two modules with one panel rule.
+and has a caller, quadrature lives in two modules with one panel rule, and
+no module imports scipy when it is itself imported.
 
 A name in a module's __all__ must be defined by that module, not re-exported
 from another, and used somewhere in the package or in the acceptance suite:
@@ -69,17 +70,41 @@ def test_every_public_name_has_a_caller():
     assert orphans == []
 
 
-def imports_scipy_integrate(tree):
-    for node in ast.walk(tree):
+def scipy_imports(nodes):
+    """The scipy names that the import statements among nodes bring in."""
+    for node in nodes:
         if isinstance(node, ast.Import):
-            if any(a.name.startswith("scipy.integrate") for a in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.integrate") or (
-                    node.module == "scipy"
-                    and any(a.name == "integrate" for a in node.names)):
-                return True
-    return False
+            yield from (a.name for a in node.names
+                        if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "scipy":
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def imports_scipy_integrate(tree):
+    return any(name.startswith("scipy.integrate")
+               for name in scipy_imports(ast.walk(tree)))
+
+
+def import_time_nodes(tree):
+    """Every node that runs when the module is imported: all of them but
+    the bodies of functions, which run only when called."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy costs about 0.5 s and 50 MB to import; rate-sweep,
+    # verify-kernels, verify-geometry and fit-rate never call it, so it is
+    # imported inside the functions that do
+    eager = {path.stem: sorted(scipy_imports(import_time_nodes(ast.parse(
+        path.read_text(encoding="utf-8"))))) for path in SOURCES}
+    assert {stem: names for stem, names in eager.items() if names} == {}
 
 
 def test_only_kernels_and_verifiers_integrate():
