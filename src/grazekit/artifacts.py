@@ -11,7 +11,8 @@ exactly when some output byte changes.
 Fixed column orders:
   snapshots   t,particle,vx,vy,vz
   diagnostics JSON list of {t, m2, m4, entropy, max_speed, events}
-  sweep       eps,seed,t,paired_l2,w2,m2_boltz,m2_landau
+  coupled     t,paired_l2,m2_boltz,m2_landau
+  sweep       eps,seed,t,paired_l2,m2_boltz,m2_landau
   verifier    check,measured,bound,passed
 """
 
@@ -85,10 +86,10 @@ def diagnostics_json_text(trajectory):
 
 def coupled_csv_text(result):
     """Per-boundary distance series of a single coupled run."""
-    lines = ["t,paired_l2,w2,m2_boltz,m2_landau"]
+    lines = ["t,paired_l2,m2_boltz,m2_landau"]
     for k in range(len(result.times)):
         lines.append(",".join(_fmt(v) for v in (
-            result.times[k], result.paired_l2[k], result.w2[k],
+            result.times[k], result.paired_l2[k],
             result.m2_boltz[k], result.m2_landau[k])))
     return "\n".join(lines) + "\n"
 
@@ -98,7 +99,7 @@ def coupled_summary_json_text(result):
         "terminal_t": result.times[-1],
         "terminal_paired_l2": result.paired_l2[-1],
         "sup_paired_l2": result.sup_paired_l2,
-        "terminal_w2": result.w2[-1],
+        "terminal_w2": result.terminal_w2,
         "m2_boltz": result.m2_boltz[-1],
         "m2_landau": result.m2_landau[-1],
         "events": result.events,
@@ -107,14 +108,14 @@ def coupled_summary_json_text(result):
 
 def sweep_csv_text(report):
     """Tidy distance series of a rate sweep, one row per (eps, seed, t)."""
-    lines = ["eps,seed,t,paired_l2,w2,m2_boltz,m2_landau"]
+    lines = ["eps,seed,t,paired_l2,m2_boltz,m2_landau"]
     for eps in report.eps_list:
         e = _fmt(eps)
         for seed in report.seeds:
             res = report.series[(eps, seed)]
             for k in range(len(res.times)):
                 lines.append(f"{e},{seed}," + ",".join(_fmt(v) for v in (
-                    res.times[k], res.paired_l2[k], res.w2[k],
+                    res.times[k], res.paired_l2[k],
                     res.m2_boltz[k], res.m2_landau[k])))
     return "\n".join(lines) + "\n"
 

@@ -23,7 +23,7 @@ the cloud, so each 3-vector step is a few whole-array operations (see
 geometry).
 Angles below theta_min are not simulated as jumps; they are replaced by their
 analytic mean drift (the compensator with the residual (1-cos) mass below
-theta_min), averaged over a fresh companion subsample.
+theta_min), averaged over _DRIFT_SUBSAMPLE (64) fresh companions per owner.
 
 ``symmetric`` mode updates disjoint random pairs two-sidedly (v -> v',
 v* -> v*'), which conserves momentum and energy exactly per event.  A
@@ -69,7 +69,7 @@ class BoltzmannConfig:
     soft ones; Coulomb kernels refuse it (their support starts at eps).
     v_floor defaults to 1e-3 of the initial cloud's RMS speed, resolved at
     the start of run(); a direct step() call resolves it from the current
-    cloud instead.  drift_subsample (nanbu mode only) defaults to 64.
+    cloud instead.
     """
 
     kernel: object
@@ -80,7 +80,6 @@ class BoltzmannConfig:
     v_floor: float = None
     update_mode: str = "nanbu"
     seed: int = 0
-    drift_subsample: int = None
     rate_cap: float = 1e4
 
     def __post_init__(self):
@@ -93,12 +92,6 @@ class BoltzmannConfig:
             raise ParameterError("T must be >= 0")
         if self.update_mode not in _UPDATE_MODES:
             raise ParameterError(f"update_mode must be one of {_UPDATE_MODES}")
-        if self.drift_subsample is not None:
-            if self.update_mode != "nanbu":
-                raise ParameterError("'drift_subsample' is read only by "
-                                     "update_mode 'nanbu'")
-            if self.drift_subsample < 1:
-                raise ParameterError("drift_subsample must be >= 1")
         if not (self.rate_cap > 0.0):
             raise ParameterError("rate_cap must be positive")
 
@@ -173,7 +166,11 @@ def _moved_bound(tree, X, owners, moved, d, d_q):
     return d_new
 
 
-def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
+# Companions per owner in the analytic drift of the sub-theta_min tail.
+_DRIFT_SUBSAMPLE = 64
+
+
+def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, rng):
     n = X0.shape[0]
     H_max = kernel.tail.H(theta_eff)
     rate = 2.0 * np.pi * H_max * dt
@@ -226,7 +223,7 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
     # analytic drift for the compensated small-angle tail
     k_res = residual_k(kernel, theta_eff)
     if k_res > 0.0:
-        m = min(drift_sub, n - 1)
+        m = min(_DRIFT_SUBSAMPLE, n - 1)
         J = draw_companions(rng, everyone[:, None], n, (n, m))
         Z = X[:, None, :] - X0.take(J, 0)
         phi_fl = _phi_floored(kernel, row_norm(Z), v_floor)
@@ -278,10 +275,8 @@ def step(cloud, config, rng):
             f"(rate_cap {config.rate_cap:.3g}); decrease dt or raise v_floor")
 
     if config.update_mode == "nanbu":
-        drift_subsample = (64 if config.drift_subsample is None
-                           else config.drift_subsample)
         Xn, events = _step_nanbu(cloud.velocities, kernel, theta_eff, v_floor,
-                                 config.dt, drift_subsample, rng)
+                                 config.dt, rng)
     else:
         Xn, events = _step_symmetric(cloud.velocities, kernel, theta_eff,
                                      v_floor, config.dt, rng)

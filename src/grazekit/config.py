@@ -163,8 +163,8 @@ KEYS = {
     "h_eps": _FLOAT,
     # particle runs
     "n": _INT, "dt": _FLOAT, "T": _FLOAT, "theta_min": _ANGLE,
-    "v_floor": _FLOAT, "update_mode": _STR, "drift_subsample": _INT,
-    "rate_cap": _FLOAT, "pairing": _STR, "m": _INT, "reg_delta": _FLOAT,
+    "v_floor": _FLOAT, "update_mode": _STR, "rate_cap": _FLOAT,
+    "pairing": _STR, "m": _INT, "reg_delta": _FLOAT,
     # initial condition
     "initial_name": _STR, "initial_sigma2": _FLOAT,
     "initial_sigma2_cold": _FLOAT, "initial_sigma2_hot": _FLOAT,

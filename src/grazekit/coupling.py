@@ -224,7 +224,7 @@ class CouplingPlan:
 class CoupledResult:
     times: np.ndarray
     paired_l2: np.ndarray
-    w2: np.ndarray
+    terminal_w2: float
     m2_boltz: np.ndarray
     m2_landau: np.ndarray
     boltz_cloud: ParticleCloud
@@ -363,19 +363,19 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     return sums
 
 
-def _check_run(plan, initial_cloud, w2_mode):
+def _check_run(plan, initial_cloud, w2_mode="none"):
     """Every precondition of a coupled run, checked before any slab stream
     is built.  Returns what the run resolves from the plan: the floors
     v_floor and reg_delta, the beta-moments of the matching window
     [theta_min, eta] and of the band above eta, and k_res, the (1-cos) mass
     below the window.  rate_sweep calls it for every cell first, so the
     moments are cached before its pool forks."""
-    if w2_mode not in ("none", "terminal", "all"):
-        raise ParameterError("w2_mode must be 'none', 'terminal' or 'all'")
+    if w2_mode not in ("none", "terminal"):
+        raise ParameterError("w2_mode must be 'none' or 'terminal'")
     n = initial_cloud.n
-    if w2_mode != "none" and n > _W2_SIZE_GUARD:
+    if w2_mode == "terminal" and n > _W2_SIZE_GUARD:
         raise ParameterError(
-            f"w2_mode {w2_mode!r} needs the exact W2, guarded at "
+            "w2_mode 'terminal' needs the exact W2, guarded at "
             f"N <= {_W2_SIZE_GUARD}; got n={n}")
 
     kernel = plan.kernel
@@ -398,8 +398,8 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     """Run both systems through the plan's slabs from a shared initial cloud.
 
     Returns the paired-L2 distance at t=0 and at every slab boundary, plus
-    m2 of both sides; w2_mode "terminal" adds the exact assignment W2 at the
-    final time, "all" at every boundary ("none" leaves NaN).
+    m2 of both sides; w2_mode "terminal" adds terminal_w2, the exact
+    assignment W2 of the two final clouds ("none" leaves it NaN).
     """
     v_floor, delta, mom, mom_lg, k_res = _check_run(plan, initial_cloud,
                                                     w2_mode)
@@ -431,7 +431,6 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     Y = V.copy()
     times, dists = [0.0], [0.0]
     m2b, m2l = [initial_cloud.m2()], [initial_cloud.m2()]
-    w2s = [0.0 if w2_mode == "all" else np.nan]
     events = 0
 
     for k, (t0, t1) in enumerate(slabs):
@@ -520,15 +519,11 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
         dists.append(float(np.sqrt(np.mean(_dot(D, D)))))
         m2b.append(float(np.mean(_dot(V, V))))
         m2l.append(float(np.mean(_dot(Y, Y))))
-        last = k == len(slabs) - 1
-        if w2_mode == "all" or (w2_mode == "terminal" and last):
-            w2s.append(w2_exact(V.T, Y.T))
-        else:
-            w2s.append(np.nan)
 
+    w2 = w2_exact(V.T, Y.T) if w2_mode == "terminal" else np.nan
     V, Y = np.ascontiguousarray(V.T), np.ascontiguousarray(Y.T)
     return CoupledResult(
-        times=np.array(times), paired_l2=np.array(dists), w2=np.array(w2s),
+        times=np.array(times), paired_l2=np.array(dists), terminal_w2=w2,
         m2_boltz=np.array(m2b), m2_landau=np.array(m2l),
         boltz_cloud=ParticleCloud(velocities=V, time=sub.T,
                                   step_index=len(slabs), events=events),
@@ -549,7 +544,6 @@ class SweepReport:
     p: int
     distances: np.ndarray      # (n_eps, n_seeds) terminal paired-L2
     sup_distances: np.ndarray  # (n_eps, n_seeds) sup over slab boundaries
-    w2: np.ndarray             # (n_eps, n_seeds), NaN when not computed
     m2_drift_boltz: np.ndarray
     m2_drift_landau: np.ndarray
     means: np.ndarray
@@ -570,8 +564,8 @@ _CELLS = None
 
 
 def _run_cell(index):
-    plan, cloud, w2_mode = _CELLS[index]
-    return index, coupled_run(plan, cloud, w2_mode=w2_mode)
+    plan, cloud = _CELLS[index]
+    return index, coupled_run(plan, cloud)
 
 
 def _process_count(n_cells):
@@ -628,7 +622,7 @@ _SWEEP_RECIPE = ("kernel", "seed", "subdivision", "theta_min", "v_floor",
 
 
 def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
-               nu=None, p=5, w2_mode="none", **plan_options):
+               nu=None, p=5, **plan_options):
     """Coupled-distance sweep over a decreasing eps grid.
 
     Per (eps, seed) cell: build the kernel at eps (kernels.kernel_from_params;
@@ -681,8 +675,8 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
             plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
                                 theta_min=None, v_floor=floor, reg_delta=floor,
                                 eta=eta, **plan_options)
-            _check_run(plan, clouds[s], w2_mode)
-            cells.append((plan, clouds[s], w2_mode))
+            _check_run(plan, clouds[s])
+            cells.append((plan, clouds[s]))
 
     # run: a pool starts the costliest cells (smallest eps, last row) first
     n_seeds = len(seeds)
@@ -694,7 +688,6 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
     shape = (len(eps_list), n_seeds)
     dist = np.empty(shape)
     sup_dist = np.empty(shape)
-    w2 = np.full(shape, np.nan)
     drift_b = np.empty(shape)
     drift_l = np.empty(shape)
     series = {}
@@ -704,13 +697,12 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         series[(eps_list[i], seeds[j])] = res
         dist[i, j] = res.paired_l2[-1]
         sup_dist[i, j] = res.sup_paired_l2
-        w2[i, j] = res.w2[-1]
         drift_b[i, j] = res.m2_boltz[-1] / m2_0 - 1.0
         drift_l[i, j] = res.m2_landau[-1] / m2_0 - 1.0
 
     return SweepReport(
         family=family, eps_list=eps_list, seeds=seeds, p=p,
-        distances=dist, sup_distances=sup_dist, w2=w2,
+        distances=dist, sup_distances=sup_dist,
         m2_drift_boltz=drift_b, m2_drift_landau=drift_l,
         proven_exponent=p / (2.0 * p + 3.0), conjectured_exponent=1.0,
         series=series, **fit_verdict(dist, eps_list, family))

@@ -100,12 +100,6 @@ def _cross_c(a, b):
     return P[0] - P[1]
 
 
-def _cross(a, b):
-    """a x b over the last axis of (..., 3) arrays: _cross_c in row form,
-    bit-identical to np.cross."""
-    return _rows(_cross_c(_cols(a), _cols(b)))
-
-
 def row_norm(X):
     """|X| over the last axis of a (..., 3) array, bit-identical to
     np.linalg.norm(X, axis=-1)."""

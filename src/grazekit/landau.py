@@ -3,10 +3,9 @@
 Each particle diffuses against companions drawn from the cloud itself: for a
 pair separation z = X_i - X_j the drift is b(z) = -2|z|^gamma z and the noise
 matrix sigma(z) satisfies sigma sigma^T = |z|^gamma (|z|^2 Id - z z^T), the
-Landau diffusion matrix.  Three pairing modes trade cost against exactness:
+Landau diffusion matrix.  Two pairing modes, both O(N m) per step:
 
-* ``full``        — every ordered pair, O(N^2), capped at N <= 2048;
-* ``subsampled``  — m uniform companions per particle per step, O(N m);
+* ``subsampled``  — m uniform companions per particle per step;
 * ``conservative``— m rounds of random perfect matchings with one shared
                     Gaussian increment per matched pair, applied with
                     opposite signs; since sigma(-z) = -sigma(z) and
@@ -38,8 +37,7 @@ __all__ = [
     "run",
 ]
 
-_FULL_PAIRING_CAP = 2048
-_PAIRINGS = ("full", "subsampled", "conservative")
+_PAIRINGS = ("subsampled", "conservative")
 # the increment components _noise multiplies against Z's _NP gathers
 _NOISE_B = np.array([[0, 2, 1], [1, 0, 2]])
 
@@ -127,7 +125,7 @@ class LandauConfig:
     """Parameters of one Landau particle run.
 
     m, the companions (subsampled) or matching rounds (conservative) per
-    step, defaults to 64; full pairing refuses it."""
+    step, defaults to 64."""
 
     gamma: float
     n: int
@@ -148,32 +146,10 @@ class LandauConfig:
             raise ParameterError("T must be >= 0")
         if self.pairing not in _PAIRINGS:
             raise ParameterError(f"pairing must be one of {_PAIRINGS}")
-        if self.pairing == "full" and self.n > _FULL_PAIRING_CAP:
-            raise ParameterError(
-                f"full pairing is for validation runs with N <= {_FULL_PAIRING_CAP}")
-        if self.m is not None:
-            if self.pairing == "full":
-                raise ParameterError("pairing 'full' takes no 'm' (it "
-                                     "evaluates every pair)")
-            if self.m < 1:
-                raise ParameterError("m must be >= 1")
+        if self.m is not None and self.m < 1:
+            raise ParameterError("m must be >= 1")
         if self.reg_delta is not None and not (self.reg_delta >= 0.0):
             raise ParameterError("reg_delta must be >= 0")
-
-
-def _step_full(X, coeffs, dt, rng, block=256):
-    n = X.shape[0]
-    drift = np.empty_like(X)
-    noise = np.empty_like(X)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        Z = X[lo:hi, None, :] - X[None, :, :]
-        dB = rng.normal(scale=np.sqrt(dt), size=Z.shape)
-        db, ns = coeffs.terms(Z, dB)
-        drift[lo:hi] = db.sum(axis=1)
-        noise[lo:hi] = ns.sum(axis=1)
-    scale = n - 1
-    return X + (dt / scale) * drift + noise / np.sqrt(scale), n * (n - 1)
 
 
 def _step_subsampled(X, coeffs, dt, m, rng):
@@ -225,9 +201,7 @@ def step(cloud, config, rng):
     m = 64 if config.m is None else config.m
     # overflow/invalid intermediates surface as the non-finite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.pairing == "full":
-            Xn, events = _step_full(X, coeffs, config.dt, rng)
-        elif config.pairing == "subsampled":
+        if config.pairing == "subsampled":
             Xn, events = _step_subsampled(X, coeffs, config.dt, m, rng)
         else:
             Xn, events = _step_conservative(X, coeffs, config.dt, m, rng)

@@ -38,7 +38,7 @@ def fake_coupled(times):
     return SimpleNamespace(
         times=np.asarray(times, dtype=float),
         paired_l2=np.linspace(0.0, 0.2, m),
-        w2=np.full(m, np.nan),
+        terminal_w2=np.nan,
         m2_boltz=np.full(m, 3.0),
         m2_landau=np.full(m, 3.01),
         sup_paired_l2=0.2,
@@ -99,9 +99,9 @@ def test_diagnostics_json_key_order_and_nan():
 def test_coupled_csv_and_summary():
     res = fake_coupled([0.0, 0.1, 0.3])
     lines = coupled_csv_text(res).strip().split("\n")
-    assert lines[0] == "t,paired_l2,w2,m2_boltz,m2_landau"
+    assert lines[0] == "t,paired_l2,m2_boltz,m2_landau"
     assert len(lines) == 4
-    assert lines[1].split(",")[2] == "nan"
+    assert lines[1] == "0.0,0.0,3.0,3.01"
     summary = json.loads(coupled_summary_json_text(res))
     assert summary["terminal_paired_l2"] == 0.2
     assert summary["terminal_w2"] is None
@@ -120,7 +120,7 @@ def test_sweep_csv_and_summary_schema():
         proven_exponent=5.0 / 13.0, conjectured_exponent=1.0,
         verdict="decreasing", series=series)
     lines = sweep_csv_text(report).strip().split("\n")
-    assert lines[0] == "eps,seed,t,paired_l2,w2,m2_boltz,m2_landau"
+    assert lines[0] == "eps,seed,t,paired_l2,m2_boltz,m2_landau"
     assert len(lines) == 1 + 2 * 3 * 2
     # eps column carries the exact float, seed the int
     cell = lines[1].split(",")

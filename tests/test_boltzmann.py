@@ -163,10 +163,7 @@ def test_config_validation():
     for bad in (dict(good, n=1), dict(good, dt=0.0), dict(good, T=-1.0),
                 dict(good, theta_min=0.0), dict(good, theta_min=4.0),
                 dict(good, v_floor=-1.0), dict(good, update_mode="euler"),
-                dict(good, drift_subsample=0), dict(good, rate_cap=0.0),
-                dict(good, kernel="coulomb"),
-                # symmetric mode applies no drift, so it reads no subsample
-                dict(good, update_mode="symmetric", drift_subsample=64)):
+                dict(good, rate_cap=0.0), dict(good, kernel="coulomb")):
         with pytest.raises(ParameterError):
             BoltzmannConfig(**bad)
 
@@ -234,7 +231,12 @@ def test_run_schedule_and_diagnostics():
         run(cfg, c0, schedule=[0.2])
 
 
-def _reference_step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
+# The drift subsample of the oracle tests, which set boltzmann's
+# _DRIFT_SUBSAMPLE to it
+DRIFT_SUB = 16
+
+
+def _reference_step_nanbu(X0, kernel, theta_eff, v_floor, dt, rng):
     # the per-owner clock loop in row form, kept as the column form's
     # oracle; it shares the production nearest-neighbour bound
     B = boltzmann
@@ -279,12 +281,11 @@ def _reference_step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
         clock[owners] += rng.standard_exponential(owners.size) / \
             (rate * M[owners])
         owners = owners[clock[owners] < 1.0]
-    _compensate(X, X0, kernel, theta_eff, v_floor, dt, drift_sub, rng)
+    _compensate(X, X0, kernel, theta_eff, v_floor, dt, rng)
     return X, events
 
 
-def _global_cap_step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub,
-                           rng):
+def _global_cap_step_nanbu(X0, kernel, theta_eff, v_floor, dt, rng):
     # the row-wise loop before per-owner bounds: Poisson(lam) candidates per
     # owner at the global cap lam = 2 pi H(theta_min) Phi(v_floor) dt, kept
     # as the law reference of the clock loop
@@ -314,17 +315,17 @@ def _global_cap_step_nanbu(X0, kernel, theta_eff, v_floor, dt, drift_sub,
             phi_ang = rng.uniform(0.0, 2.0 * np.pi, idx.size)
             X[idx] = V + jump_c(kernel, V, W, z, phi_ang)
         events += int(idx.size)
-    _compensate(X, X0, kernel, theta_eff, v_floor, dt, drift_sub, rng)
+    _compensate(X, X0, kernel, theta_eff, v_floor, dt, rng)
     return X, events
 
 
-def _compensate(X, X0, kernel, theta_eff, v_floor, dt, drift_sub, rng):
+def _compensate(X, X0, kernel, theta_eff, v_floor, dt, rng):
     # row-wise analytic drift of the compensated small-angle tail, in place
     B = boltzmann
     n = X0.shape[0]
     k_res = residual_k(kernel, theta_eff)
     if k_res > 0.0:
-        m = min(drift_sub, n - 1)
+        m = min(DRIFT_SUB, n - 1)
         J = rng.integers(0, n - 1, size=(n, m))
         J[J >= np.arange(n)[:, None]] += 1
         Z = X[:, None, :] - X0[J]
@@ -352,7 +353,8 @@ def _duplicated_cloud(n, seed):
     pytest.param(SoftKernel(-0.5, 0.6), np.pi / 256, 0.5, 0.01, True,
                  id="soft-small-lambda"),
 ])
-def test_nanbu_step_matches_row_oracle(kernel, theta_eff, v_floor, dt, dup):
+def test_nanbu_step_matches_row_oracle(monkeypatch, kernel, theta_eff,
+                                       v_floor, dt, dup):
     # the column-form clock loop must give the same bytes and event count
     # as the row-wise loop, on both the all-owners rounds and the tail
     # rounds
@@ -369,17 +371,18 @@ def test_nanbu_step_matches_row_oracle(kernel, theta_eff, v_floor, dt, dup):
     first = rngstreams.stream(5, "oracle").standard_exponential(n) / lam
     assert (first < 1.0).all() == (lam.min() > 1.0)
     assert (first < 1.0).any()
+    monkeypatch.setattr(boltzmann, "_DRIFT_SUBSAMPLE", DRIFT_SUB)
     X_new, ev_new = boltzmann._step_nanbu(
-        X0, kernel, theta_eff, v_floor, dt, 16, rngstreams.stream(5, "oracle"))
+        X0, kernel, theta_eff, v_floor, dt, rngstreams.stream(5, "oracle"))
     X_ref, ev_ref = _reference_step_nanbu(
-        X0, kernel, theta_eff, v_floor, dt, 16, rngstreams.stream(5, "oracle"))
+        X0, kernel, theta_eff, v_floor, dt, rngstreams.stream(5, "oracle"))
     assert ev_new == ev_ref > 0
     assert X_new.flags.c_contiguous and X_new.shape == X_ref.shape
     assert X_new.tobytes() == X_ref.tobytes()
 
 
 @pytest.mark.slow
-def test_nanbu_law_matches_global_cap_sampler():
+def test_nanbu_law_matches_global_cap_sampler(monkeypatch):
     # per-owner majorants change the draws, not the law: one step from a
     # fixed cloud, mean events and mean m2 of the clock loop and of the
     # global-cap loop agree within 3 combined standard errors (n = 32, so
@@ -387,12 +390,13 @@ def test_nanbu_law_matches_global_cap_sampler():
     kern = GrazingKernel(-0.5, 0.6, np.pi / 8)
     theta_eff, v_floor, dt = kern.eps / 64.0, 0.05, 0.01
     X0 = sample_initial(GAUSS, 32, rngstreams.stream(8, "init-law")).velocities
+    monkeypatch.setattr(boltzmann, "_DRIFT_SUBSAMPLE", DRIFT_SUB)
     stats = {}
     for name, sampler in (("clock", boltzmann._step_nanbu),
                           ("global-cap", _global_cap_step_nanbu)):
         out = np.empty((300, 2))
         for s in range(300):
-            X, ev = sampler(X0, kern, theta_eff, v_floor, dt, 16,
+            X, ev = sampler(X0, kern, theta_eff, v_floor, dt,
                             rngstreams.stream(s, "law-" + name))
             out[s] = ev, np.mean(np.sum(X * X, axis=1))
         stats[name] = out.mean(axis=0), out.std(axis=0, ddof=1) / np.sqrt(300)

@@ -165,7 +165,7 @@ def test_coupled_run_artifacts(tmp_path):
                  "--subdivision-n", "2", "--seed", "3",
                  "--out-dir", str(tmp_path)]) == 0
     header, rows = read_table(tmp_path / "coupled.csv")
-    assert header == "t,paired_l2,w2,m2_boltz,m2_landau"
+    assert header == "t,paired_l2,m2_boltz,m2_landau"
     assert float(rows[0][1]) == 0.0 and float(rows[-1][0]) == 0.3
     summary = json.loads((tmp_path / "coupled_summary.json").read_text())
     assert summary["terminal_paired_l2"] == float(rows[-1][1])
@@ -200,7 +200,7 @@ def test_rate_sweep_and_fit_rate_agree(tmp_path, family, kernel_args,
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert summary["verdict"] == "decreasing"
     header, rows = read_table(tmp_path / "sweep.csv")
-    assert header == "eps,seed,t,paired_l2,w2,m2_boltz,m2_landau"
+    assert header == "eps,seed,t,paired_l2,m2_boltz,m2_landau"
     # every (eps, seed) series is present, bracketed by t = 0 and t = T
     series = {}
     for r in rows:
@@ -247,6 +247,11 @@ RATE_SWEEP = ["rate-sweep", "--family", "grazing", "--gamma", "-0.5",
               "--n", "48", "--T", "0.3"]
 COULOMB_SWEEP = ["rate-sweep", "--family", "coulomb",
                  "--eps-list", "0.3,0.1,0.03,0.01", "--n", "48", "--T", "0.3"]
+SIMULATE_BOLTZMANN = ["simulate-boltzmann", "--family", "grazing",
+                      "--gamma", "-0.5", "--nu", "0.6", "--eps", "pi/8",
+                      "--n", "48", "--dt", "0.05", "--T", "0.1"]
+SIMULATE_LANDAU = ["simulate-landau", "--gamma", "-1.5", "--n", "32",
+                   "--dt", "0.05", "--T", "0.1"]
 
 
 @pytest.mark.parametrize("base, key, value", [
@@ -268,12 +273,19 @@ COULOMB_SWEEP = ["rate-sweep", "--family", "coulomb",
     (COULOMB_SWEEP, "h_eps", 0.5),
     (COULOMB_SWEEP, "gamma", -0.5),
     (COULOMB_SWEEP, "nu", 0.3),
+    # a sweep measures no W2, and coupled-run only the terminal one
+    (RATE_SWEEP, "w2_mode", "terminal"),
+    (COUPLED_RUN, "w2_mode", "all"),
+    # neither simulator has these any more
+    (SIMULATE_LANDAU, "pairing", "full"),
+    (SIMULATE_BOLTZMANN, "drift_subsample", 2),
 ], ids=lambda v: (v[0] + "-" + v[2] if v is COULOMB_SWEEP
                   else v[0] if isinstance(v, list) else str(v)))
 def test_coupled_commands_reject_solver_options(tmp_path, base, key, value):
     # the coupled integrator reads none of these (coupled-run and a grazing
     # sweep have no dt or h_eps, a Coulomb sweep has gamma = -3 and h_eps =
-    # eps): no flag, no config key
+    # eps), nor does any command take the removed values: no flag, no
+    # config key
     out = tmp_path / "never"
     flag = "--" + key.replace("_", "-")
     assert main(base + [flag, str(value), "--out-dir", str(out)]) == 2
@@ -282,11 +294,6 @@ def test_coupled_commands_reject_solver_options(tmp_path, base, key, value):
     assert not out.exists()
 
 
-SIMULATE_BOLTZMANN = ["simulate-boltzmann", "--family", "grazing",
-                      "--gamma", "-0.5", "--nu", "0.6", "--eps", "pi/8",
-                      "--n", "48", "--dt", "0.05", "--T", "0.1"]
-SIMULATE_LANDAU = ["simulate-landau", "--gamma", "-1.5", "--n", "32",
-                   "--dt", "0.05", "--T", "0.1"]
 VERIFY_KERNELS = ["verify-kernels", "--family", "grazing", "--gamma", "-0.5",
                   "--nu", "0.6", "--eps-list", "pi/2"]
 
@@ -329,16 +336,11 @@ COULOMB_COUPLED = ["coupled-run", "--family", "coulomb", "--eps", "0.1",
     # a Coulomb support starts at eps: no theta_min below it
     (COULOMB_RUN, ["--theta-min", "0.5"], "theta_min"),
     (COULOMB_COUPLED, ["--theta-min", "0.5"], "theta_min"),
-    # symmetric mode applies no drift, full pairing takes every pair
-    (SIMULATE_BOLTZMANN + ["--update-mode", "symmetric"],
-     ["--drift-subsample", "2"], "drift_subsample"),
-    (SIMULATE_LANDAU + ["--pairing", "full"], ["--m", "3"], "m"),
     # the default initial distribution is isotropic-gaussian
     (SIMULATE_LANDAU, ["--initial-radius", "3", "--initial-sigma2-hot", "9"],
      "radius', 'sigma2_hot"),
 ], ids=["simulate-boltzmann-coulomb-theta_min",
-        "coupled-run-coulomb-theta_min", "symmetric-drift_subsample",
-        "full-pairing-m", "gaussian-radius"])
+        "coupled-run-coulomb-theta_min", "gaussian-radius"])
 def test_options_the_run_never_reads_exit_2(tmp_path, base, flags, refused,
                                             capsys):
     out = tmp_path / "never"

@@ -17,6 +17,7 @@ from grazekit.coupling import (CouplingPlan, Subdivision, build_subdivision,
 from grazekit.errors import InstabilityError, ParameterError
 from grazekit.kernels import (CoulombKernel, GrazingKernel, SoftKernel,
                               window_moments)
+from grazekit.metrics import w2_exact
 from grazekit.particles import ParticleCloud, sample_initial
 
 GAUSS = {"name": "isotropic-gaussian", "sigma2": 1.0}
@@ -121,7 +122,6 @@ def test_grazing_sweep_frozen_values(grazing_sweep):
     assert rep.conjectured_exponent == 1.0
     assert rep.distances.shape == (4, 10)
     assert np.all(rep.sup_distances >= rep.distances - 1e-12)
-    assert np.isnan(rep.w2).all()  # w2_mode defaults to "none"
 
 
 def test_largest_vs_smallest_eps(grazing_sweep):
@@ -169,8 +169,9 @@ def test_sweep_validation_errors():
 def test_coupled_run_compat_errors():
     kern, sub, cloud = grazing_setup(64)
     plan = CouplingPlan(kernel=kern, seed=0, subdivision=sub)
-    with pytest.raises(ParameterError):
-        coupled_run(plan, cloud, w2_mode="sometimes")
+    for w2_mode in ("sometimes", "all"):
+        with pytest.raises(ParameterError, match="w2_mode"):
+            coupled_run(plan, cloud, w2_mode=w2_mode)
     plan_empty = CouplingPlan(kernel=kern, seed=0, subdivision=sub, eta=1e-6)
     with pytest.raises(ParameterError):
         coupled_run(plan_empty, cloud)                    # empty window
@@ -233,8 +234,8 @@ def test_zero_relative_velocity_rows_stay_finite_and_quiet(family, reg_delta):
         == [7, 27, 42]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = coupled_run(plan, cloud, w2_mode="all")
-    for field in ("paired_l2", "w2", "m2_boltz", "m2_landau"):
+        res = coupled_run(plan, cloud, w2_mode="terminal")
+    for field in ("paired_l2", "terminal_w2", "m2_boltz", "m2_landau"):
         assert np.all(np.isfinite(getattr(res, field)))
     assert np.all(np.isfinite(res.boltz_cloud.velocities))
     assert np.all(np.isfinite(res.landau_cloud.velocities))
@@ -245,14 +246,13 @@ def test_w2_modes():
     kern, sub, cloud = grazing_setup(64)
     plan = CouplingPlan(kernel=kern, seed=3, subdivision=sub)
     none = coupled_run(plan, cloud)
-    assert np.isnan(none.w2).all()
+    assert np.isnan(none.terminal_w2)
     term = coupled_run(plan, cloud, w2_mode="terminal")
-    assert np.isnan(term.w2[:-1]).all() and term.w2[-1] > 0.0
-    full = coupled_run(plan, cloud, w2_mode="all")
-    assert full.w2[0] == 0.0
+    assert np.array_equal(term.paired_l2, none.paired_l2)
+    assert term.terminal_w2 == w2_exact(term.boltz_cloud.velocities,
+                                        term.landau_cloud.velocities)
     # assignment-optimal transport never exceeds the identity pairing
-    assert np.all(full.w2 <= full.paired_l2 + 1e-12)
-    assert term.w2[-1] == pytest.approx(full.w2[-1], rel=1e-12)
+    assert 0.0 < term.terminal_w2 <= term.paired_l2[-1] + 1e-12
 
 
 def test_subdivision_dataclass_shape():
@@ -282,17 +282,14 @@ def count_streams(monkeypatch):
     return names
 
 
-@pytest.mark.parametrize("w2_mode", ["terminal", "all"])
+@pytest.mark.parametrize("w2_mode", ["terminal"])
 def test_w2_size_guard_fails_before_slab_compute(monkeypatch, w2_mode):
     kern, sub, cloud = grazing_setup(4097)
     names = count_streams(monkeypatch)
     with pytest.raises(ParameterError, match="4096"):
         coupled_run(CouplingPlan(kernel=kern, seed=3, subdivision=sub), cloud,
                     w2_mode=w2_mode)
-    with pytest.raises(ParameterError, match="4096"):
-        rate_sweep("grazing", GRAZING_EPS, range(10), n=4097, T=0.5,
-                   w2_mode=w2_mode, **GRAZING)
-    assert names and not [m for m in names if m.startswith("slab-")]
+    assert names == []
 
 
 def small_grazing_sweep():
@@ -486,12 +483,13 @@ def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
                             eta=1.0 / math.log(100.0))
         if setup == "coulomb-fallback":
             monkeypatch.setattr(coupling, "_NORMAL_FALLBACK", 300)
-    new = coupled_run(plan, cloud, w2_mode="all")
+    new = coupled_run(plan, cloud, w2_mode="terminal")
     calls = []
     monkeypatch.setattr(coupling, "_angle_sums", reference_sampler(calls))
-    ref = coupled_run(plan, cloud, w2_mode="all")
-    for field in ("times", "paired_l2", "w2", "m2_boltz", "m2_landau"):
+    ref = coupled_run(plan, cloud, w2_mode="terminal")
+    for field in ("times", "paired_l2", "m2_boltz", "m2_landau"):
         assert np.array_equal(getattr(new, field), getattr(ref, field))
+    assert new.terminal_w2 == ref.terminal_w2
     assert np.array_equal(new.boltz_cloud.velocities,
                           ref.boltz_cloud.velocities)
     assert np.array_equal(new.landau_cloud.velocities,

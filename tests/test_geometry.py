@@ -113,9 +113,10 @@ def test_frame_cross_bit_identical_to_np_cross(case):
     I_ref, J_ref = _frame_np_cross(X)
     assert np.array_equal(I, I_ref)
     assert np.array_equal(J, J_ref)
-    # the cross itself, on inputs with no frame structure
+    # the cross itself, on component-first stacks with no frame structure
     A, B = rand_vecs(rng, 1000, spread=60.0), rand_vecs(rng, 1000, spread=60.0)
-    assert np.array_equal(G._cross(A, B), np.cross(A, B))
+    C = G._cross_c(np.ascontiguousarray(A.T), np.ascontiguousarray(B.T))
+    assert np.array_equal(C.T, np.cross(A, B))
 
 
 # ---------------------------------------------------------------------------

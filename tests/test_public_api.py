@@ -1,6 +1,7 @@
 """Package structure: every public name is defined where it is exported
-and has a caller, quadrature lives in two modules with one panel rule, and
-no module imports scipy when it is itself imported.
+and has a caller, quadrature lives in two modules with one panel rule, no
+module imports scipy when it is itself imported, and every attribute the
+benchmark tracer wraps exists.
 
 A name in a module's __all__ must be defined by that module, not re-exported
 from another, and used somewhere in the package or in the acceptance suite:
@@ -9,7 +10,9 @@ tests call is dead weight; wire it in or delete it together with its tests.
 """
 
 import ast
+import importlib.util
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "grazekit").glob("*.py"))
@@ -118,3 +121,24 @@ def test_only_kernels_and_verifiers_integrate():
     rules = sorted(path.stem for path in SOURCES
                    if "leggauss" in path.read_text(encoding="utf-8"))
     assert rules == ["kernels"]
+
+
+def test_benchmark_tracer_wraps_and_restores_every_name(monkeypatch):
+    # perfbench/tracer.py wraps grazekit attributes by name, so a renamed or
+    # deleted one stops every traced benchmark run with an AttributeError
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer("tier1")
+    try:
+        tracer_mod.instrument(tracer)
+        wrapped = list(tracer._originals)
+        assert all(getattr(owner, attr) is not original
+                   for owner, attr, original in wrapped)
+    finally:
+        tracer.restore()
+    assert all(getattr(owner, attr) is original
+               for owner, attr, original in wrapped)
