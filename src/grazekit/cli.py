@@ -40,8 +40,8 @@ from .geometry import deviate, frame, gamma_from_frame, phi_zero
 from .kernels import k_constant, kernel_from_params, r_eta, theta_moment
 from .landau import LandauConfig
 from .particles import _DISTS, sample_initial
-from .verifiers import (PoissonIntegralSpec, gronwall_bound_check,
-                        poisson_gaussian_w2, psi)
+from .verifiers import (PoissonIntegralSpec, _check_sample_count,
+                        gronwall_bound_check, poisson_gaussian_w2, psi)
 
 __all__ = ["main", "build_parser"]
 
@@ -345,6 +345,9 @@ def _cmd_verify_appendix(cfg, out_dir):
     samples = cfg.get("samples", 2048)
     t_list = cfg.get("t_list", [1.0, 10.0, 100.0])
     seed = _seed(cfg)
+    # every input is checked before the psi and Gronwall checks run
+    _check_sample_count(samples)
+    specs = [PoissonIntegralSpec(np.eye(3), np.ones(3), t) for t in t_list]
 
     x = np.linspace(0.0, 3.0, 601)
     px = psi(x)
@@ -362,14 +365,12 @@ def _cmd_verify_appendix(cfg, out_dir):
         rows.append((f"gronwall[a={a:g}]", rep.rho_T / rep.bound, 1.0,
                      rep.satisfied))
 
-    spec_atoms = np.eye(3)
-    for i, t in enumerate(t_list):
-        spec = PoissonIntegralSpec(spec_atoms, np.ones(3), t)
+    for i, spec in enumerate(specs):
         rep = poisson_gaussian_w2(spec, samples,
                                   rngstreams.stream(seed, "pg-verify", i))
         ok = rep.ratio <= 2.0 and rep.mean_ok and rep.cov_ok
-        rows.append((f"poisson-gaussian[t={t:g}]", rep.ratio, 2.0, ok))
-        rows.append((f"poisson-gaussian-control[t={t:g}]",
+        rows.append((f"poisson-gaussian[t={spec.t:g}]", rep.ratio, 2.0, ok))
+        rows.append((f"poisson-gaussian-control[t={spec.t:g}]",
                      rep.control_ratio, 2.0, rep.control_ratio <= 2.0))
     return _finish_verify(cfg, out_dir, "verify_appendix.csv", rows)
 

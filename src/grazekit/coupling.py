@@ -55,12 +55,15 @@ rate_sweep builds and checks every (eps, seed) cell first, then runs the
 cells on every core in the process's CPU affinity (a forked process pool;
 in-process with one core or one cell).  Each cell draws only from streams
 keyed by its own seed and slab, so the report does not depend on the core
-count.
+count.  A cell sends back only its per-boundary series (CellSeries), not
+its terminal clouds, so what crosses the pool's pipes and what the sweep
+holds until its end does not grow with n.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +79,8 @@ from .particles import (ParticleCloud, draw_companions, sample_initial,
                         speed_floor)
 
 __all__ = ["Subdivision", "default_h", "build_subdivision", "CouplingPlan",
-           "CoupledResult", "coupled_run", "SweepReport", "rate_sweep",
-           "fit_verdict"]
+           "CoupledResult", "coupled_run", "CellSeries", "SweepReport",
+           "rate_sweep", "fit_verdict"]
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +539,15 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
 # eps sweep
 # ---------------------------------------------------------------------------
 
+class CellSeries(NamedTuple):
+    """What a sweep keeps of one cell's coupled run: its per-boundary
+    series, without the terminal clouds."""
+    times: np.ndarray
+    paired_l2: np.ndarray
+    m2_boltz: np.ndarray
+    m2_landau: np.ndarray
+
+
 @dataclass
 class SweepReport:
     family: str
@@ -554,7 +566,7 @@ class SweepReport:
     proven_exponent: float
     conjectured_exponent: float
     verdict: str
-    series: dict               # (eps, seed) -> CoupledResult
+    series: dict               # (eps, seed) -> CellSeries
 
 
 # The cells of the running sweep, set only while rate_sweep runs them.
@@ -565,7 +577,9 @@ _CELLS = None
 
 def _run_cell(index):
     plan, cloud = _CELLS[index]
-    return index, coupled_run(plan, cloud)
+    res = coupled_run(plan, cloud)
+    return index, CellSeries(res.times, res.paired_l2, res.m2_boltz,
+                             res.m2_landau)
 
 
 def _process_count(n_cells):
@@ -577,7 +591,8 @@ def _process_count(n_cells):
 
 
 def _run_cells(cells, order):
-    """coupled_run on every cell; results come back in cell order.
+    """coupled_run on every cell; each cell's CellSeries comes back, in cell
+    order.
 
     With more than one process the cells run in a forked process pool, one
     cell per task, started in the given order, and a cell's exception
@@ -646,6 +661,8 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         raise ParameterError("need >= 4 strictly decreasing eps values")
     if len(seeds) < 10 or len(set(seeds)) != len(seeds):
         raise ParameterError("need >= 10 distinct seeds")
+    if not p > 0:
+        raise ParameterError(f"moment exponent p must be positive, got {p}")
     expo = 2.0 * p / (2.0 * p + 3.0)
 
     clouds = {s: sample_initial({"name": "isotropic-gaussian", "sigma2": 1.0},
@@ -696,7 +713,7 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         m2_0 = clouds[seeds[j]].m2()
         series[(eps_list[i], seeds[j])] = res
         dist[i, j] = res.paired_l2[-1]
-        sup_dist[i, j] = res.sup_paired_l2
+        sup_dist[i, j] = np.max(res.paired_l2)
         drift_b[i, j] = res.m2_boltz[-1] / m2_0 - 1.0
         drift_l[i, j] = res.m2_landau[-1] / m2_0 - 1.0
 

@@ -22,6 +22,15 @@ def _as_cloud(A) -> np.ndarray:
     return A
 
 
+def _check_w2_size(n):
+    """Refuse a cloud size above the exact-assignment guard."""
+    if n > _W2_SIZE_GUARD:
+        raise ParameterError(
+            f"N={n} above the exact-assignment guard {_W2_SIZE_GUARD}; "
+            "compare subsampled clouds, or use the paired-L2 distance, "
+            "an upper bound of W2")
+
+
 def w2_exact(A, B) -> float:
     """Wasserstein-2 distance between two equal-size empirical clouds,
     by optimal assignment on squared Euclidean costs."""
@@ -29,11 +38,7 @@ def w2_exact(A, B) -> float:
     if A.shape != B.shape:
         raise ParameterError(f"size mismatch: {A.shape} vs {B.shape}")
     n = A.shape[0]
-    if n > _W2_SIZE_GUARD:
-        raise ParameterError(
-            f"N={n} above the exact-assignment guard {_W2_SIZE_GUARD}; "
-            "compare subsampled clouds, or use the paired-L2 distance, "
-            "an upper bound of W2")
+    _check_w2_size(n)
     # scipy loads in the call, not at import, so commands that never
     # measure W2 or entropy (rate-sweep among them) start without it
     from scipy.optimize import linear_sum_assignment

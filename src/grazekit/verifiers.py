@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .metrics import w2_exact
+from .metrics import _check_w2_size, w2_exact
 
 __all__ = [
     "psi",
@@ -266,6 +266,14 @@ def _moment_checks(Z, target_cov):
     return mean_ok, cov_ok
 
 
+def _check_sample_count(sample_count):
+    """The realization counts poisson_gaussian_w2 accepts: >= 1000, and at
+    most the exact-W2 assignment guard."""
+    if sample_count < 1000:
+        raise ParameterError("sample_count must be >= 1000")
+    _check_w2_size(sample_count)
+
+
 def poisson_gaussian_w2(spec, sample_count, rng):
     """Sample Z_t and N(0, t Gamma), compare their empirical W2.
 
@@ -288,8 +296,7 @@ def poisson_gaussian_w2(spec, sample_count, rng):
     -------
     PoissonGaussianReport
     """
-    if sample_count < 1000:
-        raise ParameterError("sample_count must be >= 1000")
+    _check_sample_count(sample_count)
     m = int(sample_count)
     t, atoms, w = spec.t, spec.atoms, spec.weights
 

@@ -82,6 +82,23 @@ def test_verify_appendix_passes(tmp_path):
     assert sum(r[0].startswith("poisson-gaussian[") for r in rows) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--samples", "5000"],                     # above the exact-W2 guard
+    ["--samples", "999"],
+    ["--t-list", "-1"],
+    ["--t-list", "1,0"],
+], ids=["samples-above-guard", "samples-below-1000", "t-negative", "t-zero"])
+def test_verify_appendix_checks_inputs_before_compute(tmp_path, monkeypatch,
+                                                      argv):
+    def computed(*args, **kwargs):
+        raise AssertionError("a check ran before the inputs were checked")
+
+    monkeypatch.setattr(grazekit.cli, "gronwall_bound_check", computed)
+    monkeypatch.setattr(grazekit.cli, "psi", computed)
+    assert main(["verify-appendix", *argv, "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "verify_appendix.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulations
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ frozen here; sweeps and coupled runs are deterministic given (config, seed).
 """
 
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -164,6 +165,11 @@ def test_sweep_validation_errors():
     with pytest.raises(ParameterError, match="coulomb kernel"):
         rate_sweep("coulomb", [0.3, 0.1, 0.03, 0.01], range(10), n=64,
                    T=0.3, gamma=-0.5)                    # gamma is -3
+    for p in (-2, 0):                                    # moment exponent
+        with pytest.raises(ParameterError, match=f"p must be positive, "
+                                                 f"got {p}$"):
+            rate_sweep("grazing", eps, range(10), n=64, T=0.5, p=p,
+                       **GRAZING)
 
 
 def test_coupled_run_compat_errors():
@@ -309,6 +315,24 @@ def test_sweep_pool_is_byte_identical_to_serial(monkeypatch):
         assert list(rep.series) == [(e, s) for e in rep.eps_list
                                     for s in rep.seeds]
     assert texts[2] == texts[1]
+
+
+def test_sweep_cell_sends_back_only_its_series(monkeypatch):
+    # a pool cell's record crosses a pipe and lives until the sweep ends:
+    # it holds the per-boundary series, and nothing whose size grows with n
+    sizes = []
+    for n_part in (48, 96):
+        kern, sub, cloud = grazing_setup(n_part, n_sub=2)
+        plan = CouplingPlan(kernel=kern, seed=3, subdivision=sub)
+        monkeypatch.setattr(coupling, "_CELLS", [(plan, cloud)])
+        index, record = coupling._run_cell(0)
+        assert index == 0
+        assert record._fields == ("times", "paired_l2", "m2_boltz",
+                                  "m2_landau")
+        assert all(isinstance(a, np.ndarray) and a.ndim == 1
+                   and a.size == sub.grid.size + 1 for a in record)
+        sizes.append(len(pickle.dumps(record)))
+    assert sizes[0] == sizes[1]
 
 
 def test_sweep_cell_errors_surface_unchanged(monkeypatch):
