@@ -4,13 +4,13 @@ Options resolve in three layers: hard defaults < config file (--config)
 < explicit flags.  Each flag is a config.KEYS key, "--" + key with "_" as
 "-", read by its kind's text parser.  A command's keys are derived from
 what it builds: the parameters of kernel_from_params, coupled_run and
-rate_sweep (with the CouplingPlan fields a sweep forwards), and the fields
-of BoltzmannConfig, LandauConfig and CouplingPlan but kernel, seed and
-subdivision.  The initial_* keys are the sample_initial parameters.  Only
-keys of no signature are listed: schedule, subdivision_n, seed where a
-command draws, and the verify-* and fit-rate keys.  A command takes a flag
-for each of its keys and refuses any other config key but version; a key
-left out takes its signature's default.
+rate_sweep, and the fields of BoltzmannConfig, LandauConfig and
+CouplingPlan but kernel, seed and subdivision.  The initial_* keys are the
+sample_initial parameters.  Only keys of no signature are listed:
+schedule, subdivision_n, seed where a command draws, and the verify-* and
+fit-rate keys.  A command takes a flag for each of its keys and refuses
+any other config key but version; a key left out takes its signature's
+default.
 
 Every command validates everything before writing anything, emits its
 artifacts in one pass, and finishes with manifest.json (config echo, seed,
@@ -32,8 +32,8 @@ from . import artifacts, boltzmann, landau, rngstreams
 from .boltzmann import BoltzmannConfig
 from .config import (CONFIG_VERSION, KEYS, default_out_dir, echo_form,
                      flag_type, format_angle, load_config, validate_config)
-from .coupling import (_SWEEP_RECIPE, CouplingPlan, build_subdivision,
-                       coupled_run, default_h, fit_verdict, rate_sweep)
+from .coupling import (CouplingPlan, build_subdivision, coupled_run,
+                       default_h, fit_verdict, rate_sweep)
 from .errors import (DegenerateInputError, InstabilityError, ParameterError,
                      StabilityError)
 from .geometry import deviate, frame, gamma_from_frame, phi_zero
@@ -74,8 +74,7 @@ _BOLTZ_KEYS = _keys(BoltzmannConfig)
 _LANDAU_KEYS = _keys(LandauConfig)
 _PLAN_KEYS = _keys(CouplingPlan)
 _RUN_KEYS = _keys(coupled_run)
-_SWEEP_KEYS = _keys(rate_sweep) + tuple(k for k in _PLAN_KEYS
-                                        if k not in _SWEEP_RECIPE)
+_SWEEP_KEYS = _keys(rate_sweep)
 # initial_name, and initial_ plus each sample_initial distribution parameter
 _INITIAL_KEYS = ("initial_name",) + tuple(
     "initial_" + k for params in _DISTS.values() for k in params)
@@ -417,6 +416,11 @@ def _read_sweep_csv(path):
         raise ParameterError(f"{path}: bad numeric field: {exc}") from None
     if not terminal:
         raise ParameterError(f"{path}: no data rows")
+    for (eps, seed), d in terminal.items():
+        if not (d > 0.0 and math.isfinite(d)):
+            raise ParameterError(
+                f"{path}: terminal paired_l2 at eps={eps:g} seed={seed} is "
+                f"{d!r}; a distance to fit must be finite and > 0")
     return terminal
 
 

@@ -46,9 +46,10 @@ which folds the window map into the closed-form inverse: the soft and
 grazing tails take both sines of theta from libm, the Coulomb tail reads
 them off its inverse without a sine call.  cos phi and sin phi come from a
 1025-entry table and the angle-addition formula (_azimuth_cos_sin), within
-5e-16 of np.cos and np.sin.  Each particle's sums are pairwise
+5e-16 of np.cos and np.sin.  Each particle's five sums are pairwise
 (np.add.reduceat), and its (1 - cos theta) sum is that of the terms
-2 sin^2(theta/2) rounded once.  The window moments come from
+2 sin^2(theta/2) rounded once; the above-eta band reads the first three
+and drops its theta sums.  The window moments come from
 kernels.window_moments.
 
 rate_sweep builds and checks every (eps, seed) cell first, then runs the
@@ -69,14 +70,15 @@ import numpy as np
 
 from . import rngstreams
 from .boltzmann import _check_jump_options, _theta_min_eff
-from .errors import InstabilityError, ParameterError
+from .errors import ParameterError
 from .geometry import _align, _dot, _frame, _norm, _safe
 from .kernels import (CoulombKernel, kernel_from_params, residual_k,
                       window_moments)
 from .landau import _check_gamma, _scalar_factor
-from .metrics import _W2_SIZE_GUARD, w2_exact
+from .metrics import _check_w2_size, w2_exact
 from .particles import (ParticleCloud, draw_companions, sample_initial,
                         speed_floor)
+from .trajectory import check_finite
 
 __all__ = ["Subdivision", "default_h", "build_subdivision", "CouplingPlan",
            "CoupledResult", "coupled_run", "CellSeries", "SweepReport",
@@ -107,11 +109,6 @@ class Subdivision:
     def riemann_sum(self):
         """Sum over cells of (a_{i+1} - a_i) h(a_i)."""
         return float(np.sum(self.widths * self.h_values[:-1]))
-
-    def slab_bounds(self):
-        """All integration slabs including the leading [0, a_0]."""
-        edges = np.concatenate(([0.0], self.grid))
-        return list(zip(edges[:-1], edges[1:]))
 
 
 def default_h(s):
@@ -313,11 +310,11 @@ def _azimuth_cos_sin(u):
     return cos_p, sin_p
 
 
-def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
-    """Per-particle sums of (1-cos th), sin th cos/sin ph and, with
-    theta_sums, th cos/sin ph over `counts` draws from the window tail law;
-    z in [z_lo, z_lo+mass].  Returns a (5, n) array, (3, n) without
-    theta_sums.
+def _angle_sums(rng, counts, kernel, z_lo, mass, n):
+    """Per-particle sums of (1-cos th), sin th cos/sin ph and th cos/sin ph
+    over `counts` draws from the window tail law; z in [z_lo, z_lo+mass].
+    Returns a (5, n) array; the band above eta reads only its first three
+    rows.
 
     Draw order: draw i, particle by particle, reads word 2i as its z
     uniform and word 2i+1 as its azimuth uniform; each block takes its
@@ -333,12 +330,11 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
     remainders correct it far below an ulp.  A segment depends on its own
     terms alone, so the bytes do not depend on the blocks; a particle
     without draws keeps +0.0."""
-    k = 5 if theta_sums else 3
-    sums = np.zeros((k, n))
+    sums = np.zeros((5, n))
     snap = math.ldexp(3.0, (2 * int(np.max(counts))).bit_length())
     blocks = list(_blocks(counts, int(np.sum(counts))))
     width = max((s1 - s0 for _, _, s0, s1 in blocks), default=0)
-    words, terms = np.empty((width, 2)), np.empty((k + 1, width))
+    words, terms = np.empty((width, 2)), np.empty((6, width))
     for p0, p1, s0, s1 in blocks:
         size = s1 - s0
         u = rng.random(out=words[:size])
@@ -347,22 +343,21 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
         w = terms[:, :size]
         np.square(sin_h, out=w[0])
         w[0] *= 2.0
-        # w[k] = h, w[0] rounded to a multiple of q; w[0] keeps the rest
-        np.add(w[0], snap, out=w[k])
-        w[k] -= snap
-        w[0] -= w[k]
+        # w[5] = h, w[0] rounded to a multiple of q; w[0] keeps the rest
+        np.add(w[0], snap, out=w[5])
+        w[5] -= snap
+        w[0] -= w[5]
         np.multiply(sin_t, cos_p, out=w[1])
         np.multiply(sin_t, sin_p, out=w[2])
-        if theta_sums:
-            np.multiply(th, cos_p, out=w[3])
-            np.multiply(th, sin_p, out=w[4])
+        np.multiply(th, cos_p, out=w[3])
+        np.multiply(th, sin_p, out=w[4])
         # reduceat gives w[:, i] for an empty segment, so only particles
         # with draws are reduced
         c = counts[p0:p1]
         nz = np.flatnonzero(c)
         seg = np.add.reduceat(w, (np.cumsum(c) - c)[nz], axis=1)
-        seg[0] += seg[k]
-        sums[:, p0 + nz] = seg[:k]
+        seg[0] += seg[5]
+        sums[:, p0 + nz] = seg[:5]
     return sums
 
 
@@ -375,11 +370,8 @@ def _check_run(plan, initial_cloud, w2_mode="none"):
     moments are cached before its pool forks."""
     if w2_mode not in ("none", "terminal"):
         raise ParameterError("w2_mode must be 'none' or 'terminal'")
-    n = initial_cloud.n
-    if w2_mode == "terminal" and n > _W2_SIZE_GUARD:
-        raise ParameterError(
-            "w2_mode 'terminal' needs the exact W2, guarded at "
-            f"N <= {_W2_SIZE_GUARD}; got n={n}")
+    if w2_mode == "terminal":
+        _check_w2_size(initial_cloud.n)
 
     kernel = plan.kernel
     sup_lo, sup_hi = kernel.support
@@ -409,7 +401,7 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     kernel = plan.kernel
     n = initial_cloud.n
     sub = plan.subdivision
-    slabs = sub.slab_bounds()
+    times = np.concatenate(([0.0], sub.grid))  # slab bounds, from [0, a_0]
 
     mass_w, mu1 = mom.mass, mom.one_cos / mom.mass
     var1 = max(mom.one_cos_sq / mom.mass - mu1 * mu1, 0.0)
@@ -432,12 +424,11 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     # both clouds component-first (3, n), as geometry works on them
     V = initial_cloud.velocities.T.copy()
     Y = V.copy()
-    times, dists = [0.0], [0.0]
+    dists = [0.0]
     m2b, m2l = [initial_cloud.m2()], [initial_cloud.m2()]
     events = 0
 
-    for k, (t0, t1) in enumerate(slabs):
-        delta_t = t1 - t0
+    for k, delta_t in enumerate(np.diff(times)):
         comp = draw_companions(plan.companion_stream(k), np.arange(n), n)
         rng_j = plan.jump_stream(k)
 
@@ -490,7 +481,7 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
             counts_lg = rng_j.poisson(lam_lg)
             events += int(counts_lg.sum())
             l1, l2, l3 = _angle_sums(rng_j, counts_lg, kernel, 0.0, mass_lg,
-                                     n, theta_sums=False)
+                                     n)[:3]
             s1 += l1 - lam_lg * (one_cos_lg / mass_lg)
             s2 += l2
             s3 += l3
@@ -508,16 +499,9 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
         Y_new = Yc + np.exp(-2.0 * phi_l * delta_t) * Z
         Y_new += np.where(okZ, kick2 * IZ + kick3 * JZ, 0.0)
 
-        bad = ~(np.all(np.isfinite(V_new), axis=0)
-                & np.all(np.isfinite(Y_new), axis=0))
-        if np.any(bad):
-            idx = np.where(bad)[0]
-            raise InstabilityError(
-                f"non-finite state after slab {k} (first indices "
-                f"{idx[:8].tolist()})", indices=idx)
+        check_finite(f"state after slab {k}", V_new.T, Y_new.T)
         V, Y = V_new, Y_new
 
-        times.append(t1)
         D = V - Y
         dists.append(float(np.sqrt(np.mean(_dot(D, D)))))
         m2b.append(float(np.mean(_dot(V, V))))
@@ -526,12 +510,12 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     w2 = w2_exact(V.T, Y.T) if w2_mode == "terminal" else np.nan
     V, Y = np.ascontiguousarray(V.T), np.ascontiguousarray(Y.T)
     return CoupledResult(
-        times=np.array(times), paired_l2=np.array(dists), terminal_w2=w2,
+        times=times, paired_l2=np.array(dists), terminal_w2=w2,
         m2_boltz=np.array(m2b), m2_landau=np.array(m2l),
         boltz_cloud=ParticleCloud(velocities=V, time=sub.T,
-                                  step_index=len(slabs), events=events),
+                                  step_index=times.size - 1, events=events),
         landau_cloud=ParticleCloud(velocities=Y, time=sub.T,
-                                   step_index=len(slabs)),
+                                   step_index=times.size - 1),
         events=events)
 
 
@@ -630,14 +614,8 @@ def _run_cells(cells, order):
 _FAMILIES = ("grazing", "coulomb")
 
 
-# The CouplingPlan fields a sweep's recipe sets in every cell; its
-# plan_options may set every other field.
-_SWEEP_RECIPE = ("kernel", "seed", "subdivision", "theta_min", "v_floor",
-                 "reg_delta", "eta")
-
-
 def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
-               nu=None, p=5, **plan_options):
+               nu=None, p=5, tanaka=True):
     """Coupled-distance sweep over a decreasing eps grid.
 
     Per (eps, seed) cell: build the kernel at eps (kernels.kernel_from_params;
@@ -649,8 +627,8 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
     fails before any compute.  The cells then run on every core in this
     process's CPU affinity, smallest eps first; the report is identical to
     a one-core run.  The fit and verdict are fit_verdict's.  seeds defaults
-    to 0..9.  plan_options (tanaka) go to every cell's CouplingPlan; the
-    recipe sets the _SWEEP_RECIPE fields.
+    to 0..9; tanaka goes to every cell's CouplingPlan, and the recipe sets
+    its other fields.
     """
     if family not in _FAMILIES:
         raise ParameterError("rate sweeps need family 'grazing' or 'coulomb'")
@@ -685,13 +663,12 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         for s in seeds:
             # grazing floors default to 1e-3 of the RMS speed in coupled_run;
             # theta_min keeps the kernel default: eps/64 for the grazing
-            # family, the support bottom eps for Coulomb.  The recipe sets
-            # the _SWEEP_RECIPE fields, plan_options the others.
+            # family, the support bottom eps for Coulomb.
             floor = 0.05 * math.sqrt(clouds[s].m2()) \
                 if family == "coulomb" else None
             plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
                                 theta_min=None, v_floor=floor, reg_delta=floor,
-                                eta=eta, **plan_options)
+                                eta=eta, tanaka=tanaka)
             _check_run(plan, clouds[s])
             cells.append((plan, clouds[s]))
 

@@ -400,17 +400,17 @@ def kernel_from_params(family: str, *, gamma: float | None = None,
 _PANELS, _ORDER, _FLOOR = 48, 16, 1e-10
 
 
-def theta_rule(kernel: Kernel, lo=0.0, hi: float = math.pi):
+def theta_rule(kernel: Kernel, lo=0.0):
     """Nodes theta and weights w * beta(theta) with sum(w f(theta)) close to
-    integral(f * beta) over [lo, hi] clipped to the kernel support.
+    integral(f * beta) from lo, raised to the kernel support bottom, up to
+    the support top hi.
 
     The one quadrature rule for beta-integrals with no closed form.  Its
     panels are geometric toward the lower edge, where beta is singular.  lo
     is a scalar, giving 1-D nodes and weights, or one value per row, giving
     (len(lo), _PANELS * _ORDER) arrays.
     """
-    s_lo, s_hi = kernel.support
-    hi = min(hi, s_hi)
+    s_lo, hi = kernel.support
     lo = np.maximum(lo, s_lo)
     edges = np.concatenate(
         [np.expand_dims(lo, -1),

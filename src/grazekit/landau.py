@@ -124,15 +124,15 @@ class LandauCoefficients:
 class LandauConfig:
     """Parameters of one Landau particle run.
 
-    m, the companions (subsampled) or matching rounds (conservative) per
-    step, defaults to 64."""
+    m: the companions (subsampled) or matching rounds (conservative) per
+    step."""
 
     gamma: float
     n: int
     dt: float
     T: float
     pairing: str = "subsampled"
-    m: int = None
+    m: int = 64
     reg_delta: float = None
     seed: int = 0
 
@@ -146,7 +146,7 @@ class LandauConfig:
             raise ParameterError("T must be >= 0")
         if self.pairing not in _PAIRINGS:
             raise ParameterError(f"pairing must be one of {_PAIRINGS}")
-        if self.m is not None and self.m < 1:
+        if self.m < 1:
             raise ParameterError("m must be >= 1")
         if self.reg_delta is not None and not (self.reg_delta >= 0.0):
             raise ParameterError("reg_delta must be >= 0")
@@ -197,8 +197,7 @@ def step(cloud, config, rng):
     check_cloud_size(cloud, config)
     coeffs = LandauCoefficients(config.gamma,
                                 speed_floor(config.reg_delta, cloud))
-    X = cloud.velocities
-    m = 64 if config.m is None else config.m
+    X, m = cloud.velocities, config.m
     # overflow/invalid intermediates surface as the non-finite check below
     with np.errstate(over="ignore", invalid="ignore"):
         if config.pairing == "subsampled":

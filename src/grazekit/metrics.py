@@ -13,6 +13,8 @@ from .errors import ParameterError
 __all__ = ["w2_exact", "entropy_knn"]
 
 _W2_SIZE_GUARD = 4096
+# neighbours per point of the entropy estimate
+_KNN_K = 4
 
 
 def _as_cloud(A) -> np.ndarray:
@@ -48,11 +50,12 @@ def w2_exact(A, B) -> float:
     return math.sqrt(cost[rows, cols].sum() / n)
 
 
-def entropy_knn(V, k: int = 4) -> float:
-    """H(f) = integral(f log f), estimated by the Kozachenko-Leonenko
-    k-nearest-neighbor method (sign-flipped differential entropy)."""
+def entropy_knn(V) -> float:
+    """H(f) = integral(f log f), the Kozachenko-Leonenko estimate on the
+    k = _KNN_K nearest neighbors (sign-flipped differential entropy)."""
     V = _as_cloud(V)
     n = V.shape[0]
+    k = _KNN_K
     if n < k + 1:
         raise ParameterError(f"need at least {k + 1} points for k={k}")
     from scipy.spatial import cKDTree

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstabilityError, ParameterError
-from .metrics import entropy_knn
+from .metrics import _KNN_K, entropy_knn
 from .particles import ParticleCloud
 
 __all__ = ["Trajectory", "snapshot_diagnostics", "run_schedule",
-           "check_cloud_size", "next_cloud"]
+           "check_cloud_size", "next_cloud", "check_finite"]
 
 
 @dataclass
@@ -33,10 +33,10 @@ class Trajectory:
 def snapshot_diagnostics(cloud: ParticleCloud) -> dict:
     """Scalar diagnostics emitted with every snapshot.
 
-    The entropy estimate needs at least k+1 = 5 points; tiny validation
-    clouds get NaN there rather than an error.
+    The entropy estimate needs more than metrics._KNN_K points; tiny
+    validation clouds get NaN there rather than an error.
     """
-    if cloud.n >= 5:
+    if cloud.n > _KNN_K:
         entropy = float(entropy_knn(cloud.velocities))
     else:
         entropy = float("nan")
@@ -90,12 +90,20 @@ def next_cloud(cloud, velocities, dt, events):
     """The cloud one step of length dt later, with `events` more events.
     Raises InstabilityError (with the offending particle indices) if any
     velocity is non-finite."""
-    bad = ~np.all(np.isfinite(velocities), axis=1)
-    if np.any(bad):
-        idx = np.where(bad)[0]
-        raise InstabilityError(
-            f"non-finite velocities after step {cloud.step_index} "
-            f"(first indices {idx[:8].tolist()})", indices=idx)
+    check_finite(f"velocities after step {cloud.step_index}", velocities)
     return ParticleCloud(velocities=velocities, time=cloud.time + dt,
                          step_index=cloud.step_index + 1,
                          events=cloud.events + events)
+
+
+def check_finite(where, *velocities):
+    """Raise InstabilityError "non-finite <where>", with the indices of the
+    offending particles, unless every row of each (n, 3) velocity array is
+    finite."""
+    bad = ~np.logical_and.reduce([np.all(np.isfinite(v), axis=1)
+                                  for v in velocities])
+    if np.any(bad):
+        idx = np.where(bad)[0]
+        raise InstabilityError(
+            f"non-finite {where} (first indices {idx[:8].tolist()})",
+            indices=idx)

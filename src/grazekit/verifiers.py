@@ -188,10 +188,8 @@ class PoissonIntegralSpec:
     t : float
         Horizon, > 0.
 
-    The covariance rate Gamma = sum_j w_j h_j h_j^T must have full rank —
-    rank-deficient atom sets (e.g. a single atom) are rejected — except for
-    the fully degenerate all-zero atom set, for which Z_t == 0 identically
-    and the comparison is trivial.
+    The covariance rate Gamma = sum_j w_j h_j h_j^T must have full rank:
+    rank-deficient atom sets (a single atom, all-zero atoms) are rejected.
     """
 
     def __init__(self, atoms, weights, t):
@@ -211,11 +209,6 @@ class PoissonIntegralSpec:
         self.weights = weights
         self.t = float(t)
         self.gamma = (atoms * weights[:, None]).T @ atoms
-        self.degenerate = bool(np.all(atoms == 0.0))
-        if self.degenerate:
-            self.kappa = 0.0
-            self.gamma_norm = 0.0
-            return
         evals, evecs = np.linalg.eigh(self.gamma)
         if evals[0] <= 1e-12 * evals[-1]:
             raise ParameterError(
@@ -226,8 +219,6 @@ class PoissonIntegralSpec:
 
     def envelope(self):
         """kappa^2 |Gamma| max(1, log(t / kappa^2))^2, the target scaling."""
-        if self.degenerate:
-            return 0.0
         logterm = max(1.0, np.log(self.t / self.kappa ** 2))
         return self.kappa ** 2 * self.gamma_norm * logterm ** 2
 
@@ -299,13 +290,6 @@ def poisson_gaussian_w2(spec, sample_count, rng):
     _check_sample_count(sample_count)
     m = int(sample_count)
     t, atoms, w = spec.t, spec.atoms, spec.weights
-
-    if spec.degenerate:
-        return PoissonGaussianReport(
-            t=t, kappa=0.0, gamma_norm=0.0, sample_count=m, w2_squared=0.0,
-            envelope=0.0, ratio=0.0, control_w2_squared=0.0, control_ratio=0.0,
-            mean_ok=True, cov_ok=True)
-
     counts = rng.poisson(t * w, size=(m, w.size))
     Z = (counts - t * w) @ atoms
 

@@ -432,6 +432,26 @@ def test_fit_rate_input_validation(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "-0.02"])
+def test_fit_rate_refuses_a_terminal_value_that_is_no_distance(
+        tmp_path, capsys, value):
+    # every cell's t = 0 row holds 0.0 and is not fitted; a terminal row
+    # that is not finite and > 0 is refused before fit.json is written
+    rows = ["eps,seed,t,paired_l2,m2_boltz,m2_landau"]
+    for eps, dist in ((0.5, 0.4), (0.25, 0.2)):
+        for seed in (0, 1, 2):
+            last = value if (eps, seed) == (0.25, 1) else dist + 0.01 * seed
+            rows += [f"{eps},{seed},0.0,0.0,3.0,3.0",
+                     f"{eps},{seed},0.3,{last},3.0,3.0"]
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["fit-rate", "--input", str(path), "--family", "grazing",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"eps=0.25 seed=1 is {float(value)!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # option plumbing
 # ---------------------------------------------------------------------------

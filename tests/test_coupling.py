@@ -92,7 +92,7 @@ def test_subdivision_validation():
         build_subdivision(lambda s: -np.ones_like(np.asarray(s, float)), 1.0, 4)
     # T=0.3, n=1 is the smallest-horizon Coulomb setting and must work
     sub = build_subdivision(sqrt_inv, 0.3, 1)
-    assert len(sub.grid) == 2 and sub.slab_bounds()[0][0] == 0.0
+    assert len(sub.grid) == 2
 
 
 def test_coupled_t0_zero_and_bit_reproducible():
@@ -264,10 +264,7 @@ def test_w2_modes():
 def test_subdivision_dataclass_shape():
     sub = build_subdivision(sqrt_inv, 0.5, 3)
     assert isinstance(sub, Subdivision)
-    bounds = sub.slab_bounds()
-    assert bounds[0][0] == 0.0 and bounds[-1][1] == 0.5
-    assert len(bounds) == len(sub.grid)
-    assert sub.T == 0.5
+    assert sub.grid[0] > 0.0 and sub.T == 0.5
     assert np.all(sub.widths > 0.0)
 
 
@@ -435,34 +432,32 @@ def test_blocked_sampler_matches_one_shot(monkeypatch, family, case, block,
     counts = sampler_counts(case)
     n = counts.size
     mass = float(np.asarray(kernel.tail.H(0.05)))
-    for theta_sums in (True, False):
-        ref_rng = rngstreams.stream(4, "slab-jump", 1)
-        new_rng = rngstreams.stream(4, "slab-jump", 1)
-        ref_rng.bit_generator.random_raw(drawn)
-        new_rng.bit_generator.random_raw(drawn)
-        ref = one_shot_angle_sums(ref_rng, counts, kernel, 0.3, mass, n)
-        new = coupling._angle_sums(new_rng, counts, kernel, 0.3, mass, n,
-                                   theta_sums=theta_sums)
-        assert len(new) == (5 if theta_sums else 3)
-        for r, s in zip(ref, new):
-            assert s.dtype == np.float64 and r.dtype == np.float64
-            assert s.tobytes() == r.tobytes()
+    ref_rng = rngstreams.stream(4, "slab-jump", 1)
+    new_rng = rngstreams.stream(4, "slab-jump", 1)
+    ref_rng.bit_generator.random_raw(drawn)
+    new_rng.bit_generator.random_raw(drawn)
+    ref = one_shot_angle_sums(ref_rng, counts, kernel, 0.3, mass, n)
+    new = coupling._angle_sums(new_rng, counts, kernel, 0.3, mass, n)
+    assert len(new) == 5
+    for r, s in zip(ref, new):
+        assert s.dtype == np.float64 and r.dtype == np.float64
+        assert s.tobytes() == r.tobytes()
+    assert same_state(new_rng.bit_generator.state,
+                      ref_rng.bit_generator.state)
+    # two words per draw, whatever the blocks
+    raw_rng = rngstreams.stream(4, "slab-jump", 1)
+    raw_rng.bit_generator.random_raw(drawn)
+    raw_rng.bit_generator.random_raw(2 * int(counts.sum()))
+    assert same_state(new_rng.bit_generator.state,
+                      raw_rng.bit_generator.state)
+    # reduceat returns a term, not 0, for an empty segment
+    idle = new[:, counts == 0]
+    assert not np.any(idle) and not np.any(np.signbit(idle))
+    if case == "all-zero":  # no words drawn
+        fresh = rngstreams.stream(4, "slab-jump", 1)
+        fresh.bit_generator.random_raw(drawn)
         assert same_state(new_rng.bit_generator.state,
-                          ref_rng.bit_generator.state)
-        # two words per draw, whatever the blocks
-        raw_rng = rngstreams.stream(4, "slab-jump", 1)
-        raw_rng.bit_generator.random_raw(drawn)
-        raw_rng.bit_generator.random_raw(2 * int(counts.sum()))
-        assert same_state(new_rng.bit_generator.state,
-                          raw_rng.bit_generator.state)
-        # reduceat returns a term, not 0, for an empty segment
-        idle = new[:, counts == 0]
-        assert not np.any(idle) and not np.any(np.signbit(idle))
-        if case == "all-zero":  # no words drawn
-            fresh = rngstreams.stream(4, "slab-jump", 1)
-            fresh.bit_generator.random_raw(drawn)
-            assert same_state(new_rng.bit_generator.state,
-                              fresh.bit_generator.state)
+                          fresh.bit_generator.state)
 
 
 def test_azimuth_cos_sin_within_rounding_of_numpy():
@@ -484,11 +479,10 @@ def test_azimuth_cos_sin_within_rounding_of_numpy():
 
 def reference_sampler(calls):
     """The one-shot sampler with the blocked sampler's signature; records
-    each call's counts and theta_sums."""
-    def sums(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
-        calls.append((np.array(counts), theta_sums))
-        out = one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n)
-        return out if theta_sums else out[:3]
+    each call's generator and counts."""
+    def sums(rng, counts, kernel, z_lo, mass, n):
+        calls.append((rng, np.array(counts)))
+        return one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n)
     return sums
 
 
@@ -519,9 +513,13 @@ def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
     assert np.array_equal(new.landau_cloud.velocities,
                           ref.landau_cloud.velocities)
     assert new.events == ref.events
-    window = [c for c, theta_sums in calls if theta_sums]
-    band = [c for c, theta_sums in calls if not theta_sums]
-    assert len(window) == len(sub.slab_bounds())
+    # a slab's window call is the first on its jump stream, its band call
+    # the second
+    window, band, streams = [], [], []
+    for rng, c in calls:
+        (band if any(rng is s for s in streams) else window).append(c)
+        streams.append(rng)
+    assert len(window) == len(sub.grid)  # one per slab
     assert len(band) == (0 if setup == "grazing" else len(window))
     if setup == "coulomb-fallback":  # fallback pairs reach the sampler as 0
         assert any(np.any(c == 0) and np.any(c > 0) for c in window)
@@ -537,9 +535,9 @@ def test_sampler_window_stays_inside_coulomb_z_max(monkeypatch):
     windows = []
     sampler = coupling._angle_sums
 
-    def spy(rng, counts, kernel, z_lo, mass, n, theta_sums=True):
+    def spy(rng, counts, kernel, z_lo, mass, n):
         windows.append((z_lo, mass))
-        return sampler(rng, counts, kernel, z_lo, mass, n, theta_sums)
+        return sampler(rng, counts, kernel, z_lo, mass, n)
 
     monkeypatch.setattr(coupling, "_angle_sums", spy)
     cloud = sample_initial(GAUSS, 64, rngstreams.stream(2, "coupled-init"))

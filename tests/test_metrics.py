@@ -95,7 +95,7 @@ def test_entropy_knn_gaussian():
 
 def test_entropy_knn_guard_and_scaling():
     with pytest.raises(ParameterError):
-        entropy_knn(np.zeros((4, 3)), k=4)
+        entropy_knn(np.zeros((4, 3)))
     # the functional is int f log f, so dilating by a subtracts 3 log a
     V = np.random.default_rng(4).normal(size=(20_000, 3))
     h1 = entropy_knn(V)

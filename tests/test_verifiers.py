@@ -141,10 +141,10 @@ def test_poisson_spec_kappa_scaling():
 
 
 def test_poisson_all_zero_atoms_trivial():
-    spec = PoissonIntegralSpec(np.zeros((3, 3)), np.ones(3), 1.0)
-    rep = poisson_gaussian_w2(spec, 1000, np.random.default_rng(0))
-    assert rep.w2_squared == 0.0
-    assert rep.ratio == 0.0
+    # all-zero atoms: Gamma = 0 has rank 0 and is refused like any other
+    # rank-deficient set
+    with pytest.raises(ParameterError, match="rank-deficient"):
+        PoissonIntegralSpec(np.zeros((3, 3)), np.ones(3), 1.0)
 
 
 def test_poisson_gaussian_sample_count_guard():
