@@ -1,19 +1,29 @@
 """Tests for the exact W2 distance and the entropy estimate.
 
 Reference values were produced by brute-force routes (exhaustive
-assignment enumeration, closed-form Gaussian entropy) and are re-derived
-inline where that is cheap.
+assignment enumeration, dense assignment, closed-form Gaussian entropy)
+and are re-derived inline where that is cheap.
 """
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse.csgraph
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from grazekit import metrics, rngstreams
+from grazekit.coupling import (CouplingPlan, build_subdivision, coupled_run,
+                               default_h)
 from grazekit.errors import ParameterError
+from grazekit.kernels import GrazingKernel
 from grazekit.metrics import entropy_knn, w2_exact
+from grazekit.particles import sample_initial
 
 GAUSS_H = -1.5 * math.log(2 * math.pi * math.e)  # differential entropy, sigma2=1
 
@@ -25,6 +35,102 @@ def brute_w2(A, B):
     best = min(sum(c[i, p[i]] for i in range(n))
                for p in itertools.permutations(range(n)))
     return math.sqrt(best / n)
+
+
+def dense_w2(A, B):
+    """W2 by the full cost matrix and the dense assignment solver."""
+    cost = cdist(A, B, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(cost[rows, cols].sum() / A.shape[0])
+
+
+@functools.cache
+def coupled_clouds(eps, n, seed):
+    """The terminal clouds of `coupled-run` (grazing, gamma -0.5, nu 0.6,
+    T 0.5, its default subdivision) from its initial cloud at this seed."""
+    plan = CouplingPlan(kernel=GrazingKernel(-0.5, 0.6, eps), seed=seed,
+                        subdivision=build_subdivision(default_h, 0.5, 4))
+    cloud = sample_initial({"name": "isotropic-gaussian"}, n,
+                           rngstreams.stream(seed, "cli-init"))
+    res = coupled_run(plan, cloud)
+    return res.boltz_cloud.velocities, res.landau_cloud.velocities
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The assignment solvers w2_exact calls, in order: "sparse" for each
+    sparse round, "dense" for the dense route."""
+    calls = []
+    for module, name, route in (
+            (scipy.sparse.csgraph, "min_weight_full_bipartite_matching",
+             "sparse"),
+            (scipy.optimize, "linear_sum_assignment", "dense")):
+        def spy(cost, _solve=getattr(module, name), _route=route):
+            calls.append(_route)
+            return _solve(cost)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _paired(n, seed, noise):
+    A = np.random.default_rng(seed).normal(size=(n, 3))
+    return A, A + noise * np.random.default_rng(seed + 1).normal(size=(n, 3))
+
+
+def _with_duplicates(shift):
+    A = np.random.default_rng(12).normal(size=(64, 3))
+    A[40:] = A[:24]
+    return A, A + shift
+
+
+def _shared_rows():
+    A, B = _paired(200, 13, 0.02)
+    B[::3] = A[::3]  # exact zero costs
+    return A, B
+
+
+def _independent():
+    rng = np.random.default_rng(14)
+    return rng.normal(size=(512, 3)), rng.normal(size=(512, 3))
+
+
+@pytest.mark.parametrize("clouds, sparse", [
+    (lambda: coupled_clouds(np.pi / 16, 4096, 0), True),
+    (lambda: coupled_clouds(np.pi / 16, 4096, 7), True),
+    (lambda: coupled_clouds(np.pi / 8, 2048, 0), False),
+    (lambda: _with_duplicates(0.0), True),
+    (lambda: _with_duplicates(np.array([0.01, -0.02, 0.03])), True),
+    (_shared_rows, True),
+    (lambda: _paired(metrics._W2_NEIGHBOURS, 15, 0.05), True),
+    (_independent, False),
+], ids=["pi16-seed0", "pi16-seed7", "pi8", "identical", "duplicates",
+        "zero-costs", "n-below-k+1", "independent"])
+def test_w2_exact_routes_give_the_dense_bits(clouds, sparse, solves):
+    A, B = clouds()
+    assert w2_exact(A, B) == dense_w2(A, B)
+    assert set(solves) == {"sparse" if sparse else "dense"}
+
+
+def test_w2_certificate_adds_the_edges_the_first_graph_misses(
+        monkeypatch, solves):
+    monkeypatch.setattr(metrics, "_W2_NEIGHBOURS", 1)
+    A, B = coupled_clouds(np.pi / 16, 4096, 0)
+    assert w2_exact(A, B) == dense_w2(A, B)
+    # the first graph missed optimal edges; the certificate found them, and
+    # the sparse route finished without the dense one
+    assert solves.count("sparse") >= 2 and "dense" not in solves
+
+
+def test_w2_exact_memory_holds_no_cost_matrix():
+    A, B = coupled_clouds(np.pi / 16, 4096, 0)
+    tracemalloc.start()
+    try:
+        w2_exact(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense cost matrix alone is 4096^2 doubles, 134 MB
+    assert peak <= 16 * 2 ** 20
 
 
 def test_w2_exact_three_point_example():
@@ -85,6 +191,17 @@ def test_w2_exact_guards():
     big = rng.normal(size=(4097, 3))
     with pytest.raises(ParameterError, match="paired-L2"):
         w2_exact(big, big)
+    with pytest.raises(ParameterError, match="N >= 1"):
+        w2_exact(np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_w2_exact_refuses_non_finite_rows(bad):
+    A = np.random.default_rng(16).normal(size=(20, 3))
+    B = A + 0.01
+    B[7, 1] = bad
+    with pytest.raises(ParameterError, match="row 7 is not finite"):
+        w2_exact(A, B)
 
 
 def test_entropy_knn_gaussian():
@@ -96,6 +213,10 @@ def test_entropy_knn_gaussian():
 def test_entropy_knn_guard_and_scaling():
     with pytest.raises(ParameterError):
         entropy_knn(np.zeros((4, 3)))
+    V = np.random.default_rng(5).normal(size=(50, 3))
+    V[3, 0] = np.nan
+    with pytest.raises(ParameterError, match="row 3 is not finite"):
+        entropy_knn(V)
     # the functional is int f log f, so dilating by a subtracts 3 log a
     V = np.random.default_rng(4).normal(size=(20_000, 3))
     h1 = entropy_knn(V)
