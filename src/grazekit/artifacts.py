@@ -134,6 +134,8 @@ def sweep_summary_json_text(report):
         "proven_exponent": report.proven_exponent,
         "conjectured_exponent": report.conjectured_exponent,
         "verdict": report.verdict,
+        "theta_g": list(report.theta_g),
+        **report.m2_drift_stats,
     })
 
 

@@ -33,6 +33,17 @@ Per-pair candidate counts above _NORMAL_FALLBACK (100 000) switch to their
 conditional Gaussian aggregate (same moments), keeping cost bounded at
 small eps.
 
+The bottom of the window holds most of the jumps but little of their
+variance: below theta_g, which puts _GAUSS_SHARE (5 %) of the window's
+int theta^2 beta under it, lie 77 % of the grazing window's jumps at
+nu = 0.6.  Each pair's window count is split by one binomial draw; the
+exact band [theta_g, eta] is sampled jump by jump, and the Gaussian band
+[theta_min, theta_g] takes the conditional Gaussian of its five sums given
+its count, with the band's moments (the small-jump approximation of
+Asmussen & Rosinski 2001; criterion 10 measures its W2 cost).  This is an
+approximation, not the same law: the sums' mean and covariance are kept,
+their shape below theta_g is not.
+
 Neither side carries the jumps below the window bottom theta_min beyond
 their mean drift (k_res): their diffusion, a share r_eta(theta_min) of the
 Landau diffusion (0.30 % at the grazing default eps/64 with nu = 0.6), is
@@ -61,6 +72,7 @@ its terminal clouds, so what crosses the pool's pipes and what the sweep
 holds until its end does not grow with n.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -72,8 +84,8 @@ from . import rngstreams
 from .boltzmann import _check_jump_options, _theta_min_eff
 from .errors import ParameterError
 from .geometry import _align, _dot, _frame, _norm, _safe
-from .kernels import (CoulombKernel, kernel_from_params, residual_k,
-                      window_moments)
+from .kernels import (CoulombKernel, Moments, kernel_from_params,
+                      residual_k, window_moments)
 from .landau import _check_gamma, _scalar_factor
 from .metrics import _check_w2_size, w2_exact
 from .particles import (ParticleCloud, draw_companions, sample_initial,
@@ -175,9 +187,14 @@ class CouplingPlan:
 
     Stream consumption order per slab k is fixed: companion_stream(k) yields
     the n companion indices; jump_stream(k) yields, in order, the window
-    Poisson counts, one interleaved (z, phi) pair of uniforms per window
-    jump, the Gaussian-fallback normals, then (if the kernel has mass above
-    eta) the large-angle counts and one (z, phi) pair per large-angle jump.
+    Poisson counts, the band split (one binomial per pair below the
+    Gaussian-fallback threshold: how many of its window jumps fall in the
+    Gaussian band [theta_min, theta_g]), one interleaved (z, phi) pair of
+    uniforms per jump of the exact band [theta_g, eta], the
+    Gaussian-fallback normals, the band normals (three per pair with band
+    jumps), then (if the kernel has mass above eta) the large-angle counts
+    and one (z, phi) pair per large-angle jump.  Without a band
+    (theta_g = theta_min) the split and the band normals are not drawn.
     The Landau side draws nothing of its own: its kicks are the standardized
     jump sums, so both sides consume identical companion indices and base
     draws in identical order.
@@ -240,6 +257,10 @@ class CoupledResult:
 # Gaussian aggregate of its jump sums (same moments) instead of sampled
 # jumps, which bounds the cost of near-coincident Coulomb pairs.
 _NORMAL_FALLBACK = 100_000
+
+# The Gaussian band [theta_min, theta_g] holds this share of the window's
+# int theta^2 beta; 0 samples every window jump.
+_GAUSS_SHARE = 0.05
 
 
 # The jump sampler works on blocks of whole particles of about _BLOCK draws,
@@ -361,13 +382,45 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
     return sums
 
 
+@functools.lru_cache(maxsize=64)
+def _band_top(kernel, lo, hi, share):
+    """theta_g in [lo, hi] with int_lo^theta_g theta^2 beta = share *
+    int_lo^hi theta^2 beta, by bisection down to adjacent doubles (lo at
+    share 0).  The bisection reads window_moments uncached, so its points
+    do not flush the moments a run reads."""
+    if not share > 0.0:
+        return lo
+    moments = window_moments.__wrapped__
+    target = share * moments(kernel, lo, hi).theta_sq
+    a, b = lo, hi
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return b
+        if moments(kernel, lo, mid).theta_sq < target:
+            a = mid
+        else:
+            b = mid
+
+
+class _Window(NamedTuple):
+    """The matching window [theta_min, eta] as _jump_sums reads it."""
+    mom: Moments     # the whole window
+    theta_g: float   # top of the Gaussian band; theta_min when it is empty
+    band: Moments    # the Gaussian band [theta_min, theta_g]
+    band_p: float    # share of the window jumps in the Gaussian band
+    z_lo: float      # H(eta): the exact band's z lies in [z_lo, z_lo+mass_z]
+    mass_z: float
+
+
 def _check_run(plan, initial_cloud, w2_mode="none"):
     """Every precondition of a coupled run, checked before any slab stream
     is built.  Returns what the run resolves from the plan: the floors
-    v_floor and reg_delta, the beta-moments of the matching window
-    [theta_min, eta] and of the band above eta, and k_res, the (1-cos) mass
-    below the window.  rate_sweep calls it for every cell first, so the
-    moments are cached before its pool forks."""
+    v_floor and reg_delta, the matching window [theta_min, eta] with its
+    Gaussian band (_Window), the beta-moments of the band above eta and
+    k_res, the (1-cos) mass below the window.  rate_sweep calls it for
+    every cell first, so the moments and theta_g are cached before its pool
+    forks."""
     if w2_mode not in ("none", "terminal"):
         raise ParameterError("w2_mode must be 'none' or 'terminal'")
     if w2_mode == "terminal":
@@ -384,9 +437,67 @@ def _check_run(plan, initial_cloud, w2_mode="none"):
     if not isinstance(kernel, CoulombKernel) and not v_floor > 0.0:
         raise ParameterError("soft/grazing coupling needs v_floor > 0 "
                              "(the collision rate is unbounded otherwise)")
-    return (v_floor, speed_floor(plan.reg_delta, initial_cloud),
-            window_moments(kernel, lo_win, eta),
-            window_moments(kernel, eta, sup_hi), residual_k(kernel, lo_win))
+
+    mom, mom_lg = window_moments(kernel, lo_win, eta), \
+        window_moments(kernel, eta, sup_hi)
+    theta_g = _band_top(kernel, lo_win, eta, _GAUSS_SHARE)
+    band = window_moments(kernel, lo_win, theta_g)
+    mass_z = window_moments(kernel, theta_g, eta).mass
+    # z_lo + mass_z can round one ulp past z_max when the window starts at
+    # the Coulomb support edge; the sampler's map stays within it, so
+    # tail.angles never masks
+    while mom_lg.mass + mass_z > kernel.tail.z_max:
+        mass_z = math.nextafter(mass_z, 0.0)
+    window = _Window(mom, theta_g, band, band.mass / mom.mass, mom_lg.mass,
+                     mass_z)
+    return (v_floor, speed_floor(plan.reg_delta, initial_cloud), window,
+            mom_lg, residual_k(kernel, lo_win))
+
+
+def _normal_sums(k, mom, g):
+    """The conditional Gaussian of the five sums of k jumps over mom's
+    window, given k, from three normals per pair (rows of g): S1 with the
+    jumps' mean and variance of 1 - cos theta, and per transverse direction
+    one normal that drives the sin theta sum at scale sqrt(k E sin^2/2) and
+    the theta sum at sqrt(k E theta^2/2) (their correlation exceeds
+    1 - 2e-6 on the grazing and Coulomb grids).  Returns a (5, len(k))
+    array."""
+    mu1 = mom.one_cos / mom.mass
+    var1 = max(mom.one_cos_sq / mom.mass - mu1 * mu1, 0.0)
+    s1 = k * mu1 + np.sqrt(k * var1) * g[:, 0]
+    sd_s = np.sqrt(k * (mom.sin_sq / mom.mass) / 2.0)
+    sd_t = np.sqrt(k * (mom.theta_sq / mom.mass) / 2.0)
+    return np.stack((s1, sd_s * g[:, 1], sd_s * g[:, 2], sd_t * g[:, 1],
+                     sd_t * g[:, 2]))
+
+
+def _jump_sums(rng, lam, kernel, win, n):
+    """One slab's window sums per particle, (5, n) in _angle_sums' rows
+    with the longitudinal row centred by its compensator, and the number
+    of window jumps.
+
+    Each pair draws a Poisson(lam) window count.  A count above
+    _NORMAL_FALLBACK takes the Gaussian aggregate of the whole window
+    (sin theta ~ theta there, so each transverse direction's two sums are
+    equal); any other count is split binomially between the exact band,
+    whose jumps are sampled, and the Gaussian band, whose sums are
+    _normal_sums of its count.  Stream order as in CouplingPlan."""
+    counts = rng.poisson(lam)
+    fb = counts > _NORMAL_FALLBACK
+    exact = np.where(fb, 0, counts)
+    if win.band_p > 0.0:
+        band = rng.binomial(exact, win.band_p)
+        exact -= band
+    sums = _angle_sums(rng, exact, kernel, win.z_lo, win.mass_z, n)
+    g = rng.standard_normal((int(fb.sum()), 3))
+    sums[:, fb] = _normal_sums(counts[fb].astype(float),
+                               win.mom._replace(sin_sq=win.mom.theta_sq), g)
+    if win.band_p > 0.0:
+        on = band > 0
+        g = rng.standard_normal((int(on.sum()), 3))
+        sums[:, on] += _normal_sums(band[on].astype(float), win.band, g)
+    sums[0] -= lam * (win.mom.one_cos / win.mom.mass)
+    return sums, int(counts.sum())
 
 
 def coupled_run(plan, initial_cloud, *, w2_mode="none"):
@@ -396,26 +507,17 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     m2 of both sides; w2_mode "terminal" adds terminal_w2, the exact
     assignment W2 of the two final clouds ("none" leaves it NaN).
     """
-    v_floor, delta, mom, mom_lg, k_res = _check_run(plan, initial_cloud,
+    v_floor, delta, win, mom_lg, k_res = _check_run(plan, initial_cloud,
                                                     w2_mode)
     kernel = plan.kernel
     n = initial_cloud.n
     sub = plan.subdivision
     times = np.concatenate(([0.0], sub.grid))  # slab bounds, from [0, a_0]
 
-    mass_w, mu1 = mom.mass, mom.one_cos / mom.mass
-    var1 = max(mom.one_cos_sq / mom.mass - mu1 * mu1, 0.0)
-    e_th2 = mom.theta_sq / mom.mass
+    mom = win.mom
     r_eta_win = 0.25 * np.pi * mom.theta_sq
-    z_hi = mom_lg.mass  # H(eta): the window's z lies in [z_hi, z_hi+mass_w]
-    # z_hi + mass_w can round one ulp past z_max when the window starts at
-    # the Coulomb support edge; the sampler's map stays within it, so
-    # tail.angles never masks
-    mass_z = mass_w
-    while z_hi + mass_z > kernel.tail.z_max:
-        mass_z = math.nextafter(mass_z, 0.0)
     # jumps above eta only where that band has mass (Coulomb)
-    mass_lg = z_hi if z_hi > 1e-14 else 0.0
+    mass_lg = win.z_lo if win.z_lo > 1e-14 else 0.0
     one_cos_lg = mom_lg.one_cos if mass_lg > 0.0 else 0.0
     r_tail = 0.25 * np.pi * mom_lg.theta_sq
     # total (1-cos) drift mass: compensated window + large jumps + sub-window
@@ -450,22 +552,9 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
             if plan.tanaka else np.zeros(n)
         cos0, sin0 = np.cos(phi0), np.sin(phi0)
 
-        lam = delta_t * phi_v * 2.0 * np.pi * mass_w
-        counts = rng_j.poisson(lam)
-        fb = counts > _NORMAL_FALLBACK
-        events += int(counts.sum())
-        s1, s2, s3, t2, t3 = _angle_sums(
-            rng_j, np.where(fb, 0, counts), kernel, z_hi, mass_z, n)
-        g = rng_j.standard_normal((int(fb.sum()), 3))
-        kf = counts[fb].astype(float)
-        s1[fb] = kf * mu1 + np.sqrt(kf * var1) * g[:, 0]
-        sd_th = np.sqrt(kf * e_th2 / 2.0)
-        # sin(theta) ~ theta in the fallback regime: reuse the same normals
-        # so the matched pair stays perfectly correlated
-        t2[fb], t3[fb] = sd_th * g[:, 1], sd_th * g[:, 2]
-        s2[fb], s3[fb] = t2[fb], t3[fb]
-        # center the window longitudinal sum by its compensator
-        s1 -= lam * mu1
+        lam = delta_t * phi_v * 2.0 * np.pi * mom.mass
+        (s1, s2, s3, t2, t3), jumps = _jump_sums(rng_j, lam, kernel, win, n)
+        events += jumps
 
         # Landau transverse kicks of total per-direction variance
         # Delta*Phi_L*(pi/4) int theta^2 beta over [theta_min, support top]:
@@ -551,6 +640,15 @@ class SweepReport:
     conjectured_exponent: float
     verdict: str
     series: dict               # (eps, seed) -> CellSeries
+    theta_g: tuple             # per eps, top of the Gaussian band
+
+    @property
+    def m2_drift_stats(self):
+        """Per-eps mean and standard error over the seeds of each side's
+        m2 drift m2(T)/m2(0) - 1."""
+        return {name: dict(zip(("means", "stderrs"),
+                               _seed_stats(getattr(self, name))))
+                for name in ("m2_drift_boltz", "m2_drift_landau")}
 
 
 # The cells of the running sweep, set only while rate_sweep runs them.
@@ -648,7 +746,7 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
               for s in seeds}
 
     # build: every cell's inputs in grid order, each checked up front
-    cells = []
+    cells, theta_g = [], []
     for eps in eps_list:
         kern = kernel_from_params(family, gamma=gamma, nu=nu, eps=eps)
         if family == "grazing":
@@ -669,8 +767,9 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
             plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
                                 theta_min=None, v_floor=floor, reg_delta=floor,
                                 eta=eta, tanaka=tanaka)
-            _check_run(plan, clouds[s])
+            win = _check_run(plan, clouds[s])[2]
             cells.append((plan, clouds[s]))
+        theta_g.append(win.theta_g)
 
     # run: a pool starts the costliest cells (smallest eps, last row) first
     n_seeds = len(seeds)
@@ -699,7 +798,14 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         distances=dist, sup_distances=sup_dist,
         m2_drift_boltz=drift_b, m2_drift_landau=drift_l,
         proven_exponent=p / (2.0 * p + 3.0), conjectured_exponent=1.0,
-        series=series, **fit_verdict(dist, eps_list, family))
+        series=series, theta_g=tuple(theta_g),
+        **fit_verdict(dist, eps_list, family))
+
+
+def _seed_stats(a):
+    """Mean and standard error over the seeds (axis 1) of a per-(eps, seed)
+    array."""
+    return a.mean(axis=1), a.std(axis=1, ddof=1) / math.sqrt(a.shape[1])
 
 
 def fit_verdict(dist, eps_list, family):
@@ -715,7 +821,7 @@ def fit_verdict(dist, eps_list, family):
         raise ParameterError("rate fits need family 'grazing' or 'coulomb'")
     eps = np.asarray(eps_list, dtype=float)
     root_n = math.sqrt(dist.shape[1])
-    means = dist.mean(axis=1)
+    means, stderrs = _seed_stats(dist)
     if family == "grazing":
         x = np.log(eps)
         decreasing = bool(np.all(np.diff(means) < 0.0))
@@ -730,7 +836,7 @@ def fit_verdict(dist, eps_list, family):
     sxx = np.sum((x - x.mean()) ** 2)
     return {
         "means": means,
-        "stderrs": dist.std(axis=1, ddof=1) / root_n,
+        "stderrs": stderrs,
         "slope": float(slope),
         "slope_stderr": float(np.sqrt(np.sum(resid ** 2)
                                       / max(x.size - 2, 1) / sxx)),

@@ -143,6 +143,7 @@ def _sparse_costs(A, B, tree, near):
     # edges as keys j * n + i: sorted by column, then row
     keys = np.unique(np.concatenate(
         [near.ravel() * n + np.repeat(ids, near.shape[1]), ids * n + ids]))
+    match = v = None
     for _ in range(_CERT_MAX_ROUNDS):
         cols, rows = np.divmod(keys, n)
         costs = _pair_costs(A, B, rows, cols)
@@ -150,8 +151,11 @@ def _sparse_costs(A, B, tree, near):
         # the smallest positive double
         graph = csr_matrix((np.maximum(costs, np.nextafter(0.0, 1.0)),
                             (rows, cols)), shape=(n, n))
-        match = min_weight_full_bipartite_matching(graph)[1]
-        duals = _duals(rows, cols, costs, match)
+        last, match = match, min_weight_full_bipartite_matching(graph)[1]
+        # an unchanged matching on a larger graph: the last round's
+        # potentials are a warm start
+        warm = v if last is not None and np.array_equal(match, last) else None
+        duals = _duals(rows, cols, costs, match, warm)
         if duals is None:
             return None
         u, v = duals
@@ -174,19 +178,24 @@ def _sparse_costs(A, B, tree, near):
     return None
 
 
-def _duals(rows, cols, costs, match):
+def _duals(rows, cols, costs, match, start=None):
     """Potentials (u, v) of a matching optimal on the graph (rows[k],
     cols[k]) sorted by column, with every column present: v by
     Bellman-Ford from a virtual source over the edges match[i] -> j of
     weight c_ij - c_i,match[i], then u_i = c_i,match[i] - v_match[i].
-    None when it has not converged within ``_BF_MAX_SWEEPS`` sweeps."""
+    None when it has not converged within ``_BF_MAX_SWEEPS`` sweeps.
+
+    start, when given, is v of the same matching on a subgraph.  Every
+    entry of it is the (rounded) length of a path that this graph also
+    has, and added edges only shorten paths, so Bellman-Ford from there
+    reaches the same fixed point as from zeros, in fewer sweeps."""
     n = match.size
     own = np.empty(n)
     on = cols == match[rows]
     own[rows[on]] = costs[on]
     src, weight = match[rows], costs - own[rows]
     starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    v = np.zeros(n)
+    v = np.zeros(n) if start is None else start
     for _ in range(_BF_MAX_SWEEPS):
         relaxed = np.minimum(v, np.minimum.reduceat(v[src] + weight, starts))
         if np.array_equal(relaxed, v):

@@ -118,7 +118,12 @@ def test_sweep_csv_and_summary_schema():
         means=np.array([0.5, 0.4]), stderrs=np.array([0.01, 0.01]),
         slope=0.4, slope_stderr=0.02, intercept=-1.0,
         proven_exponent=5.0 / 13.0, conjectured_exponent=1.0,
-        verdict="decreasing", series=series)
+        verdict="decreasing", series=series, theta_g=(0.19, 0.09),
+        m2_drift_stats={
+            "m2_drift_boltz": {"means": np.array([0.4, 0.45]),
+                               "stderrs": np.array([0.006, 0.005])},
+            "m2_drift_landau": {"means": np.array([0.46, 0.47]),
+                                "stderrs": np.array([0.007, 0.006])}})
     lines = sweep_csv_text(report).strip().split("\n")
     assert lines[0] == "eps,seed,t,paired_l2,m2_boltz,m2_landau"
     assert len(lines) == 1 + 2 * 3 * 2
@@ -131,6 +136,12 @@ def test_sweep_csv_and_summary_schema():
                 "slope_stderr", "intercept", "verdict"):
         assert key in summary
     assert summary["verdict"] == "decreasing"
+    # the keys after the fit: theta_g and both drifts, one entry per eps
+    assert list(summary)[-3:] == ["theta_g", "m2_drift_boltz",
+                                  "m2_drift_landau"]
+    assert summary["theta_g"] == [0.19, 0.09]
+    assert summary["m2_drift_landau"] == {"means": [0.46, 0.47],
+                                          "stderrs": [0.007, 0.006]}
 
 
 def test_verifier_table_text():

@@ -4,6 +4,7 @@ Expected values were measured with a pinned pilot script before being
 frozen here; sweeps and coupled runs are deterministic given (config, seed).
 """
 
+import json
 import math
 import pickle
 import tracemalloc
@@ -17,7 +18,7 @@ from grazekit.coupling import (CouplingPlan, Subdivision, build_subdivision,
                                coupled_run, rate_sweep)
 from grazekit.errors import InstabilityError, ParameterError
 from grazekit.kernels import (CoulombKernel, GrazingKernel, SoftKernel,
-                              window_moments)
+                              theta_rule, window_moments)
 from grazekit.metrics import w2_exact
 from grazekit.particles import ParticleCloud, sample_initial
 
@@ -116,8 +117,8 @@ def test_grazing_sweep_frozen_values(grazing_sweep):
     assert rep.family == "grazing"
     assert rep.verdict == "decreasing"
     assert np.all(np.diff(rep.means) < 0.0)
-    assert float(rep.means.sum()) == pytest.approx(1.8075187912285855, rel=1e-9)
-    assert rep.slope == pytest.approx(0.991316, rel=1e-4)
+    assert float(rep.means.sum()) == pytest.approx(1.8018388559689626, rel=1e-9)
+    assert rep.slope == pytest.approx(0.998339, rel=1e-4)
     assert rep.slope > 0.3
     assert rep.proven_exponent == pytest.approx(5.0 / 13.0, rel=1e-12)
     assert rep.conjectured_exponent == 1.0
@@ -142,7 +143,7 @@ def test_coulomb_mini_sweep_frozen_values():
                      T=0.3)
     assert rep.family == "coulomb"
     assert rep.verdict == "decreasing"
-    assert float(rep.means.sum()) == pytest.approx(0.7818277886888252,
+    assert float(rep.means.sum()) == pytest.approx(0.7585226897160898,
                                                    rel=1e-9)
     diffs = np.diff(rep.distances, axis=0)
     se = diffs.std(axis=1, ddof=1) / math.sqrt(10)
@@ -374,7 +375,8 @@ def one_shot_terms(rng, counts, kernel, z_lo, mass):
 
 def one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n):
     """The jump sampler without blocks: one segment reduction over the
-    particles that have draws, and the (1 - cos) sums rounded once."""
+    particles that have draws, and the (1 - cos) sums rounded once; a
+    (5, n) array, as the sampler returns."""
     w = one_shot_terms(rng, counts, kernel, z_lo, mass)
     counts = np.asarray(counts)
     nz = np.flatnonzero(counts)
@@ -383,7 +385,7 @@ def one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n):
     sums[:, nz] = np.add.reduceat(w, starts, axis=1)
     sums[0, nz] = [math.fsum(w[0, a:a + c])
                    for a, c in zip(starts, counts[nz])]
-    return tuple(sums)
+    return sums
 
 
 def same_state(a, b):
@@ -489,6 +491,7 @@ def reference_sampler(calls):
 @pytest.mark.parametrize("setup", ["grazing", "coulomb-band",
                                    "coulomb-fallback"])
 def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
+    monkeypatch.setattr(coupling, "_GAUSS_SHARE", 0.0)
     if setup == "grazing":
         kern, sub, cloud = grazing_setup(256, eps=np.pi / 16, n_sub=2)
         plan = CouplingPlan(kernel=kern, seed=7, subdivision=sub)
@@ -527,6 +530,7 @@ def test_coupled_run_matches_one_shot_sampler(monkeypatch, setup):
 
 def test_sampler_window_stays_inside_coulomb_z_max(monkeypatch):
     # here H(eta) + (H(eps) - H(eta)) rounds one ulp past z_max = H(eps)
+    monkeypatch.setattr(coupling, "_GAUSS_SHARE", 0.0)
     kernel = CoulombKernel(eps=0.9498182648544462)
     eta = 1.2603072958246715
     lo = window_moments(kernel, eta, kernel.support[1]).mass
@@ -644,3 +648,182 @@ def test_sampler_s1_matches_mpmath_at_grazing_angles():
     # measured 5.9e-16 from the closed-form half-angle (6.4e-16 through
     # np.sin(0.5 * theta))
     assert np.max(np.abs(s1 - exact) / exact) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian small-jump band [theta_min, theta_g]
+# ---------------------------------------------------------------------------
+
+BAND_WINDOWS = {  # kernel, window bottom theta_min, window top eta
+    "grazing-pi/2": (GrazingKernel(eps=np.pi / 2, **GRAZING), np.pi / 128,
+                     np.pi / 2),
+    "grazing-pi/16": (GrazingKernel(eps=np.pi / 16, **GRAZING), np.pi / 1024,
+                      np.pi / 16),
+    "coulomb-0.3": (CoulombKernel(eps=0.3), 0.3, 1.0 / math.log(1.0 / 0.3)),
+    "coulomb-0.01": (CoulombKernel(eps=0.01), 0.01, 1.0 / math.log(100.0)),
+}
+
+
+def band_window(name):
+    """The _Window a coupled run resolves for one of BAND_WINDOWS."""
+    kernel, _, eta = BAND_WINDOWS[name]
+    plan = CouplingPlan(kernel=kernel, seed=0, eta=eta, v_floor=0.1,
+                        reg_delta=0.1,
+                        subdivision=build_subdivision(sqrt_inv, 0.5, 1))
+    cloud = sample_initial(GAUSS, 8, rngstreams.stream(0, "coupled-init"))
+    return coupling._check_run(plan, cloud)[2]
+
+
+@pytest.mark.parametrize("name", list(BAND_WINDOWS))
+def test_theta_g_holds_the_gauss_share(monkeypatch, name):
+    kernel, lo, eta = BAND_WINDOWS[name]
+    win = band_window(name)
+    assert win.mom == window_moments(kernel, lo, eta)
+    assert lo < win.theta_g < eta
+    share = window_moments(kernel, lo, win.theta_g).theta_sq \
+        / win.mom.theta_sq
+    assert abs(share - coupling._GAUSS_SHARE) <= 1e-12
+    assert win.band == window_moments(kernel, lo, win.theta_g)
+    assert win.band_p == win.band.mass / win.mom.mass
+    # the exact band's z range is [H(eta), H(theta_g)]
+    assert win.z_lo + win.mass_z == pytest.approx(
+        float(kernel.tail.H(win.theta_g)), rel=1e-12)
+    # the share of the window's jumps the band takes off the sampler
+    # (grazing: the same at every eps)
+    expected = {"grazing": (0.77, 0.78), "coulomb": (0.10, 0.28)}
+    low, high = expected[kernel.family]
+    assert low < win.band_p < high
+
+    monkeypatch.setattr(coupling, "_GAUSS_SHARE", 0.0)
+    empty = band_window(name)
+    assert empty.theta_g == lo and empty.band_p == 0.0
+    assert empty.mom == win.mom and empty.z_lo == win.z_lo
+    assert empty.mass_z <= win.mom.mass and not any(empty.band)
+
+
+def kernel_rule_band(kernel, lo, hi):
+    """theta_rule nodes and weights over [lo, hi]: the rule from lo with
+    the rule from hi subtracted."""
+    n_lo, w_lo = theta_rule(kernel, lo)
+    n_hi, w_hi = theta_rule(kernel, hi)
+    return np.concatenate((n_lo, n_hi)), np.concatenate((w_lo, -w_hi))
+
+
+def band_moment_targets(kernel, lo, win, count):
+    """Mean and covariance of the five sums of `count` jumps of the band
+    [lo, theta_g]: count times the per-jump moments, with E[theta sin theta]
+    from the quadrature rule."""
+    b = win.band
+    m1 = b.one_cos / b.mass
+    nodes, weights = kernel_rule_band(kernel, lo, win.theta_g)
+    th_sin = float(np.sum(nodes * np.sin(nodes) * weights)) / b.mass
+    mean = np.array([count * m1, 0.0, 0.0, 0.0, 0.0])
+    cov = np.zeros((5, 5))
+    cov[0, 0] = count * (b.one_cos_sq / b.mass - m1 * m1)
+    cov[1, 1] = cov[2, 2] = count * b.sin_sq / b.mass / 2.0
+    cov[3, 3] = cov[4, 4] = count * b.theta_sq / b.mass / 2.0
+    cov[1, 3] = cov[3, 1] = cov[2, 4] = cov[4, 2] = count * th_sin / 2.0
+    return mean, cov
+
+
+def assert_moments_within_3_stderr(sums, mean, cov):
+    """Sample mean and covariance of the columns of sums (5, m) against
+    the targets, each within 3 of its standard errors."""
+    m = sums.shape[1]
+    centred = sums - sums.mean(axis=1, keepdims=True)
+    se_mean = sums.std(axis=1, ddof=1) / math.sqrt(m)
+    assert np.all(np.abs(sums.mean(axis=1) - mean) <= 3.0 * se_mean)
+    for i in range(5):
+        for j in range(i, 5):
+            prod = centred[i] * centred[j]
+            se = prod.std(ddof=1) / math.sqrt(m)
+            assert abs(prod.mean() - cov[i, j]) <= 3.0 * se, (i, j)
+            if cov[i, j]:  # a sharp check, not one lost in noise
+                assert se < 0.05 * abs(cov[i, j]), (i, j)
+
+
+@pytest.mark.parametrize("name", ["grazing-pi/2", "grazing-pi/16",
+                                  "coulomb-0.01"])
+def test_band_sums_match_the_band_moments(name):
+    kernel, lo, _ = BAND_WINDOWS[name]
+    win = band_window(name)
+    m, count = 20000, 40
+    mean, cov = band_moment_targets(kernel, lo, win, count)
+    g = rngstreams.stream(6, "test-band").standard_normal((m, 3))
+    gauss = coupling._normal_sums(np.full(m, float(count)), win.band, g)
+    assert_moments_within_3_stderr(gauss, mean, cov)
+    # the band's own jumps, sampled on z in [H(theta_g), H(theta_min)],
+    # have the same moments
+    z_lo = float(kernel.tail.H(win.theta_g))
+    exact = coupling._angle_sums(
+        rngstreams.stream(6, "test-band-exact"), np.full(m, count), kernel,
+        z_lo, float(kernel.tail.H(lo)) - z_lo, m)
+    assert_moments_within_3_stderr(exact, mean, cov)
+
+
+def test_jump_sums_follow_the_stream_order(monkeypatch):
+    # Coulomb at the criterion-12 window with a low fallback threshold:
+    # fallback pairs, band pairs and exact-only pairs in one slab
+    monkeypatch.setattr(coupling, "_NORMAL_FALLBACK", 300)
+    kernel = BAND_WINDOWS["coulomb-0.01"][0]
+    win = band_window("coulomb-0.01")
+    n = 300
+    lam = rngstreams.stream(8, "test-lam").uniform(0.0, 400.0, n)
+    lam[:20] = 0.5  # pairs with few jumps, some without band jumps
+    rng = rngstreams.stream(8, "slab-jump", 0)
+    got, jumps = coupling._jump_sums(rng, lam, kernel, win, n)
+
+    # the stream order of CouplingPlan, drawn one by one
+    ref = rngstreams.stream(8, "slab-jump", 0)
+    counts = ref.poisson(lam)
+    fb = counts > 300
+    band = ref.binomial(np.where(fb, 0, counts), win.band_p)
+    want = one_shot_angle_sums(ref, np.where(fb, 0, counts - band), kernel,
+                               win.z_lo, win.mass_z, n)
+    g_fb = ref.standard_normal((int(fb.sum()), 3))
+    on = band > 0
+    g_band = ref.standard_normal((int(on.sum()), 3))
+    assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+    assert jumps == int(counts.sum())
+    assert fb.any() and on.any() and (~fb & ~on).any()
+
+    mom, b = win.mom, win.band
+    mu1 = mom.one_cos / mom.mass
+    k = counts[fb].astype(float)
+    sd = np.sqrt(k * mom.theta_sq / mom.mass / 2.0)
+    want[:, fb] = np.stack((
+        k * mu1 + np.sqrt(k * (mom.one_cos_sq / mom.mass - mu1 ** 2))
+        * g_fb[:, 0], sd * g_fb[:, 1], sd * g_fb[:, 2], sd * g_fb[:, 1],
+        sd * g_fb[:, 2]))
+    k = band[on].astype(float)
+    m1 = b.one_cos / b.mass
+    sd_s = np.sqrt(k * b.sin_sq / b.mass / 2.0)
+    sd_t = np.sqrt(k * b.theta_sq / b.mass / 2.0)
+    want[:, on] += np.stack((
+        k * m1 + np.sqrt(k * (b.one_cos_sq / b.mass - m1 ** 2))
+        * g_band[:, 0], sd_s * g_band[:, 1], sd_s * g_band[:, 2],
+        sd_t * g_band[:, 1], sd_t * g_band[:, 2]))
+    want[0] -= lam * mu1
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+    # the exact-only pairs read the sampler's bytes
+    only = ~fb & ~on
+    assert np.array_equal(got[1:, only], want[1:, only])
+
+
+def test_sweep_reports_theta_g_and_drifts(grazing_sweep):
+    rep = grazing_sweep
+    assert rep.theta_g == tuple(
+        coupling._band_top(GrazingKernel(eps=e, **GRAZING), e / 64.0, e,
+                           coupling._GAUSS_SHARE) for e in GRAZING_EPS)
+    stats = rep.m2_drift_stats
+    assert list(stats) == ["m2_drift_boltz", "m2_drift_landau"]
+    for name, entry in stats.items():
+        drift = getattr(rep, name)
+        assert np.array_equal(entry["means"], drift.mean(axis=1))
+        assert np.allclose(entry["stderrs"],
+                           drift.std(axis=1, ddof=1) / math.sqrt(10),
+                           rtol=1e-15)
+    summary = json.loads(artifacts.sweep_summary_json_text(rep))
+    assert summary["theta_g"] == list(rep.theta_g)
+    assert summary["m2_drift_boltz"]["means"] == \
+        stats["m2_drift_boltz"]["means"].tolist()

@@ -121,6 +121,33 @@ def test_w2_certificate_adds_the_edges_the_first_graph_misses(
     assert solves.count("sparse") >= 2 and "dense" not in solves
 
 
+def test_w2_certificate_rounds_start_warm(monkeypatch):
+    # one neighbour per row: the certificate takes several rounds, and the
+    # later ones keep the matching of the round before
+    monkeypatch.setattr(metrics, "_W2_NEIGHBOURS", 1)
+    rounds = []
+    duals = metrics._duals
+
+    def spy(rows, cols, costs, match, start=None):
+        got = duals(rows, cols, costs, match, start)
+        # from zeros, Bellman-Ford reaches the same potentials
+        cold = duals(rows, cols, costs, match)
+        assert all(np.array_equal(a, b) for a, b in zip(got, cold))
+        rounds.append((match.copy(), start, got))
+        return got
+
+    monkeypatch.setattr(metrics, "_duals", spy)
+    A, B = coupled_clouds(np.pi / 16, 4096, 0)
+    assert w2_exact(A, B) == dense_w2(A, B)
+    assert rounds[0][1] is None
+    for (match0, _, (_, v0)), (match1, start, _) in zip(rounds, rounds[1:]):
+        if np.array_equal(match0, match1):
+            assert start is v0     # the last round's v
+        else:
+            assert start is None   # another matching starts cold
+    assert sum(start is not None for _, start, _ in rounds) >= 2
+
+
 def test_w2_exact_memory_holds_no_cost_matrix():
     A, B = coupled_clouds(np.pi / 16, 4096, 0)
     tracemalloc.start()
