@@ -19,16 +19,17 @@ the grazing-limit error instead of Monte Carlo noise:
   gets both bands, so the Landau increment keeps its full diffusion
   covariance while staying maximally correlated with the Boltzmann path.
 
-Both sides integrate their mean drift with the frozen-coefficient
-exponential map (relative-velocity contraction e^{-k Phi Delta}) and add
-centered fluctuations on top; this compensated-martingale form stays stable
-even for near-coincident pairs whose within-slab collision count is huge.
-The V side additionally carries its longitudinal fluctuation, the
-non-Gaussian shape of the sampled above-eta jumps and the exact-versus-
-linearized angle geometry; those have no Landau counterpart and are part of
-the measured gap.  A Tanaka azimuth rotation phi0 aligns the Landau pair
-frame with the Boltzmann pair frame when the toggle is on; each side builds
-its pair frame once per slab, and the alignment reads those same frames.
+In _slab, the per-slab step, both sides integrate their mean drift with
+the frozen-coefficient exponential map (relative-velocity contraction
+e^{-k Phi Delta}) and add centered fluctuations on top; this
+compensated-martingale form stays stable even for near-coincident pairs
+whose within-slab collision count is huge.  The V side additionally
+carries its longitudinal fluctuation, the non-Gaussian shape of the
+sampled above-eta jumps and the exact-versus-linearized angle geometry;
+those have no Landau counterpart and are part of the measured gap.  A
+Tanaka azimuth rotation phi0 aligns the Landau pair frame with the
+Boltzmann pair frame when the toggle is on; each side builds its pair
+frame once per slab, and the alignment reads those same frames.
 Per-pair candidate counts above _NORMAL_FALLBACK (100 000) switch to their
 conditional Gaussian aggregate (same moments), keeping cost bounded at
 small eps.
@@ -403,24 +404,29 @@ def _band_top(kernel, lo, hi, share):
             b = mid
 
 
-class _Window(NamedTuple):
-    """The matching window [theta_min, eta] as _jump_sums reads it."""
-    mom: Moments     # the whole window
-    theta_g: float   # top of the Gaussian band; theta_min when it is empty
-    band: Moments    # the Gaussian band [theta_min, theta_g]
-    band_p: float    # share of the window jumps in the Gaussian band
-    z_lo: float      # H(eta): the exact band's z lies in [z_lo, z_lo+mass_z]
+class _RunConstants(NamedTuple):
+    """What a coupled run resolves from its plan and initial cloud before
+    any slab; _slab and _jump_sums read it."""
+    kernel: object
+    v_floor: float     # Boltzmann speed floor
+    delta: float       # Landau regularization floor
+    mom: Moments       # the matching window [theta_min, eta]
+    theta_g: float     # top of the Gaussian band; theta_min when it is empty
+    band: Moments      # the Gaussian band [theta_min, theta_g]
+    band_p: float      # share of the window jumps in the Gaussian band
+    z_lo: float        # H(eta): the exact band's z lies in [z_lo, z_lo+mass_z]
     mass_z: float
+    mom_lg: Moments    # the band above eta; None where it has no mass
+    r_eta_win: float   # (pi/4) int theta^2 beta over the window
+    r_tail: float      # (pi/4) int theta^2 beta above eta
+    k_full: float      # (1-cos) drift mass: window + above eta + below window
 
 
 def _check_run(plan, initial_cloud, w2_mode="none"):
     """Every precondition of a coupled run, checked before any slab stream
-    is built.  Returns what the run resolves from the plan: the floors
-    v_floor and reg_delta, the matching window [theta_min, eta] with its
-    Gaussian band (_Window), the beta-moments of the band above eta and
-    k_res, the (1-cos) mass below the window.  rate_sweep calls it for
-    every cell first, so the moments and theta_g are cached before its pool
-    forks."""
+    is built.  Returns the run's _RunConstants; k_full includes k_res, the
+    (1-cos) mass below the window.  rate_sweep calls it for every cell
+    first, so the moments and theta_g are cached before its pool forks."""
     if w2_mode not in ("none", "terminal"):
         raise ParameterError("w2_mode must be 'none' or 'terminal'")
     if w2_mode == "terminal":
@@ -448,10 +454,15 @@ def _check_run(plan, initial_cloud, w2_mode="none"):
     # tail.angles never masks
     while mom_lg.mass + mass_z > kernel.tail.z_max:
         mass_z = math.nextafter(mass_z, 0.0)
-    window = _Window(mom, theta_g, band, band.mass / mom.mass, mom_lg.mass,
-                     mass_z)
-    return (v_floor, speed_floor(plan.reg_delta, initial_cloud), window,
-            mom_lg, residual_k(kernel, lo_win))
+    # jumps above eta only where that band has mass (Coulomb)
+    has_lg = mom_lg.mass > 1e-14
+    one_cos_lg = mom_lg.one_cos if has_lg else 0.0
+    return _RunConstants(
+        kernel, v_floor, speed_floor(plan.reg_delta, initial_cloud), mom,
+        theta_g, band, band.mass / mom.mass, mom_lg.mass, mass_z,
+        mom_lg if has_lg else None, 0.25 * np.pi * mom.theta_sq,
+        0.25 * np.pi * mom_lg.theta_sq,
+        np.pi * (mom.one_cos + one_cos_lg) + residual_k(kernel, lo_win))
 
 
 def _normal_sums(k, mom, g):
@@ -471,10 +482,10 @@ def _normal_sums(k, mom, g):
                      sd_t * g[:, 2]))
 
 
-def _jump_sums(rng, lam, kernel, win, n):
+def _jump_sums(rng, lam, c, n):
     """One slab's window sums per particle, (5, n) in _angle_sums' rows
     with the longitudinal row centred by its compensator, and the number
-    of window jumps.
+    of window jumps; c is the run's _RunConstants.
 
     Each pair draws a Poisson(lam) window count.  A count above
     _NORMAL_FALLBACK takes the Gaussian aggregate of the whole window
@@ -485,19 +496,80 @@ def _jump_sums(rng, lam, kernel, win, n):
     counts = rng.poisson(lam)
     fb = counts > _NORMAL_FALLBACK
     exact = np.where(fb, 0, counts)
-    if win.band_p > 0.0:
-        band = rng.binomial(exact, win.band_p)
+    if c.band_p > 0.0:
+        band = rng.binomial(exact, c.band_p)
         exact -= band
-    sums = _angle_sums(rng, exact, kernel, win.z_lo, win.mass_z, n)
+    sums = _angle_sums(rng, exact, c.kernel, c.z_lo, c.mass_z, n)
     g = rng.standard_normal((int(fb.sum()), 3))
     sums[:, fb] = _normal_sums(counts[fb].astype(float),
-                               win.mom._replace(sin_sq=win.mom.theta_sq), g)
-    if win.band_p > 0.0:
+                               c.mom._replace(sin_sq=c.mom.theta_sq), g)
+    if c.band_p > 0.0:
         on = band > 0
         g = rng.standard_normal((int(on.sum()), 3))
-        sums[:, on] += _normal_sums(band[on].astype(float), win.band, g)
-    sums[0] -= lam * (win.mom.one_cos / win.mom.mass)
+        sums[:, on] += _normal_sums(band[on].astype(float), c.band, g)
+    sums[0] -= lam * (c.mom.one_cos / c.mom.mass)
     return sums, int(counts.sum())
+
+
+def _slab(V, Y, comp, rng, width, c, tanaka):
+    """One slab of the given width: both clouds, component-first (3, n),
+    advance against the companion indices comp, drawing from the slab's
+    jump stream rng in CouplingPlan's order.  Returns the new clouds and
+    the number of jumps sampled."""
+    n = V.shape[1]
+    Vc, Yc = V.take(comp, 1), Y.take(comp, 1)
+    X, Z = V - Vc, Y - Yc
+    rX, rZ = _norm(X), _norm(Z)
+    phi_v = np.asarray(c.kernel.phi(np.maximum(rX, c.v_floor)), dtype=float)
+    phi_l = _scalar_factor(np.maximum(rZ, c.delta), c.kernel.gamma)
+    # one frame per side, shared by its kicks and the Tanaka alignment; a
+    # pair with zero relative velocity gets a stand-in frame and kicks
+    # masked to zero (geometry._safe)
+    Xs, okX, rXs = _safe(X, rX)
+    Zs, okZ, rZs = _safe(Z, rZ)
+    IX, JX = _frame(Xs, rXs)
+    IZ, JZ = _frame(Zs, rZs)
+    # Tanaka: the Landau frame takes the azimuth offset phi0, i.e. the kick
+    # coordinates rotate by R(phi0) relative to the Boltzmann draws
+    phi0 = np.where(okX & okZ, _align(IX, JX, IZ, JZ), 0.0) \
+        if tanaka else np.zeros(n)
+    cos0, sin0 = np.cos(phi0), np.sin(phi0)
+
+    lam = width * phi_v * 2.0 * np.pi * c.mom.mass
+    (s1, s2, s3, t2, t3), events = _jump_sums(rng, lam, c, n)
+
+    # Landau transverse kicks of total per-direction variance
+    # Delta*Phi_L*(pi/4) int theta^2 beta over [theta_min, support top]:
+    # the window band (r_eta_win) is driven by the matched window draws,
+    # the above-eta band (r_tail) by the standardized large-jump aggregate
+    sig_t = 2.0 * np.sqrt(width * phi_v * c.r_eta_win)
+    u2, u3 = t2 / sig_t, t3 / sig_t
+    amp = np.sqrt(width * phi_l * c.r_eta_win)
+    kick2 = amp * (cos0 * u2 - sin0 * u3)
+    kick3 = amp * (sin0 * u2 + cos0 * u3)
+    if c.mom_lg is not None:
+        mass_lg = c.mom_lg.mass
+        lam_lg = width * phi_v * 2.0 * np.pi * mass_lg
+        counts_lg = rng.poisson(lam_lg)
+        events += int(counts_lg.sum())
+        l1, l2, l3 = _angle_sums(rng, counts_lg, c.kernel, 0.0, mass_lg,
+                                 n)[:3]
+        s1 += l1 - lam_lg * (c.mom_lg.one_cos / mass_lg)
+        s2 += l2
+        s3 += l3
+        sig_lg = np.sqrt(width * phi_v * np.pi * c.mom_lg.sin_sq)
+        ut2, ut3 = l2 / sig_lg, l3 / sig_lg
+        amp_t = np.sqrt(width * phi_l * c.r_tail)
+        kick2 += amp_t * (cos0 * ut2 - sin0 * ut3)
+        kick3 += amp_t * (sin0 * ut2 + cos0 * ut3)
+
+    # both sides: exponential mean drift (the relative velocity contracts by
+    # e^{-k_full Phi_V Delta}, e^{-2 Phi_L Delta}) + centered fluctuations
+    V_new = Vc + np.exp(-c.k_full * phi_v * width) * X
+    V_new += np.where(okX, -0.5 * s1 * X + 0.5 * (s2 * IX + s3 * JX), 0.0)
+    Y_new = Yc + np.exp(-2.0 * phi_l * width) * Z
+    Y_new += np.where(okZ, kick2 * IZ + kick3 * JZ, 0.0)
+    return V_new, Y_new, events
 
 
 def coupled_run(plan, initial_cloud, *, w2_mode="none"):
@@ -507,21 +579,10 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     m2 of both sides; w2_mode "terminal" adds terminal_w2, the exact
     assignment W2 of the two final clouds ("none" leaves it NaN).
     """
-    v_floor, delta, win, mom_lg, k_res = _check_run(plan, initial_cloud,
-                                                    w2_mode)
-    kernel = plan.kernel
+    c = _check_run(plan, initial_cloud, w2_mode)
     n = initial_cloud.n
     sub = plan.subdivision
     times = np.concatenate(([0.0], sub.grid))  # slab bounds, from [0, a_0]
-
-    mom = win.mom
-    r_eta_win = 0.25 * np.pi * mom.theta_sq
-    # jumps above eta only where that band has mass (Coulomb)
-    mass_lg = win.z_lo if win.z_lo > 1e-14 else 0.0
-    one_cos_lg = mom_lg.one_cos if mass_lg > 0.0 else 0.0
-    r_tail = 0.25 * np.pi * mom_lg.theta_sq
-    # total (1-cos) drift mass: compensated window + large jumps + sub-window
-    k_full = np.pi * (mom.one_cos + one_cos_lg) + k_res
 
     # both clouds component-first (3, n), as geometry works on them
     V = initial_cloud.velocities.T.copy()
@@ -529,68 +590,12 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     dists = [0.0]
     m2b, m2l = [initial_cloud.m2()], [initial_cloud.m2()]
     events = 0
-
-    for k, delta_t in enumerate(np.diff(times)):
+    for k, width in enumerate(np.diff(times)):
         comp = draw_companions(plan.companion_stream(k), np.arange(n), n)
-        rng_j = plan.jump_stream(k)
-
-        Vc, Yc = V.take(comp, 1), Y.take(comp, 1)
-        X, Z = V - Vc, Y - Yc
-        rX, rZ = _norm(X), _norm(Z)
-        phi_v = np.asarray(kernel.phi(np.maximum(rX, v_floor)), dtype=float)
-        phi_l = _scalar_factor(np.maximum(rZ, delta), kernel.gamma)
-        # one frame per side, shared by its kicks and the Tanaka alignment;
-        # a pair with zero relative velocity gets a stand-in frame and kicks
-        # masked to zero (geometry._safe)
-        Xs, okX, rXs = _safe(X, rX)
-        Zs, okZ, rZs = _safe(Z, rZ)
-        IX, JX = _frame(Xs, rXs)
-        IZ, JZ = _frame(Zs, rZs)
-        # Tanaka: the Landau frame takes the azimuth offset phi0, i.e. the
-        # kick coordinates rotate by R(phi0) relative to the Boltzmann draws
-        phi0 = np.where(okX & okZ, _align(IX, JX, IZ, JZ), 0.0) \
-            if plan.tanaka else np.zeros(n)
-        cos0, sin0 = np.cos(phi0), np.sin(phi0)
-
-        lam = delta_t * phi_v * 2.0 * np.pi * mom.mass
-        (s1, s2, s3, t2, t3), jumps = _jump_sums(rng_j, lam, kernel, win, n)
+        V, Y, jumps = _slab(V, Y, comp, plan.jump_stream(k), width, c,
+                            plan.tanaka)
+        check_finite(f"state after slab {k}", V.T, Y.T)
         events += jumps
-
-        # Landau transverse kicks of total per-direction variance
-        # Delta*Phi_L*(pi/4) int theta^2 beta over [theta_min, support top]:
-        # the window band (r_eta_win) is driven by the matched window draws,
-        # the above-eta band (r_tail) by the standardized large-jump aggregate
-        sig_t = 2.0 * np.sqrt(delta_t * phi_v * r_eta_win)
-        u2, u3 = t2 / sig_t, t3 / sig_t
-        amp = np.sqrt(delta_t * phi_l * r_eta_win)
-        kick2 = amp * (cos0 * u2 - sin0 * u3)
-        kick3 = amp * (sin0 * u2 + cos0 * u3)
-        if mass_lg > 0.0:
-            lam_lg = delta_t * phi_v * 2.0 * np.pi * mass_lg
-            counts_lg = rng_j.poisson(lam_lg)
-            events += int(counts_lg.sum())
-            l1, l2, l3 = _angle_sums(rng_j, counts_lg, kernel, 0.0, mass_lg,
-                                     n)[:3]
-            s1 += l1 - lam_lg * (one_cos_lg / mass_lg)
-            s2 += l2
-            s3 += l3
-            sig_lg = np.sqrt(delta_t * phi_v * np.pi * mom_lg.sin_sq)
-            ut2, ut3 = l2 / sig_lg, l3 / sig_lg
-            amp_t = np.sqrt(delta_t * phi_l * r_tail)
-            kick2 += amp_t * (cos0 * ut2 - sin0 * ut3)
-            kick3 += amp_t * (sin0 * ut2 + cos0 * ut3)
-
-        # both sides: exponential mean drift (the relative velocity contracts
-        # by e^{-k_full Phi_V Delta}, e^{-2 Phi_L Delta}) + centered
-        # fluctuations
-        V_new = Vc + np.exp(-k_full * phi_v * delta_t) * X
-        V_new += np.where(okX, -0.5 * s1 * X + 0.5 * (s2 * IX + s3 * JX), 0.0)
-        Y_new = Yc + np.exp(-2.0 * phi_l * delta_t) * Z
-        Y_new += np.where(okZ, kick2 * IZ + kick3 * JZ, 0.0)
-
-        check_finite(f"state after slab {k}", V_new.T, Y_new.T)
-        V, Y = V_new, Y_new
-
         D = V - Y
         dists.append(float(np.sqrt(np.mean(_dot(D, D)))))
         m2b.append(float(np.mean(_dot(V, V))))
@@ -628,7 +633,6 @@ class SweepReport:
     seeds: tuple
     p: int
     distances: np.ndarray      # (n_eps, n_seeds) terminal paired-L2
-    sup_distances: np.ndarray  # (n_eps, n_seeds) sup over slab boundaries
     m2_drift_boltz: np.ndarray
     m2_drift_landau: np.ndarray
     means: np.ndarray
@@ -767,9 +771,9 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
             plan = CouplingPlan(kernel=kern, seed=s, subdivision=sub,
                                 theta_min=None, v_floor=floor, reg_delta=floor,
                                 eta=eta, tanaka=tanaka)
-            win = _check_run(plan, clouds[s])[2]
+            consts = _check_run(plan, clouds[s])
             cells.append((plan, clouds[s]))
-        theta_g.append(win.theta_g)
+        theta_g.append(consts.theta_g)
 
     # run: a pool starts the costliest cells (smallest eps, last row) first
     n_seeds = len(seeds)
@@ -780,7 +784,6 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
     # fill, in grid order
     shape = (len(eps_list), n_seeds)
     dist = np.empty(shape)
-    sup_dist = np.empty(shape)
     drift_b = np.empty(shape)
     drift_l = np.empty(shape)
     series = {}
@@ -789,14 +792,12 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         m2_0 = clouds[seeds[j]].m2()
         series[(eps_list[i], seeds[j])] = res
         dist[i, j] = res.paired_l2[-1]
-        sup_dist[i, j] = np.max(res.paired_l2)
         drift_b[i, j] = res.m2_boltz[-1] / m2_0 - 1.0
         drift_l[i, j] = res.m2_landau[-1] / m2_0 - 1.0
 
     return SweepReport(
         family=family, eps_list=eps_list, seeds=seeds, p=p,
-        distances=dist, sup_distances=sup_dist,
-        m2_drift_boltz=drift_b, m2_drift_landau=drift_l,
+        distances=dist, m2_drift_boltz=drift_b, m2_drift_landau=drift_l,
         proven_exponent=p / (2.0 * p + 3.0), conjectured_exponent=1.0,
         series=series, theta_g=tuple(theta_g),
         **fit_verdict(dist, eps_list, family))
@@ -820,16 +821,14 @@ def fit_verdict(dist, eps_list, family):
     if family not in _FAMILIES:
         raise ParameterError("rate fits need family 'grazing' or 'coulomb'")
     eps = np.asarray(eps_list, dtype=float)
-    root_n = math.sqrt(dist.shape[1])
     means, stderrs = _seed_stats(dist)
     if family == "grazing":
         x = np.log(eps)
         decreasing = bool(np.all(np.diff(means) < 0.0))
     else:
         x = np.log(1.0 / np.log(1.0 / eps))
-        diffs = np.diff(dist, axis=0)  # paired across seeds
-        se = diffs.std(axis=1, ddof=1) / root_n
-        decreasing = bool(np.all(diffs.mean(axis=1) <= 2.0 * se))
+        d_mean, d_se = _seed_stats(np.diff(dist, axis=0))  # paired by seed
+        decreasing = bool(np.all(d_mean <= 2.0 * d_se))
     y = np.log(means)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
