@@ -58,7 +58,7 @@ from .trajectory import check_cloud_size, next_cloud, run_schedule
 __all__ = ["BoltzmannConfig", "step", "run"]
 
 _UPDATE_MODES = ("nanbu", "symmetric")
-_KERNEL_TYPES = (SoftKernel, GrazingKernel, CoulombKernel)
+_KERNEL_TYPES = (GrazingKernel, CoulombKernel)
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,10 @@ def _theta_min_eff(config):
         return kernel.eps
     if config.theta_min is not None:
         return float(config.theta_min)
-    if isinstance(kernel, GrazingKernel):
-        return kernel.eps / 64.0
-    return np.pi / 256.0
+    # a SoftKernel is the GrazingKernel at eps = pi, with its own default
+    if isinstance(kernel, SoftKernel):
+        return np.pi / 256.0
+    return kernel.eps / 64.0
 
 
 def _phi_cap(kernel, v_floor):

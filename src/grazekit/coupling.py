@@ -132,7 +132,8 @@ def default_h(s):
 def _sample_h(h, pts):
     vals = np.asarray(h(pts), dtype=float)
     if vals.shape != pts.shape:
-        vals = np.array([float(h(p)) for p in pts], dtype=float)
+        raise ParameterError(f"h must map an array of shape {pts.shape} to "
+                             f"one of the same shape, got {vals.shape}")
     if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
         raise ParameterError("h must be finite and >= 0 on (0, T)")
     return vals

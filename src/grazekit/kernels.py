@@ -3,14 +3,17 @@
 A kernel here is the angular factor beta(theta) of a collision cross section
 B(|v-v*|, theta) = Phi(|v-v*|) * beta(theta). Three families:
 
-* soft:     beta(theta) = c_nu * theta^(-1-nu) on (0, pi], nu in (0, 2),
+* soft:     beta(theta) = c_nu * theta^(-1-nu) on (0, pi), nu in (0, 2),
             with c_nu chosen so that the second angular moment
             integral(theta^2 * beta) equals 4/pi. The velocity factor is
             Phi(r) = r^gamma with gamma in (-3, 0).
-* grazing:  the soft kernel squeezed onto (0, eps]:
+* grazing:  the soft kernel squeezed onto (0, eps):
             beta_eps(theta) = (pi/eps)^3 * beta(pi*theta/eps) for theta < eps.
             The rescaling preserves the second moment (still 4/pi) while
-            pushing all mass to small deviation angles.
+            pushing all mass to small deviation angles.  Soft is this family
+            at eps = pi (SoftKernel is the GrazingKernel that fixes it), so
+            one tail and one moment formula serve both; beta is open at the
+            support top, beta(eps) = 0.
 * coulomb:  beta_eps(theta) = (c_eps / log(1/eps)) * cos(theta/2)/sin^3(theta/2)
             on [eps, pi/2], again normalized to second moment 4/pi; the
             velocity factor is r^-3, optionally regularized to (r+h_eps)^-3.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -125,11 +128,23 @@ class TailInverse:
     angles: callable
 
 
-def _power_tail(H, c: float, k: float, nu: float) -> TailInverse:
-    """Tail of a power-law family, G(z) = c (k z + pi^(-nu))^(-1/nu): the
-    soft kernel (c = 1, k = nu / c_nu) and its grazing rescaling."""
+def _power_tail(c_nu: float, nu: float, eps: float) -> TailInverse:
+    """Tail of the power law c_nu theta^(-1-nu) squeezed onto (0, eps]:
+    H(theta) = (pi/eps)^2 (c_nu/nu) ((pi theta/eps)^(-nu) - pi^(-nu)) and
+    G(z) = c (k z + pi^(-nu))^(-1/nu), c = eps/pi, k = nu / (c_nu (pi/eps)^2).
+    """
     pi_pow = math.pi ** (-nu)
     expo = -1.0 / nu
+    a = c_nu / nu
+    scale = (math.pi / eps) ** 2
+    c = eps / math.pi
+    k = nu / (c_nu * scale)
+
+    def H(theta):
+        theta = np.asarray(theta, dtype=float)
+        x = math.pi * theta / eps
+        out = scale * (a * (np.power(x, -nu) - pi_pow))
+        return np.where((theta >= eps) | (x >= math.pi), 0.0, out)
 
     def theta(u, lo=0.0, mass=None):
         u = np.asarray(u, dtype=float)
@@ -147,30 +162,6 @@ def _power_tail(H, c: float, k: float, nu: float) -> TailInverse:
 
     return TailInverse(H=H, G=lambda z: theta(z), z_max=math.inf,
                        angles=angles)
-
-
-def _soft_tail(c_nu: float, nu: float) -> TailInverse:
-    pi_pow = math.pi ** (-nu)
-    a = c_nu / nu
-
-    def H(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = a * (np.power(theta, -nu) - pi_pow)
-        return np.where(theta >= math.pi, 0.0, out)
-
-    return _power_tail(H, 1.0, nu / c_nu, nu)
-
-
-def _grazing_tail(base: SoftKernel, eps: float) -> TailInverse:
-    scale = (math.pi / eps) ** 2
-
-    def H(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = scale * base.tail.H(np.minimum(math.pi * theta / eps, math.pi))
-        return np.where(theta >= eps, 0.0, out)
-
-    return _power_tail(H, eps / math.pi, base.nu / (base.c_nu * scale),
-                       base.nu)
 
 
 def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
@@ -233,57 +224,21 @@ def _zeroed(inside, *arrays):
 
 
 @dataclass(frozen=True)
-class SoftKernel:
-    """Power-law angular kernel for a soft potential, support (0, pi]."""
-
-    gamma: float
-    nu: float
-    c_nu: float = field(init=False)
-
-    def __post_init__(self):
-        if not -3.0 < self.gamma < 0.0:
-            raise ParameterError(f"gamma must lie in (-3, 0), got {self.gamma}")
-        object.__setattr__(self, "c_nu", soft_normalizer(self.nu))
-
-    family = "soft"
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.pi)
-
-    def beta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        ok = (theta > 0.0) & (theta <= math.pi)
-        out[ok] = self.c_nu * theta[ok] ** (-1.0 - self.nu)
-        return out
-
-    def phi(self, r):
-        """Velocity factor Phi(r) = r^gamma (unregularized; callers floor r)."""
-        r = np.asarray(r, dtype=float)
-        return np.power(r, self.gamma)
-
-    @functools.cached_property
-    def tail(self) -> TailInverse:
-        return _soft_tail(self.c_nu, self.nu)
-
-    def params(self) -> dict:
-        return {"family": self.family, "gamma": self.gamma, "nu": self.nu}
-
-
-@dataclass(frozen=True)
 class GrazingKernel:
-    """Soft kernel rescaled to concentrate on deviation angles below eps."""
+    """Power-law kernel c_nu theta^(-1-nu) squeezed onto (0, eps), open at
+    eps: beta_eps(theta) = (pi/eps)^3 * beta(pi*theta/eps)."""
 
     gamma: float
     nu: float
     eps: float
-    base: SoftKernel = field(init=False)
+    c_nu: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps <= math.pi:
             raise ParameterError(f"grazing eps must lie in (0, pi], got {self.eps}")
-        object.__setattr__(self, "base", SoftKernel(self.gamma, self.nu))
+        if not -3.0 < self.gamma < 0.0:
+            raise ParameterError(f"gamma must lie in (-3, 0), got {self.gamma}")
+        object.__setattr__(self, "c_nu", soft_normalizer(self.nu))
 
     family = "grazing"
 
@@ -295,20 +250,32 @@ class GrazingKernel:
         theta = np.asarray(theta, dtype=float)
         out = np.zeros_like(theta)
         ok = (theta > 0.0) & (theta < self.eps)
+        x = math.pi * theta[ok] / self.eps
         scale = (math.pi / self.eps) ** 3
-        out[ok] = scale * self.base.beta(math.pi * theta[ok] / self.eps)
+        out[ok] = scale * (self.c_nu * x ** (-1.0 - self.nu))
         return out
 
     def phi(self, r):
-        return self.base.phi(r)
+        """Velocity factor Phi(r) = r^gamma (unregularized; callers floor r)."""
+        r = np.asarray(r, dtype=float)
+        return np.power(r, self.gamma)
 
     @functools.cached_property
     def tail(self) -> TailInverse:
-        return _grazing_tail(self.base, self.eps)
+        return _power_tail(self.c_nu, self.nu, self.eps)
 
     def params(self) -> dict:
-        return {"family": self.family, "gamma": self.gamma, "nu": self.nu,
-                "eps": self.eps}
+        """The family and the constructor's parameters."""
+        return {"family": self.family, **{
+            f.name: getattr(self, f.name) for f in fields(self) if f.init}}
+
+
+@dataclass(frozen=True)
+class SoftKernel(GrazingKernel):
+    """Power-law kernel for a soft potential: the grazing kernel at eps = pi."""
+
+    eps: float = field(default=math.pi, init=False)
+    family = "soft"
 
 
 @dataclass(frozen=True)
@@ -361,11 +328,10 @@ class CoulombKernel:
     def tail(self) -> TailInverse:
         return _coulomb_tail(self.k_c, self.eps)
 
-    def params(self) -> dict:
-        return {"family": self.family, "eps": self.eps, "h_eps": self.h_eps}
+    params = GrazingKernel.params
 
 
-Kernel = SoftKernel | GrazingKernel | CoulombKernel
+Kernel = GrazingKernel | CoulombKernel
 
 
 def kernel_from_params(family: str, *, gamma: float | None = None,
@@ -428,21 +394,16 @@ def theta_rule(kernel: Kernel, lo=0.0):
 def theta_moment(kernel: Kernel, power: float) -> float:
     """integral(theta^power * beta(theta)) over the kernel support.
 
-    Soft and grazing kernels use the closed form; Coulomb sums theta_rule.
-    Preconditions: power > nu for soft families (divergent otherwise),
-    power >= 0 for Coulomb.
+    Power laws (soft and grazing) use the closed form; Coulomb sums
+    theta_rule.  Preconditions: power > nu for power laws (divergent
+    otherwise), power >= 0 for Coulomb.
     """
-    if isinstance(kernel, SoftKernel):
-        if power <= kernel.nu:
-            raise ParameterError(
-                f"moment power must exceed nu={kernel.nu}, got {power}")
-        return kernel.c_nu * math.pi ** (power - kernel.nu) / (power - kernel.nu)
     if isinstance(kernel, GrazingKernel):
         if power <= kernel.nu:
             raise ParameterError(
                 f"moment power must exceed nu={kernel.nu}, got {power}")
-        base_moment = theta_moment(kernel.base, power)
-        return (kernel.eps / math.pi) ** (power - 2.0) * base_moment
+        return (kernel.eps / math.pi) ** (power - 2.0) * (
+            kernel.c_nu * math.pi ** (power - kernel.nu) / (power - kernel.nu))
     if isinstance(kernel, CoulombKernel):
         if power < 0:
             raise ParameterError(f"moment power must be >= 0, got {power}")
@@ -474,10 +435,7 @@ def _power_law_antiderivatives(kernel, x):
     beta = a * theta^(-1-nu), term by term over the series: exact to
     rounding for every nu in (0, 2)."""
     nu = kernel.nu
-    if isinstance(kernel, GrazingKernel):
-        a = (math.pi / kernel.eps) ** (2.0 - nu) * kernel.base.c_nu
-    else:
-        a = kernel.c_nu
+    a = (math.pi / kernel.eps) ** (2.0 - nu) * kernel.c_nu
     e = 2.0 * _K - nu
     powers = x ** e / e
     return a * np.array([math.fsum(_ONE_COS_COEF * powers),
@@ -567,25 +525,29 @@ def _pair_integral(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return b * (both + single)
 
 
+def _speed_pairs(pairs):
+    """The columns x, y of an (n, 2) array of positive speeds."""
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or np.any(pairs <= 0):
+        raise ParameterError("pairs must be an (n, 2) array of positive speeds")
+    return pairs[:, 0], pairs[:, 1]
+
+
 def scaling_agreement_report(gamma: float, nu: float, eps_list,
                              pairs) -> dict:
     """Check that I_eps(x,y) = integral((G_eps(z/x) - G_eps(z/y))^2 dz) does
     not depend on the grazing rescaling eps, and report the ratio of I to
-    (x-y)^2/(x+y).  eps >= pi takes the unscaled soft kernel.
+    (x-y)^2/(x+y).  eps = pi is the unscaled soft kernel.
 
     pairs: array (n, 2) of positive speeds x, y.
     Returns {eps -> I array}, max relative deviation across eps, and the
     min/max observed ratio.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or np.any(pairs <= 0):
-        raise ParameterError("pairs must be an (n, 2) array of positive speeds")
-    x, y = pairs[:, 0], pairs[:, 1]
+    x, y = _speed_pairs(pairs)
     values: dict[float, np.ndarray] = {}
     for eps in eps_list:
-        kern = (SoftKernel(gamma, nu) if eps >= math.pi
-                else GrazingKernel(gamma, nu, eps))
-        values[float(eps)] = _pair_integral(kern, x, y)
+        values[float(eps)] = _pair_integral(GrazingKernel(gamma, nu, eps),
+                                            x, y)
     mats = np.stack(list(values.values()))
     ref = mats[0]
     max_rel_dev = float(np.max(np.abs(mats - ref[None, :]) /
@@ -627,10 +589,7 @@ def coulomb_mismatch_report(eps_list, pairs, *, cross_check_pair=None) -> dict:
     cross_check_pair: optional (x, y, eps) evaluated by two independent
     quadrature routes; the report includes their relative agreement.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or np.any(pairs <= 0):
-        raise ParameterError("pairs must be an (n, 2) array of positive speeds")
-    x, y = pairs[:, 0], pairs[:, 1]
+    x, y = _speed_pairs(pairs)
     b = np.maximum(x, y)
     s = np.minimum(x, y)
     report: dict = {"per_eps": {}}

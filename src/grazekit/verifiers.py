@@ -41,18 +41,10 @@ def psi(x):
     in integrator stages).
     """
     arr = np.asarray(x, dtype=float)
-    out = np.where(arr > 1.0, arr, 0.0)
-    low = (arr > 0.0) & (arr <= 1.0)
-    if np.any(low):
-        xl = arr[low]
-        vals = xl * (1.0 - np.log(xl))
-        if out.ndim == 0:
-            out = np.asarray(vals[0])
-        else:
-            out[low] = vals
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(arr > 1.0, arr,
+                       np.where(arr > 0.0, arr * (1.0 - np.log(arr)), 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def gronwall_envelope(K):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line entry point: exit codes, artifact
 schemas, byte-identical reruns, flag/config precedence."""
 
+import hashlib
 import json
 import math
 import os
@@ -130,6 +131,37 @@ def test_simulate_boltzmann_byte_identical_and_overridable(tmp_path):
     assert m1["seed"] == 7 and m3["seed"] == 8
     assert m1["config"]["eps"] == "pi/8"
     assert m1["outputs"]["snapshots.csv"] != m3["outputs"]["snapshots.csv"]
+
+
+SOFT_ARGS = ["--gamma", "-0.5", "--nu", "0.6"]
+SOFT_RUN = ["simulate-boltzmann", "--family", "soft", *SOFT_ARGS,
+            "--n", "256", "--dt", "0.25", "--T", "0.75", "--update-mode"]
+
+
+@pytest.mark.parametrize("argv, sha1s", [
+    (["verify-kernels", "--family", "soft", *SOFT_ARGS],
+     {"manifest.json": "dcb027000a1a4d1517221cb5de620e62f5ac7b9c",
+      "verify_kernels.csv": "a9e9fef1b6e2d6e8066f487c51bd73b389e53408"}),
+    (["verify-kernels", "--family", "grazing", *SOFT_ARGS,
+      "--eps-list", "pi,pi/8"],
+     {"manifest.json": "f7adab203ba8e09729e11e89ff1750356951d2e8",
+      "verify_kernels.csv": "c2e8ef7dc0afc17eb72794f87d86bd1f9729e6a7"}),
+    (SOFT_RUN + ["nanbu"],
+     {"diagnostics.json": "d60d956652e6dafbe88812a72013f5f3c29b8d2c",
+      "manifest.json": "24771bbfd44867f02b14d9430569cf9923d0ff24",
+      "snapshots.csv": "705d2029d22068321614a1f4eb2157301ab7d6b3"}),
+    (SOFT_RUN + ["symmetric"],
+     {"diagnostics.json": "f6c130a6c45f55bd0a286ff86b5f51b6d4316dd9",
+      "manifest.json": "0f0725d1c8c95e84a9a15c64996ef4e6a3e9ceaf",
+      "snapshots.csv": "6d10e0f313481f5db8e0c7db81be8c70bea1cb89"}),
+], ids=["verify-soft", "verify-grazing-pi-pi/8", "soft-nanbu",
+        "soft-symmetric"])
+def test_soft_kernel_artifact_bytes_are_pinned(tmp_path, argv, sha1s):
+    # the benchmark runs no soft kernel: these pins hold the soft bytes,
+    # and those of the grazing kernel at eps = pi, where the two coincide
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == sha1s
 
 
 @pytest.mark.parametrize("argv", [

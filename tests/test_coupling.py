@@ -94,6 +94,9 @@ def test_subdivision_validation():
         build_subdivision(sqrt_inv, 1.0, 0)
     with pytest.raises(ParameterError):
         build_subdivision(lambda s: -np.ones_like(np.asarray(s, float)), 1.0, 4)
+    # a profile must map the sample array to an array of its shape
+    with pytest.raises(ParameterError, match=r"\(32,\).*got \(\)"):
+        build_subdivision(lambda s: 1.0, 1.0, 4)
     # T=0.3, n=1 is the smallest-horizon Coulomb setting and must work
     sub = build_subdivision(sqrt_inv, 0.3, 1)
     assert len(sub.grid) == 2

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from grazekit.boltzmann import BoltzmannConfig, _theta_min_eff
 from grazekit.errors import ParameterError
 from grazekit import kernels as K
 
@@ -228,6 +229,30 @@ def test_grazing_tail_edges_and_half_pi_identity():
     assert float(g.H(eps)) == 0.0
     assert float(g.H(eps * 1.5)) == 0.0
     assert float(g.G(0.0)) == pytest.approx(eps, rel=1e-15)
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.6, 1.5])
+def test_soft_kernel_is_the_grazing_kernel_at_pi(nu):
+    soft, graz = K.SoftKernel(-0.5, nu), K.GrazingKernel(-0.5, nu, PI)
+    u = np.linspace(0.0, 1.0, 257)
+    for args in ((u,), (u, 0.3, 2.0), (u, 0.0, 1e3)):
+        for a, b in zip(soft.tail.angles(*args), graz.tail.angles(*args)):
+            assert np.array_equal(a, b)
+    for lo, hi in ((0.0, PI), (PI / 256, PI / 4), (0.01, 1.0), (1.0, PI)):
+        assert K.window_moments(soft, lo, hi) == \
+            K.window_moments(graz, lo, hi)
+    for p in (nu + 0.25, 2.0, 4.0):
+        assert K.theta_moment(soft, p) == K.theta_moment(graz, p)
+    # they differ only in the family, its params and the theta_min default
+    assert soft.params() == {"family": "soft", "gamma": -0.5, "nu": nu}
+    assert graz.params() == {"family": "grazing", "gamma": -0.5, "nu": nu,
+                             "eps": PI}
+
+    def theta_min(kern):
+        return _theta_min_eff(BoltzmannConfig(kern, n=8, dt=0.1, T=0.1))
+
+    assert theta_min(soft) == PI / 256 and theta_min(graz) == PI / 64
+    assert theta_min(K.GrazingKernel(-0.5, nu, PI / 8)) == PI / 8 / 64
 
 
 def test_coulomb_tail_edges():
