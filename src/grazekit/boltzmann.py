@@ -53,11 +53,11 @@ from .errors import ParameterError, StabilityError
 from .geometry import _jump_c, _norm, _safe, deviate, row_norm
 from .kernels import CoulombKernel, GrazingKernel, SoftKernel, residual_k
 from .particles import draw_companions, speed_floor
-from .trajectory import check_cloud_size, next_cloud, run_schedule
+from .trajectory import (check_cloud_size, check_run_config, next_cloud,
+                         run_schedule)
 
 __all__ = ["BoltzmannConfig", "step", "run"]
 
-_UPDATE_MODES = ("nanbu", "symmetric")
 _KERNEL_TYPES = (GrazingKernel, CoulombKernel)
 
 
@@ -84,16 +84,14 @@ class BoltzmannConfig:
 
     def __post_init__(self):
         _check_jump_options(self.kernel, self.theta_min, self.v_floor)
-        if self.n < 2:
-            raise ParameterError("need at least 2 particles")
-        if not (self.dt > 0.0):
-            raise ParameterError("dt must be positive")
-        if not (self.T >= 0.0):
-            raise ParameterError("T must be >= 0")
-        if self.update_mode not in _UPDATE_MODES:
-            raise ParameterError(f"update_mode must be one of {_UPDATE_MODES}")
+        check_run_config(self)
+        if self.update_mode not in _STEPS:
+            raise ParameterError(f"update_mode must be one of {tuple(_STEPS)}")
         if not (self.rate_cap > 0.0):
             raise ParameterError("rate_cap must be positive")
+
+    def step_stream(self, k):
+        return rngstreams.stream(self.seed, "boltzmann-step", k)
 
 
 def _check_jump_options(kernel, theta_min, v_floor):
@@ -253,6 +251,9 @@ def _step_symmetric(X0, kernel, theta_eff, v_floor, dt, rng):
     return X, int(counts.sum())
 
 
+_STEPS = {"nanbu": _step_nanbu, "symmetric": _step_symmetric}
+
+
 def step(cloud, config, rng):
     """Advance the cloud by one time step dt.
 
@@ -275,13 +276,8 @@ def step(cloud, config, rng):
             f"expected {lam:.3g} collisions per step at the speed floor "
             f"(rate_cap {config.rate_cap:.3g}); decrease dt or raise v_floor")
 
-    if config.update_mode == "nanbu":
-        Xn, events = _step_nanbu(cloud.velocities, kernel, theta_eff, v_floor,
-                                 config.dt, rng)
-    else:
-        Xn, events = _step_symmetric(cloud.velocities, kernel, theta_eff,
-                                     v_floor, config.dt, rng)
-
+    Xn, events = _STEPS[config.update_mode](cloud.velocities, kernel,
+                                            theta_eff, v_floor, config.dt, rng)
     return next_cloud(cloud, Xn, config.dt, events)
 
 
@@ -293,14 +289,6 @@ def run(config, initial_cloud, schedule=None):
     (seed, step index): identical (config, seed) give bit-identical
     trajectories.
     """
-    check_cloud_size(initial_cloud, config)
-    resolved = replace(config,
-                       v_floor=speed_floor(config.v_floor, initial_cloud))
-
-    def _advance(cloud):
-        rng = rngstreams.stream(resolved.seed, "boltzmann-step",
-                                cloud.step_index)
-        return step(cloud, resolved, rng)
-
-    return run_schedule(initial_cloud, _advance, resolved.T, resolved.dt,
-                        schedule)
+    return run_schedule(initial_cloud, replace(
+        config, v_floor=speed_floor(config.v_floor, initial_cloud)),
+        step, schedule)

@@ -26,7 +26,8 @@ from . import rngstreams
 from .errors import DegenerateInputError, ParameterError
 from .geometry import _NP, row_norm
 from .particles import draw_companions, speed_floor
-from .trajectory import check_cloud_size, next_cloud, run_schedule
+from .trajectory import (check_cloud_size, check_run_config, next_cloud,
+                         run_schedule)
 
 __all__ = [
     "LandauCoefficients",
@@ -37,7 +38,6 @@ __all__ = [
     "run",
 ]
 
-_PAIRINGS = ("subsampled", "conservative")
 # the increment components _noise multiplies against Z's _NP gathers
 _NOISE_B = np.array([[0, 2, 1], [1, 0, 2]])
 
@@ -138,18 +138,16 @@ class LandauConfig:
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if self.n < 2:
-            raise ParameterError("need at least 2 particles")
-        if not (self.dt > 0.0):
-            raise ParameterError("dt must be positive")
-        if not (self.T >= 0.0):
-            raise ParameterError("T must be >= 0")
-        if self.pairing not in _PAIRINGS:
-            raise ParameterError(f"pairing must be one of {_PAIRINGS}")
+        check_run_config(self)
+        if self.pairing not in _STEPS:
+            raise ParameterError(f"pairing must be one of {tuple(_STEPS)}")
         if self.m < 1:
             raise ParameterError("m must be >= 1")
         if self.reg_delta is not None and not (self.reg_delta >= 0.0):
             raise ParameterError("reg_delta must be >= 0")
+
+    def step_stream(self, k):
+        return rngstreams.stream(self.seed, "landau-step", k)
 
 
 def _step_subsampled(X, coeffs, dt, m, rng):
@@ -188,6 +186,9 @@ def _step_conservative(X, coeffs, dt, m, rng):
     return X + (dt / m) * acc[:, :3] + acc[:, 3:] / np.sqrt(m), m * half
 
 
+_STEPS = {"subsampled": _step_subsampled, "conservative": _step_conservative}
+
+
 def step(cloud, config, rng):
     """One Euler-Maruyama step; returns a new cloud dt later.
 
@@ -197,13 +198,10 @@ def step(cloud, config, rng):
     check_cloud_size(cloud, config)
     coeffs = LandauCoefficients(config.gamma,
                                 speed_floor(config.reg_delta, cloud))
-    X, m = cloud.velocities, config.m
     # overflow/invalid intermediates surface as the non-finite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.pairing == "subsampled":
-            Xn, events = _step_subsampled(X, coeffs, config.dt, m, rng)
-        else:
-            Xn, events = _step_conservative(X, coeffs, config.dt, m, rng)
+        Xn, events = _STEPS[config.pairing](cloud.velocities, coeffs,
+                                            config.dt, config.m, rng)
     return next_cloud(cloud, Xn, config.dt, events)
 
 
@@ -215,13 +213,6 @@ def run(config, initial_cloud, schedule=None):
     own deterministic substream keyed by (seed, step index), so a run is
     reproducible regardless of snapshot schedule.
     """
-    check_cloud_size(initial_cloud, config)
-    resolved = replace(config,
-                       reg_delta=speed_floor(config.reg_delta, initial_cloud))
-
-    def _advance(cloud):
-        rng = rngstreams.stream(resolved.seed, "landau-step", cloud.step_index)
-        return step(cloud, resolved, rng)
-
-    return run_schedule(initial_cloud, _advance, resolved.T, resolved.dt,
-                        schedule)
+    return run_schedule(initial_cloud, replace(
+        config, reg_delta=speed_floor(config.reg_delta, initial_cloud)),
+        step, schedule)

@@ -1,5 +1,5 @@
-"""Snapshot schedule and step bookkeeping shared by the two particle
-simulators."""
+"""The one step loop of the two particle simulators, their run checks,
+and the snapshot schedule and step bookkeeping they share."""
 
 import math
 from dataclasses import dataclass, field
@@ -11,7 +11,8 @@ from .metrics import _KNN_K, entropy_knn
 from .particles import ParticleCloud
 
 __all__ = ["Trajectory", "snapshot_diagnostics", "run_schedule",
-           "check_cloud_size", "next_cloud", "check_finite"]
+           "check_run_config", "check_cloud_size", "next_cloud",
+           "check_finite"]
 
 
 @dataclass
@@ -24,10 +25,6 @@ class Trajectory:
     def append(self, cloud: ParticleCloud):
         self.clouds.append(cloud.copy())
         self.diagnostics.append(snapshot_diagnostics(cloud))
-
-    @property
-    def times(self):
-        return [c.time for c in self.clouds]
 
 
 def snapshot_diagnostics(cloud: ParticleCloud) -> dict:
@@ -50,23 +47,25 @@ def snapshot_diagnostics(cloud: ParticleCloud) -> dict:
     }
 
 
-def run_schedule(cloud, step_fn, T, dt, schedule=None):
-    """Advance a cloud with ``step_fn`` and snapshot at the scheduled times.
+def run_schedule(cloud, config, step, schedule=None):
+    """Advance a cloud by step(cloud, config, config.step_stream(k)) at
+    step index k, and snapshot at the scheduled times.
 
-    Steps have fixed length dt; each requested snapshot s is emitted after
-    ceil((s - t0)/dt) steps from the starting cloud's time t0, i.e. at the
-    first step boundary at or after it (choose dt so the times of interest
-    sit on the grid).  Steps are counted as integers, so rounding in the
-    accumulated cloud.time never adds a step.  An empty or None schedule means a single snapshot at
-    the horizon T.  T = 0 returns the initial cloud only.
+    Steps have fixed length config.dt; each requested snapshot s is emitted
+    after ceil((s - t0)/dt) steps from the starting cloud's time t0, i.e. at
+    the first step boundary at or after it (choose dt so the times of
+    interest sit on the grid).  Steps are counted as integers, so rounding
+    in the accumulated cloud.time never adds a step.  An empty or None
+    schedule means a single snapshot at the horizon config.T.  T = 0
+    returns the initial cloud only.
     """
-    if not (T >= 0.0) or not np.isfinite(T):
-        raise ParameterError("horizon T must be finite and >= 0")
+    check_cloud_size(cloud, config)
+    T, dt = config.T, config.dt
     if schedule is None or len(schedule) == 0:
         targets = [float(T)]
     else:
         targets = sorted({float(s) for s in schedule})
-    if targets[0] < 0.0 or targets[-1] > T + 1e-12:
+    if not all(0.0 <= s <= T + 1e-12 for s in targets):
         raise ParameterError("snapshot times must lie in [0, T]")
 
     traj = Trajectory()
@@ -74,10 +73,21 @@ def run_schedule(cloud, step_fn, T, dt, schedule=None):
     for s in targets:
         need = math.ceil((s - t0) / dt - 1e-9)
         while taken < need:
-            cloud = step_fn(cloud)
+            cloud = step(cloud, config, config.step_stream(cloud.step_index))
             taken += 1
         traj.append(cloud)
     return traj
+
+
+def check_run_config(config):
+    """The run checks of both simulator configs: n >= 2, 0 < dt < inf and
+    0 <= T < inf."""
+    if config.n < 2:
+        raise ParameterError("need at least 2 particles")
+    if not (0.0 < config.dt < math.inf):
+        raise ParameterError("dt must be positive and finite")
+    if not (0.0 <= config.T < math.inf):
+        raise ParameterError("T must be finite and >= 0")
 
 
 def check_cloud_size(cloud, config):

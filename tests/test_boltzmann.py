@@ -161,6 +161,7 @@ def test_config_validation():
     good = dict(kernel=kern, n=16, dt=0.01, T=0.1)
     BoltzmannConfig(**good)
     for bad in (dict(good, n=1), dict(good, dt=0.0), dict(good, T=-1.0),
+                dict(good, dt=np.inf), dict(good, T=np.inf),
                 dict(good, theta_min=0.0), dict(good, theta_min=4.0),
                 dict(good, v_floor=-1.0), dict(good, update_mode="euler"),
                 dict(good, rate_cap=0.0), dict(good, kernel="coulomb")):

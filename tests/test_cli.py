@@ -136,6 +136,8 @@ def test_simulate_boltzmann_byte_identical_and_overridable(tmp_path):
 SOFT_ARGS = ["--gamma", "-0.5", "--nu", "0.6"]
 SOFT_RUN = ["simulate-boltzmann", "--family", "soft", *SOFT_ARGS,
             "--n", "256", "--dt", "0.25", "--T", "0.75", "--update-mode"]
+LANDAU_RUN = ["simulate-landau", "--gamma", "-1", "--n", "64", "--dt", "0.05",
+              "--T", "0.2", "--m", "8", "--schedule", "0.1,0.2", "--pairing"]
 
 
 @pytest.mark.parametrize("argv, sha1s", [
@@ -154,11 +156,27 @@ SOFT_RUN = ["simulate-boltzmann", "--family", "soft", *SOFT_ARGS,
      {"diagnostics.json": "f6c130a6c45f55bd0a286ff86b5f51b6d4316dd9",
       "manifest.json": "0f0725d1c8c95e84a9a15c64996ef4e6a3e9ceaf",
       "snapshots.csv": "6d10e0f313481f5db8e0c7db81be8c70bea1cb89"}),
+    (LANDAU_RUN + ["subsampled"],
+     {"diagnostics.json": "86926dc564e845ef0dfcc0be4532803219094e50",
+      "manifest.json": "f02e4009c9ef1ab6dd3f2460018b1da868f25eca",
+      "snapshots.csv": "8e486dabadfc8adb4dba5e37c9d4f6b342b0a1f1"}),
+    (LANDAU_RUN + ["conservative"],
+     {"diagnostics.json": "31d3f86a60c55f01597896543a1effee080c3935",
+      "manifest.json": "a6cf3d1a0e6847499c836b167291f63b7606e4e4",
+      "snapshots.csv": "5222d861fc3f54cf60c99d98206309e2c0cef1e8"}),
+    (["simulate-boltzmann", "--family", "coulomb", "--eps", "0.1",
+      "--v-floor", "0.2", "--n", "256", "--dt", "0.05", "--T", "0.1",
+      "--update-mode", "nanbu"],
+     {"diagnostics.json": "cd497020a2535038ca4434d1539b97fc74b6e713",
+      "manifest.json": "17d11842417dcaeee8ea09c5555dccc93e9d1413",
+      "snapshots.csv": "affef2172c29463888727b00d615deffe9f42096"}),
 ], ids=["verify-soft", "verify-grazing-pi-pi/8", "soft-nanbu",
-        "soft-symmetric"])
+        "soft-symmetric", "landau-subsampled", "landau-conservative",
+        "coulomb-nanbu"])
 def test_soft_kernel_artifact_bytes_are_pinned(tmp_path, argv, sha1s):
     # the benchmark runs no soft kernel: these pins hold the soft bytes,
-    # and those of the grazing kernel at eps = pi, where the two coincide
+    # and those of the grazing kernel at eps = pi, where the two coincide;
+    # nor a subsampled or scheduled Landau run, nor a Coulomb one
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == sha1s
@@ -192,6 +210,22 @@ def test_simulate_landau_runs(tmp_path):
     assert header == "t,particle,vx,vy,vz"
     assert len(rows) == 32  # default schedule: one snapshot at T
     assert {r[0] for r in rows} == {"0.1"}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dt", "inf", "--T", "0.5"],
+    ["--dt", "0.1", "--T", "inf"],
+    ["--dt", "0.1", "--T", "0.5", "--schedule", "0.1,nan"],
+], ids=["dt-inf", "T-inf", "schedule-nan"])
+def test_non_finite_run_times_exit_2(tmp_path, flags):
+    # an infinite dt used to run zero steps and exit 0, and a NaN snapshot
+    # time to crash in math.ceil
+    assert main(["simulate-landau", "--gamma", "-1", "--n", "64", *flags,
+                 "--out-dir", str(tmp_path / "x")]) == 2
+    assert main(["simulate-boltzmann", "--family", "grazing", "--gamma",
+                 "-0.5", "--nu", "0.6", "--eps", "pi/8", "--n", "64", *flags,
+                 "--out-dir", str(tmp_path / "y")]) == 2
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_missing_required_fields_exit_2(tmp_path):

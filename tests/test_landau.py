@@ -168,6 +168,10 @@ def test_config_validation():
         LandauConfig(gamma=-1.0, n=1, dt=0.01, T=1.0)
     with pytest.raises(ParameterError):
         LandauConfig(gamma=-1.0, n=8, dt=0.0, T=1.0)
+    for dt, T in ((np.inf, 1.0), (np.nan, 1.0), (0.01, np.inf),
+                  (0.01, np.nan)):
+        with pytest.raises(ParameterError, match="finite"):
+            LandauConfig(gamma=-1.0, n=8, dt=dt, T=T)
     for pairing in ("magic", "full"):
         with pytest.raises(ParameterError, match="pairing"):
             LandauConfig(gamma=-1.0, n=8, dt=0.01, T=1.0, pairing=pairing)
@@ -270,7 +274,7 @@ def test_run_schedule_snapshots():
                            np.random.default_rng(7))
     cfg = LandauConfig(gamma=-1.0, n=32, dt=0.01, T=0.2, m=8, seed=1)
     traj = run(cfg, cloud, schedule=[0.0, 0.1, 0.2])
-    assert [round(t, 10) for t in traj.times] == [0.0, 0.1, 0.2]
+    assert [round(c.time, 10) for c in traj.clouds] == [0.0, 0.1, 0.2]
     assert {"t", "m2", "m4", "entropy", "max_speed", "events"} <= set(
         traj.diagnostics[0])
     with pytest.raises(ParameterError):

@@ -234,3 +234,33 @@ def test_benchmark_tracer_wraps_and_restores_every_name(monkeypatch):
         tracer.restore()
     assert all(getattr(owner, attr) is original
                for owner, attr, original in wrapped)
+
+
+def test_runs_call_the_step_the_tracer_wraps(monkeypatch):
+    # the tracer times boltzmann.step and landau.step by replacing the
+    # module attributes; a run loop that bound step at import would bypass
+    # the wrappers and read zero traced boltzmann.* and landau.* metrics
+    import numpy as np
+
+    from grazekit import boltzmann, landau
+    from grazekit.kernels import GrazingKernel
+    from grazekit.particles import sample_initial
+
+    cloud = sample_initial({"name": "isotropic-gaussian"}, 16,
+                           np.random.default_rng(0))
+    configs = {
+        boltzmann: boltzmann.BoltzmannConfig(
+            GrazingKernel(-0.5, 0.6, np.pi / 8), n=16, dt=0.05, T=0.2),
+        landau: landau.LandauConfig(-1.0, n=16, dt=0.05, T=0.2, m=2)}
+    for module, config in configs.items():
+        calls = []
+        original = module.step
+
+        def counting(cloud, config, rng, original=original, calls=calls):
+            calls.append(cloud.step_index)
+            return original(cloud, config, rng)
+
+        monkeypatch.setattr(module, "step", counting)
+        traj = module.run(config, cloud, schedule=[0.1, 0.2])
+        assert calls == [0, 1, 2, 3]
+        assert [c.step_index for c in traj.clouds] == [2, 4]
