@@ -103,6 +103,7 @@ def coupled_summary_json_text(result):
         "m2_boltz": result.m2_boltz[-1],
         "m2_landau": result.m2_landau[-1],
         "events": result.events,
+        "exact_jumps": result.exact_jumps,
     })
 
 
@@ -134,6 +135,8 @@ def sweep_summary_json_text(report):
         "proven_exponent": report.proven_exponent,
         "conjectured_exponent": report.conjectured_exponent,
         "verdict": report.verdict,
+        "exact_cap": report.exact_cap,
+        "exact_share": list(report.exact_share),
         "theta_g": list(report.theta_g),
         **report.m2_drift_stats,
     })

@@ -30,9 +30,6 @@ those have no Landau counterpart and are part of the measured gap.  A
 Tanaka azimuth rotation phi0 aligns the Landau pair frame with the
 Boltzmann pair frame when the toggle is on; each side builds its pair
 frame once per slab, and the alignment reads those same frames.
-Per-pair candidate counts above _NORMAL_FALLBACK (100 000) switch to their
-conditional Gaussian aggregate (same moments), keeping cost bounded at
-small eps.
 
 The bottom of the window holds most of the jumps but little of their
 variance: below theta_g, which puts _GAUSS_SHARE (5 %) of the window's
@@ -41,36 +38,16 @@ nu = 0.6.  Each pair's window count is split by one binomial draw; the
 exact band [theta_g, eta] is sampled jump by jump, and the Gaussian band
 [theta_min, theta_g] takes the conditional Gaussian of its five sums given
 its count, with the band's moments (the small-jump approximation of
-Asmussen & Rosinski 2001; criterion 10 measures its W2 cost).  This is an
-approximation, not the same law: the sums' mean and covariance are kept,
-their shape below theta_g is not.
+Asmussen & Rosinski 2001; criterion 10 measures its W2 cost).  A pair
+expecting more than _EXACT_CAP exact jumps narrows its exact band
+(_level_table).  This is an approximation, not the same law: the sums'
+mean and covariance are kept, their shape below theta_g is not.
 
 Neither side carries the jumps below the window bottom theta_min beyond
 their mean drift (k_res): their diffusion, a share r_eta(theta_min) of the
 Landau diffusion (0.30 % at the grazing default eps/64 with nu = 0.6), is
 left out on both sides alike.  Coulomb windows start at the support edge,
 so nothing is left out there.
-
-Each jump of the sampler reads one pair of generator words: its jump
-coordinate z = lo + mass u and its azimuth phi = 2 pi u'.  theta,
-sin(theta/2) and sin theta come from the kernel's tail.angles(u, lo, mass),
-which folds the window map into the closed-form inverse: the soft and
-grazing tails take both sines of theta from libm, the Coulomb tail reads
-them off its inverse without a sine call.  cos phi and sin phi come from a
-1025-entry table and the angle-addition formula (_azimuth_cos_sin), within
-5e-16 of np.cos and np.sin.  Each particle's five sums are pairwise
-(np.add.reduceat), and its (1 - cos theta) sum is that of the terms
-2 sin^2(theta/2) rounded once; the above-eta band reads the first three
-and drops its theta sums.  The window moments come from
-kernels.window_moments.
-
-rate_sweep builds and checks every (eps, seed) cell first, then runs the
-cells on every core in the process's CPU affinity (a forked process pool;
-in-process with one core or one cell).  Each cell draws only from streams
-keyed by its own seed and slab, so the report does not depend on the core
-count.  A cell sends back only its per-boundary series (CellSeries), not
-its terminal clouds, so what crosses the pool's pipes and what the sweep
-holds until its end does not grow with n.
 """
 
 import functools
@@ -189,17 +166,16 @@ class CouplingPlan:
 
     Stream consumption order per slab k is fixed: companion_stream(k) yields
     the n companion indices; jump_stream(k) yields, in order, the window
-    Poisson counts, the band split (one binomial per pair below the
-    Gaussian-fallback threshold: how many of its window jumps fall in the
-    Gaussian band [theta_min, theta_g]), one interleaved (z, phi) pair of
-    uniforms per jump of the exact band [theta_g, eta], the
-    Gaussian-fallback normals, the band normals (three per pair with band
-    jumps), then (if the kernel has mass above eta) the large-angle counts
-    and one (z, phi) pair per large-angle jump.  Without a band
-    (theta_g = theta_min) the split and the band normals are not drawn.
-    The Landau side draws nothing of its own: its kicks are the standardized
-    jump sums, so both sides consume identical companion indices and base
-    draws in identical order.
+    Poisson counts, the band split (one binomial per pair at its level's
+    band_p: how many of its window jumps fall in the Gaussian band
+    [theta_min, theta_g]), one interleaved (z, phi) pair of uniforms per
+    jump of the exact band [theta_g, eta], particle by particle, the band
+    normals (three per pair with band jumps), then (if the kernel has mass
+    above eta) the large-angle counts and one (z, phi) pair per large-angle
+    jump.  A pair without a band (theta_g = theta_min) draws no split and
+    no band normals.  The Landau side draws nothing of its own: its kicks
+    are the standardized jump sums, so both sides consume identical
+    companion indices and base draws in identical order.
 
     theta_min: bottom of the matching window, as in BoltzmannConfig.
     v_floor: Boltzmann speed floor, reg_delta: Landau regularization floor;
@@ -249,16 +225,16 @@ class CoupledResult:
     boltz_cloud: ParticleCloud
     landau_cloud: ParticleCloud
     events: int
+    exact_jumps: int   # jumps sampled one by one; the rest are Gaussian
 
     @property
     def sup_paired_l2(self):
         return float(np.max(self.paired_l2))
 
 
-# A pair with more window jumps in a slab than this takes the conditional
-# Gaussian aggregate of its jump sums (same moments) instead of sampled
-# jumps, which bounds the cost of near-coincident Coulomb pairs.
-_NORMAL_FALLBACK = 100_000
+# A pair expecting more exact-band jumps in a slab than this narrows its
+# exact band (_level_table), which bounds the cost of near-coincident pairs.
+_EXACT_CAP = 640
 
 # The Gaussian band [theta_min, theta_g] holds this share of the window's
 # int theta^2 beta; 0 samples every window jump.
@@ -335,9 +311,9 @@ def _azimuth_cos_sin(u):
 
 def _angle_sums(rng, counts, kernel, z_lo, mass, n):
     """Per-particle sums of (1-cos th), sin th cos/sin ph and th cos/sin ph
-    over `counts` draws from the window tail law; z in [z_lo, z_lo+mass].
-    Returns a (5, n) array; the band above eta reads only its first three
-    rows.
+    over `counts` draws from the window tail law; z in [z_lo, z_lo+mass],
+    with mass a float or one per particle.  Returns a (5, n) array; the
+    band above eta reads only its first three rows.
 
     Draw order: draw i, particle by particle, reads word 2i as its z
     uniform and word 2i+1 as its azimuth uniform; each block takes its
@@ -347,12 +323,12 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
     from kernel.tail.angles(u, z_lo, mass).  Each particle's sums are one
     np.add.reduceat segment over its own contiguous terms (pairwise).  The
     (1-cos th) terms, all positive, are 2 sin^2(th/2) (no cancellation at
-    grazing angles), and their sums are rounded once: each
-    term splits into a multiple h of q = ulp(snap) plus the exact remainder,
-    the h sum of a particle is exact (it stays below 2^53 q), and the
-    remainders correct it far below an ulp.  A segment depends on its own
-    terms alone, so the bytes do not depend on the blocks; a particle
-    without draws keeps +0.0."""
+    grazing angles), and their sums are rounded once: each term splits into
+    a multiple h of q = ulp(snap) plus the exact remainder, the h sum of a
+    particle is exact (it stays below 2^53 q), and the remainders correct
+    it far below an ulp.  A segment depends on its own terms alone, so the
+    bytes do not depend on the blocks; a particle without draws keeps
+    +0.0."""
     sums = np.zeros((5, n))
     snap = math.ldexp(3.0, (2 * int(np.max(counts))).bit_length())
     blocks = list(_blocks(counts, int(np.sum(counts))))
@@ -360,8 +336,10 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
     words, terms = np.empty((width, 2)), np.empty((6, width))
     for p0, p1, s0, s1 in blocks:
         size = s1 - s0
+        c = counts[p0:p1]
         u = rng.random(out=words[:size])
-        th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, mass)
+        m = np.repeat(mass[p0:p1], c) if np.ndim(mass) else mass
+        th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, m)
         cos_p, sin_p = _azimuth_cos_sin(u[:, 1])
         w = terms[:, :size]
         np.square(sin_h, out=w[0])
@@ -376,7 +354,6 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
         np.multiply(th, sin_p, out=w[4])
         # reduceat gives w[:, i] for an empty segment, so only particles
         # with draws are reduced
-        c = counts[p0:p1]
         nz = np.flatnonzero(c)
         seg = np.add.reduceat(w, (np.cumsum(c) - c)[nz], axis=1)
         seg[0] += seg[5]
@@ -405,6 +382,45 @@ def _band_top(kernel, lo, hi, share):
             b = mid
 
 
+class _Levels(NamedTuple):
+    """_level_table's count-capped rule, one entry per level."""
+    lam_top: np.ndarray  # the largest window rate at the level
+    theta_g: np.ndarray  # top of the Gaussian band; theta_min when empty
+    mass_z: np.ndarray   # z-mass of the exact band [theta_g, eta]
+    band_p: np.ndarray   # share of the window jumps in the Gaussian band
+    band: Moments        # the Gaussian band's moments, one array per field
+
+
+@functools.lru_cache(maxsize=64)
+def _level_table(kernel, mom, z_lo, lo, eta, share, cap, lam_max):
+    """The count-capped rule over the window [lo, eta] (moments mom, z_lo =
+    H(eta)): a pair whose rate is in (lam_top[l-1], lam_top[l]] expects at
+    most cap jumps in the exact band [theta_g[l], eta], z-mass mass_z[0] /
+    2^l.  theta_g[0] is _band_top's at `share`, theta_g[l] = G(z_lo +
+    mass_z[l]), up to lam_max's level or while it rises strictly below eta;
+    the top level takes every larger rate.  Moments are read uncached."""
+    moments = window_moments.__wrapped__
+    theta_g = [_band_top(kernel, lo, eta, share)]
+    mass_z = moments(kernel, theta_g[0], eta).mass
+    # z_lo + mass_z can round one ulp past z_max at the Coulomb support
+    # edge; the sampler's map stays within it, so tail.angles never masks
+    while z_lo + mass_z > kernel.tail.z_max:
+        mass_z = math.nextafter(mass_z, 0.0)
+    top = cap * mom.mass / mass_z
+    while top * mass_z / mom.mass > cap:
+        top = math.nextafter(top, 0.0)
+    while math.ldexp(top, len(theta_g) - 1) < lam_max:
+        g = float(kernel.tail.G(z_lo + math.ldexp(mass_z, -len(theta_g))))
+        if not theta_g[-1] < g < eta:
+            break
+        theta_g.append(g)
+    band = Moments(*map(np.array, zip(*(moments(kernel, lo, g)
+                                          for g in theta_g))))
+    levels = np.arange(len(theta_g))
+    return _Levels(np.ldexp(top, levels), np.array(theta_g),
+                   np.ldexp(mass_z, -levels), band.mass / mom.mass, band)
+
+
 class _RunConstants(NamedTuple):
     """What a coupled run resolves from its plan and initial cloud before
     any slab; _slab and _jump_sums read it."""
@@ -412,22 +428,24 @@ class _RunConstants(NamedTuple):
     v_floor: float     # Boltzmann speed floor
     delta: float       # Landau regularization floor
     mom: Moments       # the matching window [theta_min, eta]
-    theta_g: float     # top of the Gaussian band; theta_min when it is empty
-    band: Moments      # the Gaussian band [theta_min, theta_g]
-    band_p: float      # share of the window jumps in the Gaussian band
+    levels: _Levels    # theta_g, band, band_p and mass_z below: level 0
     z_lo: float        # H(eta): the exact band's z lies in [z_lo, z_lo+mass_z]
-    mass_z: float
     mom_lg: Moments    # the band above eta; None where it has no mass
     r_eta_win: float   # (pi/4) int theta^2 beta over the window
     r_tail: float      # (pi/4) int theta^2 beta above eta
     k_full: float      # (1-cos) drift mass: window + above eta + below window
+    theta_g = property(lambda c: c.levels.theta_g[0])
+    band = property(lambda c: Moments(*(f[0] for f in c.levels.band)))
+    band_p = property(lambda c: c.levels.band_p[0])
+    mass_z = property(lambda c: c.levels.mass_z[0])
 
 
 def _check_run(plan, initial_cloud, w2_mode="none"):
     """Every precondition of a coupled run, checked before any slab stream
     is built.  Returns the run's _RunConstants; k_full includes k_res, the
     (1-cos) mass below the window.  rate_sweep calls it for every cell
-    first, so the moments and theta_g are cached before its pool forks."""
+    first, so the moments and the level table are cached before its pool
+    forks; the levels reach the rate at v_floor in the widest slab."""
     if w2_mode not in ("none", "terminal"):
         raise ParameterError("w2_mode must be 'none' or 'terminal'")
     if w2_mode == "terminal":
@@ -447,21 +465,17 @@ def _check_run(plan, initial_cloud, w2_mode="none"):
 
     mom, mom_lg = window_moments(kernel, lo_win, eta), \
         window_moments(kernel, eta, sup_hi)
-    theta_g = _band_top(kernel, lo_win, eta, _GAUSS_SHARE)
-    band = window_moments(kernel, lo_win, theta_g)
-    mass_z = window_moments(kernel, theta_g, eta).mass
-    # z_lo + mass_z can round one ulp past z_max when the window starts at
-    # the Coulomb support edge; the sampler's map stays within it, so
-    # tail.angles never masks
-    while mom_lg.mass + mass_z > kernel.tail.z_max:
-        mass_z = math.nextafter(mass_z, 0.0)
+    width = float(np.max(np.diff(plan.subdivision.grid, prepend=0.0)))
+    lam_max = width * float(kernel.phi(v_floor)) * 2.0 * np.pi * mom.mass
+    levels = _level_table(kernel, mom, mom_lg.mass, lo_win, eta, _GAUSS_SHARE,
+                          _EXACT_CAP, lam_max)
     # jumps above eta only where that band has mass (Coulomb)
     has_lg = mom_lg.mass > 1e-14
     one_cos_lg = mom_lg.one_cos if has_lg else 0.0
     return _RunConstants(
         kernel, v_floor, speed_floor(plan.reg_delta, initial_cloud), mom,
-        theta_g, band, band.mass / mom.mass, mom_lg.mass, mass_z,
-        mom_lg if has_lg else None, 0.25 * np.pi * mom.theta_sq,
+        levels, mom_lg.mass, mom_lg if has_lg else None,
+        0.25 * np.pi * mom.theta_sq,
         0.25 * np.pi * mom_lg.theta_sq,
         np.pi * (mom.one_cos + one_cos_lg) + residual_k(kernel, lo_win))
 
@@ -472,10 +486,10 @@ def _normal_sums(k, mom, g):
     jumps' mean and variance of 1 - cos theta, and per transverse direction
     one normal that drives the sin theta sum at scale sqrt(k E sin^2/2) and
     the theta sum at sqrt(k E theta^2/2) (their correlation exceeds
-    1 - 2e-6 on the grazing and Coulomb grids).  Returns a (5, len(k))
-    array."""
+    1 - 2e-6 on the grazing and Coulomb grids); mom's fields may be one
+    per pair.  Returns a (5, len(k)) array."""
     mu1 = mom.one_cos / mom.mass
-    var1 = max(mom.one_cos_sq / mom.mass - mu1 * mu1, 0.0)
+    var1 = np.maximum(mom.one_cos_sq / mom.mass - mu1 * mu1, 0.0)
     s1 = k * mu1 + np.sqrt(k * var1) * g[:, 0]
     sd_s = np.sqrt(k * (mom.sin_sq / mom.mass) / 2.0)
     sd_t = np.sqrt(k * (mom.theta_sq / mom.mass) / 2.0)
@@ -485,38 +499,32 @@ def _normal_sums(k, mom, g):
 
 def _jump_sums(rng, lam, c, n):
     """One slab's window sums per particle, (5, n) in _angle_sums' rows
-    with the longitudinal row centred by its compensator, and the number
-    of window jumps; c is the run's _RunConstants.
-
-    Each pair draws a Poisson(lam) window count.  A count above
-    _NORMAL_FALLBACK takes the Gaussian aggregate of the whole window
-    (sin theta ~ theta there, so each transverse direction's two sums are
-    equal); any other count is split binomially between the exact band,
-    whose jumps are sampled, and the Gaussian band, whose sums are
-    _normal_sums of its count.  Stream order as in CouplingPlan."""
+    with the longitudinal row centred by its compensator, the number of
+    window jumps and the number sampled; c is the run's _RunConstants.
+    Each pair's Poisson(lam) window count is split binomially at its
+    level's band_p between the exact band, sampled (one mass when every
+    pair sits at level 0), and the Gaussian band (_normal_sums).  Stream
+    order as in CouplingPlan."""
+    t = c.levels
+    lev = t.lam_top[:-1].searchsorted(lam)
     counts = rng.poisson(lam)
-    fb = counts > _NORMAL_FALLBACK
-    exact = np.where(fb, 0, counts)
-    if c.band_p > 0.0:
-        band = rng.binomial(exact, c.band_p)
-        exact -= band
-    sums = _angle_sums(rng, exact, c.kernel, c.z_lo, c.mass_z, n)
-    g = rng.standard_normal((int(fb.sum()), 3))
-    sums[:, fb] = _normal_sums(counts[fb].astype(float),
-                               c.mom._replace(sin_sq=c.mom.theta_sq), g)
-    if c.band_p > 0.0:
-        on = band > 0
-        g = rng.standard_normal((int(on.sum()), 3))
-        sums[:, on] += _normal_sums(band[on].astype(float), c.band, g)
+    band = rng.binomial(counts, t.band_p[lev])
+    exact = counts - band
+    sums = _angle_sums(rng, exact, c.kernel, c.z_lo,
+                       t.mass_z[lev] if lev.any() else t.mass_z[0], n)
+    on = band > 0
+    g = rng.standard_normal((int(on.sum()), 3))
+    sums[:, on] += _normal_sums(band[on].astype(float),
+                                Moments(*(f[lev[on]] for f in t.band)), g)
     sums[0] -= lam * (c.mom.one_cos / c.mom.mass)
-    return sums, int(counts.sum())
+    return sums, int(counts.sum()), int(exact.sum())
 
 
 def _slab(V, Y, comp, rng, width, c, tanaka):
     """One slab of the given width: both clouds, component-first (3, n),
     advance against the companion indices comp, drawing from the slab's
-    jump stream rng in CouplingPlan's order.  Returns the new clouds and
-    the number of jumps sampled."""
+    jump stream rng in CouplingPlan's order.  Returns the new clouds, the
+    number of jumps and the number of them sampled one by one."""
     n = V.shape[1]
     Vc, Yc = V.take(comp, 1), Y.take(comp, 1)
     X, Z = V - Vc, Y - Yc
@@ -537,12 +545,10 @@ def _slab(V, Y, comp, rng, width, c, tanaka):
     cos0, sin0 = np.cos(phi0), np.sin(phi0)
 
     lam = width * phi_v * 2.0 * np.pi * c.mom.mass
-    (s1, s2, s3, t2, t3), events = _jump_sums(rng, lam, c, n)
+    (s1, s2, s3, t2, t3), events, exact = _jump_sums(rng, lam, c, n)
 
-    # Landau transverse kicks of total per-direction variance
-    # Delta*Phi_L*(pi/4) int theta^2 beta over [theta_min, support top]:
-    # the window band (r_eta_win) is driven by the matched window draws,
-    # the above-eta band (r_tail) by the standardized large-jump aggregate
+    # Landau transverse kicks (module docstring): the window band r_eta_win
+    # driven by the window draws, the band above eta r_tail by its jumps
     sig_t = 2.0 * np.sqrt(width * phi_v * c.r_eta_win)
     u2, u3 = t2 / sig_t, t3 / sig_t
     amp = np.sqrt(width * phi_l * c.r_eta_win)
@@ -553,6 +559,7 @@ def _slab(V, Y, comp, rng, width, c, tanaka):
         lam_lg = width * phi_v * 2.0 * np.pi * mass_lg
         counts_lg = rng.poisson(lam_lg)
         events += int(counts_lg.sum())
+        exact += int(counts_lg.sum())  # every jump above eta is sampled
         l1, l2, l3 = _angle_sums(rng, counts_lg, c.kernel, 0.0, mass_lg,
                                  n)[:3]
         s1 += l1 - lam_lg * (c.mom_lg.one_cos / mass_lg)
@@ -570,7 +577,7 @@ def _slab(V, Y, comp, rng, width, c, tanaka):
     V_new += np.where(okX, -0.5 * s1 * X + 0.5 * (s2 * IX + s3 * JX), 0.0)
     Y_new = Yc + np.exp(-2.0 * phi_l * width) * Z
     Y_new += np.where(okZ, kick2 * IZ + kick3 * JZ, 0.0)
-    return V_new, Y_new, events
+    return V_new, Y_new, events, exact
 
 
 def coupled_run(plan, initial_cloud, *, w2_mode="none"):
@@ -590,13 +597,14 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
     Y = V.copy()
     dists = [0.0]
     m2b, m2l = [initial_cloud.m2()], [initial_cloud.m2()]
-    events = 0
+    events = exact = 0
     for k, width in enumerate(np.diff(times)):
         comp = draw_companions(plan.companion_stream(k), np.arange(n), n)
-        V, Y, jumps = _slab(V, Y, comp, plan.jump_stream(k), width, c,
-                            plan.tanaka)
+        V, Y, jumps, sampled = _slab(V, Y, comp, plan.jump_stream(k), width,
+                                     c, plan.tanaka)
         check_finite(f"state after slab {k}", V.T, Y.T)
         events += jumps
+        exact += sampled
         D = V - Y
         dists.append(float(np.sqrt(np.mean(_dot(D, D)))))
         m2b.append(float(np.mean(_dot(V, V))))
@@ -611,7 +619,7 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
                                   step_index=times.size - 1, events=events),
         landau_cloud=ParticleCloud(velocities=Y, time=sub.T,
                                    step_index=times.size - 1),
-        events=events)
+        events=events, exact_jumps=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +628,13 @@ def coupled_run(plan, initial_cloud, *, w2_mode="none"):
 
 class CellSeries(NamedTuple):
     """What a sweep keeps of one cell's coupled run: its per-boundary
-    series, without the terminal clouds."""
+    series and its two jump counts, without the terminal clouds."""
     times: np.ndarray
     paired_l2: np.ndarray
     m2_boltz: np.ndarray
     m2_landau: np.ndarray
+    events: int
+    exact_jumps: int
 
 
 @dataclass
@@ -645,7 +655,9 @@ class SweepReport:
     conjectured_exponent: float
     verdict: str
     series: dict               # (eps, seed) -> CellSeries
-    theta_g: tuple             # per eps, top of the Gaussian band
+    theta_g: tuple             # per eps, top of the level-0 Gaussian band
+    exact_cap: int             # the count cap _EXACT_CAP
+    exact_share: tuple         # per eps, share of the jumps sampled
 
     @property
     def m2_drift_stats(self):
@@ -665,8 +677,7 @@ _CELLS = None
 def _run_cell(index):
     plan, cloud = _CELLS[index]
     res = coupled_run(plan, cloud)
-    return index, CellSeries(res.times, res.paired_l2, res.m2_boltz,
-                             res.m2_landau)
+    return index, CellSeries(*(getattr(res, f) for f in CellSeries._fields))
 
 
 def _process_count(n_cells):
@@ -774,7 +785,7 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
                                 eta=eta, tanaka=tanaka)
             consts = _check_run(plan, clouds[s])
             cells.append((plan, clouds[s]))
-        theta_g.append(consts.theta_g)
+        theta_g.append(float(consts.theta_g))
 
     # run: a pool starts the costliest cells (smallest eps, last row) first
     n_seeds = len(seeds)
@@ -783,11 +794,8 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
     results = _run_cells(cells, order)
 
     # fill, in grid order
-    shape = (len(eps_list), n_seeds)
-    dist = np.empty(shape)
-    drift_b = np.empty(shape)
-    drift_l = np.empty(shape)
-    series = {}
+    dist, drift_b, drift_l = np.empty((3, len(eps_list), n_seeds))
+    jumps, series = np.zeros((len(eps_list), 2), dtype=np.int64), {}
     for c, res in enumerate(results):
         i, j = divmod(c, n_seeds)
         m2_0 = clouds[seeds[j]].m2()
@@ -795,12 +803,14 @@ def rate_sweep(family, eps_list, seeds=range(10), *, n, T, gamma=None,
         dist[i, j] = res.paired_l2[-1]
         drift_b[i, j] = res.m2_boltz[-1] / m2_0 - 1.0
         drift_l[i, j] = res.m2_landau[-1] / m2_0 - 1.0
+        jumps[i] += (res.events, res.exact_jumps)
 
     return SweepReport(
         family=family, eps_list=eps_list, seeds=seeds, p=p,
         distances=dist, m2_drift_boltz=drift_b, m2_drift_landau=drift_l,
         proven_exponent=p / (2.0 * p + 3.0), conjectured_exponent=1.0,
-        series=series, theta_g=tuple(theta_g),
+        series=series, theta_g=tuple(theta_g), exact_cap=_EXACT_CAP,
+        exact_share=tuple((jumps[:, 1] / jumps[:, 0]).tolist()),
         **fit_verdict(dist, eps_list, family))
 
 

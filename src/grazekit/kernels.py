@@ -108,8 +108,8 @@ class TailInverse:
 
     angles(u, lo, mass) gives the three angle functions a jump reads,
     (theta, sin(theta/2), sin theta), at z = lo + mass u for window
-    uniforms u in [0, 1].  The affine map is folded into each family's
-    closed form, so z itself is never formed:
+    uniforms u in [0, 1], mass a scalar or one per u.  The affine map is
+    folded into each family's closed form, so z itself is never formed:
 
     * soft and grazing: theta = c (alpha u + beta)^(-1/nu), both sines
       from libm;
@@ -182,7 +182,7 @@ def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
         inside = None
         if mass is None:
             inside, mass = u <= z_max, 1.0
-        elif lo + mass > z_max:
+        elif np.any(lo + mass > z_max):
             inside = lo + mass * u <= z_max
         if inside is not None:
             u = np.where(inside, u, 0.0)

@@ -42,7 +42,8 @@ def fake_coupled(times):
         m2_boltz=np.full(m, 3.0),
         m2_landau=np.full(m, 3.01),
         sup_paired_l2=0.2,
-        events=123)
+        events=123,
+        exact_jumps=45)
 
 
 def test_snapshots_csv_schema():
@@ -106,6 +107,7 @@ def test_coupled_csv_and_summary():
     assert summary["terminal_paired_l2"] == 0.2
     assert summary["terminal_w2"] is None
     assert summary["events"] == 123
+    assert summary["exact_jumps"] == 45
 
 
 def test_sweep_csv_and_summary_schema():
@@ -119,6 +121,7 @@ def test_sweep_csv_and_summary_schema():
         slope=0.4, slope_stderr=0.02, intercept=-1.0,
         proven_exponent=5.0 / 13.0, conjectured_exponent=1.0,
         verdict="decreasing", series=series, theta_g=(0.19, 0.09),
+        exact_cap=640, exact_share=(0.25, 0.5),
         m2_drift_stats={
             "m2_drift_boltz": {"means": np.array([0.4, 0.45]),
                                "stderrs": np.array([0.006, 0.005])},
@@ -140,6 +143,9 @@ def test_sweep_csv_and_summary_schema():
     assert list(summary)[-3:] == ["theta_g", "m2_drift_boltz",
                                   "m2_drift_landau"]
     assert summary["theta_g"] == [0.19, 0.09]
+    assert list(summary)[-5:-3] == ["exact_cap", "exact_share"]
+    assert summary["exact_cap"] == 640
+    assert summary["exact_share"] == [0.25, 0.5]
     assert summary["m2_drift_landau"] == {"means": [0.46, 0.47],
                                           "stderrs": [0.007, 0.006]}
 
