@@ -165,8 +165,11 @@ def _moved_bound(tree, X, owners, moved, d, d_q):
     return d_new
 
 
-# Companions per owner in the analytic drift of the sub-theta_min tail.
+# Companions per owner in the analytic drift of the sub-theta_min tail, and
+# owners per block of its arithmetic, so the (owners, companions, 3)
+# temporaries stay small.
 _DRIFT_SUBSAMPLE = 64
+_DRIFT_BLOCK = 256
 
 
 def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, rng):
@@ -219,14 +222,18 @@ def _step_nanbu(X0, kernel, theta_eff, v_floor, dt, rng):
         owners = owners[c < 1.0]
     X = np.ascontiguousarray(X.T)
 
-    # analytic drift for the compensated small-angle tail
+    # analytic drift for the compensated small-angle tail, one block of
+    # owners at a time: an owner's drift reads its own row of X and the
+    # step-start cloud alone
     k_res = residual_k(kernel, theta_eff)
     if k_res > 0.0:
         m = min(_DRIFT_SUBSAMPLE, n - 1)
         J = draw_companions(rng, everyone[:, None], n, (n, m))
-        Z = X[:, None, :] - X0.take(J, 0)
-        phi_fl = _phi_floored(kernel, row_norm(Z), v_floor)
-        X -= k_res * dt * np.mean(phi_fl[:, :, None] * Z, axis=1)
+        for b in range(0, n, _DRIFT_BLOCK):
+            Xb = X[b:b + _DRIFT_BLOCK]
+            Z = Xb[:, None, :] - X0.take(J[b:b + _DRIFT_BLOCK], 0)
+            phi_fl = _phi_floored(kernel, row_norm(Z), v_floor)
+            Xb -= k_res * dt * np.mean(phi_fl[:, :, None] * Z, axis=1)
     return X, events
 
 

@@ -262,53 +262,6 @@ def _blocks(counts, tot):
         s0 = s1
 
 
-# Azimuth trig: phi = 2 pi u is split at the nearest of _AZ_CELLS + 1 table
-# angles 2 pi j / _AZ_CELLS, and cos phi, sin phi follow from the angle-
-# addition formula with short Taylor polynomials of the offset |d| <= pi /
-# _AZ_CELLS (truncation below 1e-18).  The table is rounded once from long
-# double angles, so the result sits within a few 1e-16 of np.cos and np.sin
-# (within 9e-16 where long double is double).
-_AZ_CELLS = 1024
-_AZ_STEP = 2.0 * np.pi / _AZ_CELLS
-_AZ_ANGLES = np.arange(_AZ_CELLS + 1, dtype=np.longdouble) \
-    * np.longdouble(2.0 * np.pi) / _AZ_CELLS
-_AZ_COS = np.cos(_AZ_ANGLES).astype(np.float64)
-_AZ_SIN = np.sin(_AZ_ANGLES).astype(np.float64)
-_AZ_C2, _AZ_C4 = -_AZ_STEP ** 2 / 2.0, _AZ_STEP ** 4 / 24.0
-_AZ_S3, _AZ_S5 = -_AZ_STEP ** 3 / 6.0, _AZ_STEP ** 5 / 120.0
-
-
-def _azimuth_cos_sin(u):
-    """cos and sin of the azimuths 2 pi u for uniforms u in [0, 1), in
-    draw order.
-
-    u * _AZ_CELLS is exact, so the table index j and the in-cell offset
-    d = u * _AZ_CELLS - j are exact too; the azimuth is the table angle
-    plus d * _AZ_STEP."""
-    t = np.multiply(u, _AZ_CELLS)
-    j = (t + 0.5).astype(np.intp)
-    d = np.subtract(t, j, out=t)
-    c, s = _AZ_COS.take(j), _AZ_SIN.take(j)
-    del j
-    d2 = d * d
-    cm1 = _AZ_C4 * d2             # cos(d * step) - 1
-    cm1 += _AZ_C2
-    cm1 *= d2
-    sn = _AZ_S5 * d2              # sin(d * step)
-    sn += _AZ_S3
-    sn *= d2
-    sn += _AZ_STEP
-    sn *= d
-    # the products land in buffers that are no longer read
-    cos_p = np.multiply(c, cm1, out=d2)
-    cos_p -= np.multiply(s, sn, out=d)
-    cos_p += c
-    sin_p = np.multiply(s, cm1, out=cm1)
-    sin_p += np.multiply(c, sn, out=sn)
-    sin_p += s
-    return cos_p, sin_p
-
-
 def _angle_sums(rng, counts, kernel, z_lo, mass, n):
     """Per-particle sums of (1-cos th), sin th cos/sin ph and th cos/sin ph
     over `counts` draws from the window tail law; z in [z_lo, z_lo+mass],
@@ -319,35 +272,31 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
     uniform and word 2i+1 as its azimuth uniform; each block takes its
     words from one rng.random((size, 2)) call.  A draw's words depend on
     its index alone, so they do not depend on the blocks, and the generator
-    ends 2 * total words past where it started.  th and both sines come
-    from kernel.tail.angles(u, z_lo, mass).  Each particle's sums are one
-    np.add.reduceat segment over its own contiguous terms (pairwise).  The
-    (1-cos th) terms, all positive, are 2 sin^2(th/2) (no cancellation at
-    grazing angles), and their sums are rounded once: each term splits into
-    a multiple h of q = ulp(snap) plus the exact remainder, the h sum of a
-    particle is exact (it stays below 2^53 q), and the remainders correct
-    it far below an ulp.  A segment depends on its own terms alone, so the
-    bytes do not depend on the blocks; a particle without draws keeps
-    +0.0."""
+    ends 2 * total words past where it started.
+
+    The terms are single precision, each within about 3e-7 of its double
+    value relative to its size before the azimuth factor: th and both
+    sines come from kernel.tail.angles(u, z_lo, mass, float32), whose
+    z-map stays double, and ph = 2 pi u is rounded once to float32 before
+    its cosine and sine.  The (1-cos th) terms are 2 sin^2(th/2), with no
+    cancellation at grazing angles.  Each particle's sums are one
+    np.add.reduceat segment over its own contiguous terms, in double.  A segment depends on its own terms alone, so the bytes do not
+    depend on the blocks; a particle without draws keeps +0.0."""
     sums = np.zeros((5, n))
-    snap = math.ldexp(3.0, (2 * int(np.max(counts))).bit_length())
     blocks = list(_blocks(counts, int(np.sum(counts))))
     width = max((s1 - s0 for _, _, s0, s1 in blocks), default=0)
-    words, terms = np.empty((width, 2)), np.empty((6, width))
+    words, terms = np.empty((width, 2)), np.empty((5, width), np.float32)
     for p0, p1, s0, s1 in blocks:
         size = s1 - s0
         c = counts[p0:p1]
         u = rng.random(out=words[:size])
         m = np.repeat(mass[p0:p1], c) if np.ndim(mass) else mass
-        th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, m)
-        cos_p, sin_p = _azimuth_cos_sin(u[:, 1])
+        th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, m, np.float32)
+        ph = np.multiply(u[:, 1], 2.0 * np.pi).astype(np.float32)
+        cos_p, sin_p = np.cos(ph), np.sin(ph, out=ph)
         w = terms[:, :size]
         np.square(sin_h, out=w[0])
         w[0] *= 2.0
-        # w[5] = h, w[0] rounded to a multiple of q; w[0] keeps the rest
-        np.add(w[0], snap, out=w[5])
-        w[5] -= snap
-        w[0] -= w[5]
         np.multiply(sin_t, cos_p, out=w[1])
         np.multiply(sin_t, sin_p, out=w[2])
         np.multiply(th, cos_p, out=w[3])
@@ -355,9 +304,8 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
         # reduceat gives w[:, i] for an empty segment, so only particles
         # with draws are reduced
         nz = np.flatnonzero(c)
-        seg = np.add.reduceat(w, (np.cumsum(c) - c)[nz], axis=1)
-        seg[0] += seg[5]
-        sums[:, p0 + nz] = seg[:5]
+        sums[:, p0 + nz] = np.add.reduceat(w, (np.cumsum(c) - c)[nz], axis=1,
+                                           dtype=np.float64)
     return sums
 
 

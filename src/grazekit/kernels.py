@@ -106,8 +106,8 @@ class TailInverse:
     support edge down to 0 at the upper edge; G maps a jump coordinate
     z >= 0 back to an angle, with G(z) = 0 for z > z_max (no deviation).
 
-    angles(u, lo, mass) gives the three angle functions a jump reads,
-    (theta, sin(theta/2), sin theta), at z = lo + mass u for window
+    angles(u, lo, mass, dtype) gives the three angle functions a jump
+    reads, (theta, sin(theta/2), sin theta), at z = lo + mass u for window
     uniforms u in [0, 1], mass a scalar or one per u.  The affine map is
     folded into each family's closed form, so z itself is never formed:
 
@@ -116,6 +116,11 @@ class TailInverse:
     * Coulomb: sin(theta/2) = q^(-1/2) and sin theta = 2 sqrt(q - 1) / q
       with q = a u + b, a = mass / k_c, b = lo / k_c + 2, without a sine
       call.  Angles beyond z_max are zeroed only when lo + mass > z_max.
+
+    The map and the closed forms are evaluated in double; dtype is the
+    precision of the transcendental step after them (the power and both
+    sines, or the arcsin) and of the three arrays returned; in float32
+    each sits within 3e-7 relative of its double value.
 
     Called as angles(z), without a window, u is the jump coordinate z
     itself, beyond z_max always zeroed, and theta = G(z) bitwise: G is the
@@ -146,17 +151,18 @@ def _power_tail(c_nu: float, nu: float, eps: float) -> TailInverse:
         out = scale * (a * (np.power(x, -nu) - pi_pow))
         return np.where((theta >= eps) | (x >= math.pi), 0.0, out)
 
-    def theta(u, lo=0.0, mass=None):
+    def theta(u, lo=0.0, mass=None, dtype=np.float64):
         u = np.asarray(u, dtype=float)
         x = np.multiply(u, k if mass is None else k * mass,
                         out=np.empty(u.shape))
         x += k * lo + pi_pow
+        x = x.astype(dtype, copy=False)
         np.power(x, expo, out=x)
         x *= c
         return x
 
-    def angles(u, lo=0.0, mass=None):
-        th = theta(u, lo, mass)
+    def angles(u, lo=0.0, mass=None, dtype=np.float64):
+        th = theta(u, lo, mass, dtype)
         half = np.multiply(th, 0.5)
         return th, np.sin(half, out=half), np.sin(th)
 
@@ -193,7 +199,7 @@ def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
         return inside, q, s
 
     def double_arcsin(s):
-        theta = np.arcsin(s, out=np.empty(s.shape))
+        theta = np.arcsin(s, out=np.empty_like(s))
         theta *= 2.0
         return theta
 
@@ -201,12 +207,13 @@ def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
         inside, _, s = half_sin(z, 0.0, None)
         return _zeroed(inside, double_arcsin(s))[0]
 
-    def angles(u, lo=0.0, mass=None):
+    def angles(u, lo=0.0, mass=None, dtype=np.float64):
         inside, q, s = half_sin(u, lo, mass)
         sin_t = np.subtract(q, 1.0, out=np.empty(q.shape))
         np.sqrt(sin_t, out=sin_t)
         sin_t *= 2.0
         sin_t /= q
+        s, sin_t = s.astype(dtype, copy=False), sin_t.astype(dtype, copy=False)
         return _zeroed(inside, double_arcsin(s), s, sin_t)
 
     return TailInverse(H=H, G=G, z_max=z_max, angles=angles)

@@ -135,10 +135,10 @@ def test_coupled_run_bytes_are_pinned(monkeypatch, setup):
         kern, sub, cloud = grazing_setup(512, eps=np.pi / 16, seed=7,
                                          n_sub=2)
         plan = CouplingPlan(kernel=kern, seed=7, subdivision=sub)
-        want = ("0x1.e2f712207fc62p-4", "0x1.090927805bca5p+2",
-                "0x1.0a9c64127f10cp+2", "0x1.e099181a17d6bp-4", 981353,
-                "4edc6b22b190fd3062809a31c0f33276c968e8e5",
-                "f6e03c1309f3493d0b44e29466dc6578e83a85b6")
+        want = ("0x1.e2f70ff4882a6p-4", "0x1.09092747357d4p+2",
+                "0x1.0a9c639ac8a07p+2", "0x1.e09915c56188fp-4", 981353,
+                "3f81de2778c268f5df0d71ddd456a84c5a8e6c9d",
+                "af260fa1283feefca91deb4a3ff7ce3a74975912")
     else:  # at cap 16, 121 and 125 of the 128 pairs leave level 0 in the
         # two slabs, up to level 10; each slab also samples the band above
         # eta = 1/log 100
@@ -150,10 +150,10 @@ def test_coupled_run_bytes_are_pinned(monkeypatch, setup):
                             subdivision=build_subdivision(sqrt_inv, 0.3, 2),
                             v_floor=floor, reg_delta=floor,
                             eta=1.0 / math.log(100.0))
-        want = ("0x1.a001122b95b41p-4", "0x1.8324afdc7e359p+1",
-                "0x1.864b29127b659p+1", "0x1.a001122b95b41p-4", 98697,
-                "bcaac1b4a409998ffe56037fde43b368dff582f4",
-                "bb49e223f89b2e0a73161b2b0865d9abd7e9e273")
+        want = ("0x1.a00111fd30c31p-4", "0x1.8324afdb59b6ap+1",
+                "0x1.864b2916cd816p+1", "0x1.a00111fd30c31p-4", 98697,
+                "e43c1270443e04c38c0622582b57057c904a2583",
+                "36d407f5dac682514a3d12179618f29666dca226")
     assert terminal_bytes(coupled_run(plan, cloud, w2_mode="terminal")) \
         == want
 
@@ -163,7 +163,7 @@ def test_grazing_sweep_frozen_values(grazing_sweep):
     assert rep.family == "grazing"
     assert rep.verdict == "decreasing"
     assert np.all(np.diff(rep.means) < 0.0)
-    assert float(rep.means.sum()) == pytest.approx(1.8023349526654424, rel=1e-9)
+    assert float(rep.means.sum()) == pytest.approx(1.8023348742021854, rel=1e-9)
     assert rep.slope == pytest.approx(0.996543, rel=1e-4)
     assert rep.slope > 0.3
     assert rep.proven_exponent == pytest.approx(5.0 / 13.0, rel=1e-12)
@@ -188,7 +188,7 @@ def test_coulomb_mini_sweep_frozen_values():
                      T=0.3)
     assert rep.family == "coulomb"
     assert rep.verdict == "decreasing"
-    assert float(rep.means.sum()) == pytest.approx(0.7720342344957369,
+    assert float(rep.means.sum()) == pytest.approx(0.772034418817834,
                                                    rel=1e-9)
     diffs = np.diff(rep.distances, axis=0)
     se = diffs.std(axis=1, ddof=1) / math.sqrt(10)
@@ -411,31 +411,33 @@ def test_sweep_cell_errors_surface_unchanged(monkeypatch):
 # the blocked jump sampler against the one-shot sampler it replaced
 # ---------------------------------------------------------------------------
 
-def one_shot_terms(rng, counts, kernel, z_lo, mass):
+def one_shot_terms(rng, counts, kernel, z_lo, mass, dtype=np.float32):
     """The sampler's five terms of every draw, (5, total), in draw order,
     from one (total, 2) array of word pairs: draw i reads word 2i as z and
-    word 2i+1 as the azimuth."""
+    word 2i+1 as the azimuth.  dtype float64 gives the double-precision
+    reference: tail.angles in double, and np.cos and np.sin of 2 pi u."""
     u = rng.random((int(np.sum(counts)), 2))
     if np.ndim(mass):  # one mass per particle
         mass = np.repeat(mass, counts)
-    th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, mass)
-    cos_p, sin_p = coupling._azimuth_cos_sin(u[:, 1])
+    th, sin_h, sin_t = kernel.tail.angles(u[:, 0], z_lo, mass, dtype)
+    ph = (2.0 * np.pi * u[:, 1]).astype(dtype)
+    cos_p, sin_p = np.cos(ph), np.sin(ph)
     return np.stack((2.0 * sin_h ** 2, sin_t * cos_p,
                      sin_t * sin_p, th * cos_p, th * sin_p))
 
 
-def one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n):
-    """The jump sampler without blocks: one segment reduction over the
-    particles that have draws, and the (1 - cos) sums rounded once; a
-    (5, n) array, as the sampler returns."""
-    w = one_shot_terms(rng, counts, kernel, z_lo, mass)
+def one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n,
+                        dtype=np.float32):
+    """The jump sampler without blocks: one segment reduction, in double,
+    over the particles that have draws; a (5, n) array, as the sampler
+    returns.  dtype is the precision of the terms, as in one_shot_terms."""
+    w = one_shot_terms(rng, counts, kernel, z_lo, mass, dtype)
+    assert w.dtype == dtype
     counts = np.asarray(counts)
     nz = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[nz]
     sums = np.zeros((5, n))
-    sums[:, nz] = np.add.reduceat(w, starts, axis=1)
-    sums[0, nz] = [math.fsum(w[0, a:a + c])
-                   for a, c in zip(starts, counts[nz])]
+    sums[:, nz] = np.add.reduceat(w, (np.cumsum(counts) - counts)[nz],
+                                  axis=1, dtype=np.float64)
     return sums
 
 
@@ -541,23 +543,6 @@ def test_blocked_sampler_takes_one_mass_per_particle(monkeypatch, family,
                               one[:, ~level0 & (counts > 0)])
 
 
-def test_azimuth_cos_sin_within_rounding_of_numpy():
-    u = np.concatenate((rngstreams.stream(2, "slab-jump", 0).random(1 << 20),
-                        [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]))
-    ph = 2.0 * np.pi * u  # the azimuths of rng.uniform(0, 2 pi) on these words
-    assert np.array_equal(ph[:1 << 20], rngstreams.stream(
-        2, "slab-jump", 0).uniform(0.0, 2.0 * np.pi, 1 << 20))
-    assert ph[-1] == np.nextafter(2.0 * np.pi, 0.0)
-    assert ph[-4] == np.pi / 2.0 and ph[-3] == np.pi
-    cos_p, sin_p = coupling._azimuth_cos_sin(u.copy())
-    # measured 4.7e-16 (cos), 5.0e-16 (sin) and 4.4e-16 off the unit
-    # circle; the ulp of the largest azimuth alone is 8.9e-16
-    assert np.max(np.abs(cos_p - np.cos(ph))) <= 1e-15
-    assert np.max(np.abs(sin_p - np.sin(ph))) <= 1e-15
-    assert np.max(np.abs(cos_p * cos_p + sin_p * sin_p - 1.0)) <= 7e-16
-    assert cos_p[-5] == 1.0 and sin_p[-5] == 0.0
-
-
 def reference_sampler(calls):
     """The one-shot sampler with the blocked sampler's signature; records
     each call's generator, counts and mass."""
@@ -652,50 +637,62 @@ def test_sampler_memory_is_a_few_blocks():
     assert peak < 24 * 8 * coupling._BLOCK
 
 
+def term_scales(w):
+    """Each term's size before its azimuth factor: 2 sin^2(theta/2), then
+    |sin theta| twice and theta twice, from the terms w (5, total)."""
+    sin_t, th = np.hypot(w[1], w[2]), np.hypot(w[3], w[4])
+    return np.stack((np.abs(w[0]), sin_t, sin_t, th, th))
+
+
 def sum_errors(counts, kernel, lo, hi):
-    """Largest |sum - fsum| / sum |term| over the particles with draws, for
-    the sampler's sums and for running sums in draw order (bincount)."""
+    """Largest |sum - exact| / scale over the particles with draws, where
+    exact sums the double-precision terms on the same words (fsum) and
+    scale sums their term_scales: for the sampler's sums, and for running
+    sums of its single-precision terms in their own precision and in draw
+    order."""
     z_lo = float(np.asarray(kernel.tail.H(hi)))
     mass = float(np.asarray(kernel.tail.H(lo))) - z_lo
     n = counts.size
     got = coupling._angle_sums(rngstreams.stream(3, "slab-jump", 0), counts,
                                kernel, z_lo, mass, n)
-    w = one_shot_terms(rngstreams.stream(3, "slab-jump", 0), counts, kernel,
-                       z_lo, mass)
-    owners = np.repeat(np.arange(n), counts)
-    seq = np.array([np.bincount(owners, wj, n) for wj in w])
+    w, ref = (one_shot_terms(rngstreams.stream(3, "slab-jump", 0), counts,
+                             kernel, z_lo, mass, dtype)
+              for dtype in (np.float32, np.float64))
+    scales = term_scales(ref)
     ends = np.cumsum(counts)
     err_got = err_seq = 0.0
     for i in np.flatnonzero(counts):
-        for j, wj in enumerate(w):
-            seg = wj[ends[i] - counts[i]:ends[i]]
-            exact, scale = math.fsum(seg), math.fsum(np.abs(seg))
+        a = ends[i] - counts[i]
+        for j in range(5):
+            exact = math.fsum(ref[j, a:ends[i]])
+            scale = math.fsum(scales[j, a:ends[i]])
+            running = float(np.cumsum(w[j, a:ends[i]])[-1])
             err_got = max(err_got, abs(got[j, i] - exact) / scale)
-            err_seq = max(err_seq, abs(seq[j, i] - exact) / scale)
+            err_seq = max(err_seq, abs(running - exact) / scale)
     return err_got, err_seq
 
 
 def test_sampler_sums_at_least_as_accurate_as_running_sums():
+    # the sums are double over single-precision terms, so they carry the
+    # terms' rounding alone; running sums in single precision add their own
     counts_rng = rngstreams.stream(3, "test-counts")
     eps = np.pi / 16
     err_got, err_seq = sum_errors(
         counts_rng.poisson(400.0, 512), GrazingKernel(eps=eps, **GRAZING),
         eps / 64.0, eps)
-    # measured 8.7e-17 against 1.7e-15 for the running sums (the s1 sums
-    # are rounded once)
-    assert err_got <= err_seq and err_got < 1.5e-16
-    # below 8 terms numpy sums a segment one term after another, so on
-    # sparse counts the two orders tie in law and either may come out
-    # ahead: measured 2.22e-16 against 2.88e-16
-    err_got, _ = sum_errors(counts_rng.poisson(2.0, 2000),
-                            CoulombKernel(eps=0.01), 0.01,
-                            1.0 / math.log(100.0))
-    assert err_got < 4e-16
+    # measured 9.5e-8 against 1.0e-6 for the running sums; a segment
+    # reduction in single precision reads 1.8e-7
+    assert err_got <= err_seq and err_got < 1.5e-7
+    err_got, err_seq = sum_errors(counts_rng.poisson(2.0, 2000),
+                                  CoulombKernel(eps=0.01), 0.01,
+                                  1.0 / math.log(100.0))
+    # on about two terms per particle the two tie: measured 2.4e-7 both, the
+    # rounding of a single-precision azimuth 2 pi u near a quarter turn
+    assert err_got < 5e-7
 
 
 def test_sampler_s1_matches_mpmath_at_grazing_angles():
-    # one draw per particle, so each s1 is a single 1 - cos(theta) term;
-    # 1 - np.cos(theta) loses up to 1.1e-11 of it to cancellation here
+    # one draw per particle, so each s1 is a single 1 - cos(theta) term
     import mpmath as mp
     eps = np.pi / 16
     kernel = GrazingKernel(eps=eps, **GRAZING)
@@ -704,14 +701,19 @@ def test_sampler_s1_matches_mpmath_at_grazing_angles():
     stream = rngstreams.stream(5, "slab-jump", 0)
     s1 = coupling._angle_sums(stream, np.ones(n, dtype=np.int64), kernel,
                               0.0, mass, n)[0]
-    # the draws' z words, and their angles as the sampler maps them
+    # the draws' z words, and their angles as the tail maps them in double
     u = rngstreams.stream(5, "slab-jump", 0).random((n, 2))[:, 0]
     theta = kernel.tail.angles(u, 0.0, mass)[0]
     assert theta.min() < 1.1 * eps / 64.0
     with mp.workdps(40):
         exact = np.array([float(1 - mp.cos(mp.mpf(t))) for t in theta])
-    # measured 3.0e-16 with 2 sin^2(theta/2)
-    assert np.max(np.abs(s1 - exact) / exact) < 1e-15
+    err = np.max(np.abs(s1 - exact) / exact)
+    # measured 5.4e-7 with 2 sin^2(theta/2) in single precision, and 6.1e-3
+    # with 1 - cos(theta) in single precision, which loses the term to
+    # cancellation here
+    assert err < 1e-6
+    theta32 = kernel.tail.angles(u, 0.0, mass, np.float32)[0]
+    assert np.max(np.abs((1.0 - np.cos(theta32)) - exact) / exact) > 1e-3
 
     # Coulomb eps = 0.01 over the criterion-12 window [eps, eta], from the
     # support edge up: each term is 2 sin^2(theta/2) = 2/q, q = z/k_c + 2
@@ -727,9 +729,8 @@ def test_sampler_s1_matches_mpmath_at_grazing_angles():
         k_c = mp.mpf(kernel.k_c)
         exact = np.array([float(2 / ((z_lo + mass * mp.mpf(ui)) / k_c + 2))
                           for ui in u])
-    # measured 5.9e-16 from the closed-form half-angle (6.4e-16 through
-    # np.sin(0.5 * theta))
-    assert np.max(np.abs(s1 - exact) / exact) < 1e-15
+    # measured 1.6e-7: q^(-1/2) in double, rounded once to single
+    assert np.max(np.abs(s1 - exact) / exact) < 4e-7
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +747,9 @@ BAND_WINDOWS = {  # kernel, window bottom theta_min, window top eta
 }
 
 
-def band_window(name):
-    """The _RunConstants a coupled run resolves for one of BAND_WINDOWS."""
-    kernel, _, eta = BAND_WINDOWS[name]
+def band_window(name, windows=BAND_WINDOWS):
+    """The _RunConstants a coupled run resolves for one of the windows."""
+    kernel, _, eta = windows[name]
     plan = CouplingPlan(kernel=kernel, seed=0, eta=eta, v_floor=0.1,
                         reg_delta=0.1,
                         subdivision=build_subdivision(sqrt_inv, 0.5, 1))
@@ -955,6 +956,62 @@ def test_jump_sums_follow_the_stream_order(monkeypatch):
     assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
     # the exact-only pairs read the sampler's bytes
     assert np.array_equal(got[1:, ~on], want[1:, ~on])
+
+
+# ---------------------------------------------------------------------------
+# the sampler's single-precision terms against double precision
+# ---------------------------------------------------------------------------
+
+PRECISION_WINDOWS = {  # the acceptance grids' windows, as BAND_WINDOWS
+    **{f"grazing-pi/{d}": (GrazingKernel(eps=np.pi / d, **GRAZING),
+                           np.pi / (64 * d), np.pi / d)
+       for d in (2, 4, 8, 16)},
+    **{f"coulomb-{e}": (CoulombKernel(eps=e), e, 1.0 / math.log(1.0 / e))
+       for e in (0.3, 0.1, 0.03, 0.01)}}
+
+
+@pytest.mark.parametrize("level", [0, 2])
+@pytest.mark.parametrize("name", list(PRECISION_WINDOWS))
+def test_sampler_sums_within_single_precision_of_double(monkeypatch, name,
+                                                        level):
+    # on the same words, the sums of the double-precision terms (tail.angles
+    # in double, np.cos and np.sin of 2 pi u) and the sampler's agree per
+    # particle within 1e-6 of the sum of its term scales
+    monkeypatch.setattr(coupling, "_EXACT_CAP", 4)  # levels beyond 2
+    kernel = PRECISION_WINDOWS[name][0]
+    c = band_window(name, PRECISION_WINDOWS)
+    assert c.levels.mass_z.size > level
+    n = 500
+    counts = rngstreams.stream(9, "test-counts").poisson(40.0, n)
+    args = (counts, kernel, c.z_lo, c.levels.mass_z[level])
+    got = coupling._angle_sums(rngstreams.stream(9, "slab-jump", 0), *args, n)
+    ref = one_shot_angle_sums(rngstreams.stream(9, "slab-jump", 0), *args, n,
+                              np.float64)
+    owners = np.repeat(np.arange(n), counts)
+    scale = np.array([np.bincount(owners, t, n) for t in term_scales(
+        one_shot_terms(rngstreams.stream(9, "slab-jump", 0), *args,
+                       np.float64))])
+    # measured at most 1.6e-7
+    assert np.all(np.abs(got - ref) <= 1e-6 * scale)
+    assert not np.any(got[:, counts == 0])
+
+
+def test_sweep_within_single_precision_of_double(monkeypatch):
+    # the sweep with the double-precision reference sampler: the same
+    # jumps, and each cell's terminal paired-L2 within 1e-6 relative
+    def double_sums(rng, counts, kernel, z_lo, mass, n):
+        return one_shot_angle_sums(rng, counts, kernel, z_lo, mass, n,
+                                   np.float64)
+    new = small_grazing_sweep()
+    monkeypatch.setattr(coupling, "_angle_sums", double_sums)
+    ref = small_grazing_sweep()
+    assert new.series.keys() == ref.series.keys()
+    for key, cell in new.series.items():
+        want = ref.series[key]
+        assert (cell.events, cell.exact_jumps) == \
+            (want.events, want.exact_jumps)
+        # measured at most 1.5e-7
+        assert abs(cell.paired_l2[-1] / want.paired_l2[-1] - 1.0) <= 1e-6
 
 
 def test_only_the_slab_step_draws_from_a_generator():
