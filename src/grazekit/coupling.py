@@ -34,8 +34,9 @@ frame once per slab, and the alignment reads those same frames.
 The bottom of the window holds most of the jumps but little of their
 variance: below theta_g, which puts _GAUSS_SHARE (5 %) of the window's
 int theta^2 beta under it, lie 77 % of the grazing window's jumps at
-nu = 0.6.  Each pair's window count is split by one binomial draw; the
-exact band [theta_g, eta] is sampled jump by jump, and the Gaussian band
+nu = 0.6.  Each pair draws one Poisson count per band (Poisson thinning:
+the same law as a window count split binomially); the exact band
+[theta_g, eta] is sampled jump by jump, and the Gaussian band
 [theta_min, theta_g] takes the conditional Gaussian of its five sums given
 its count, with the band's moments (the small-jump approximation of
 Asmussen & Rosinski 2001; criterion 10 measures its W2 cost).  A pair
@@ -62,8 +63,8 @@ from . import rngstreams
 from .boltzmann import _check_jump_options, _theta_min_eff
 from .errors import ParameterError
 from .geometry import _align, _dot, _frame, _norm, _safe
-from .kernels import (CoulombKernel, Moments, kernel_from_params,
-                      residual_k, window_moments)
+from .kernels import (CoulombKernel, Moments, _closed_forms,
+                      kernel_from_params, residual_k, window_moments)
 from .landau import _check_gamma, _scalar_factor
 from .metrics import _check_w2_size, w2_exact
 from .particles import (ParticleCloud, draw_companions, sample_initial,
@@ -165,16 +166,16 @@ class CouplingPlan:
     horizon is the subdivision's end; Landau's gamma is the kernel's.
 
     Stream consumption order per slab k is fixed: companion_stream(k) yields
-    the n companion indices; jump_stream(k) yields, in order, the window
-    Poisson counts, the band split (one binomial per pair at its level's
-    band_p: how many of its window jumps fall in the Gaussian band
+    the n companion indices; jump_stream(k) yields, in order, the exact
+    band's Poisson counts (rate lam (1 - band_p) at the pair's level), the
+    Gaussian band's Poisson counts (rate lam band_p: the jumps in
     [theta_min, theta_g]), one interleaved (z, phi) pair of uniforms per
     jump of the exact band [theta_g, eta], particle by particle, the band
     normals (three per pair with band jumps), then (if the kernel has mass
     above eta) the large-angle counts and one (z, phi) pair per large-angle
-    jump.  A pair without a band (theta_g = theta_min) draws no split and
-    no band normals.  The Landau side draws nothing of its own: its kicks
-    are the standardized jump sums, so both sides consume identical
+    jump.  A pair without a band (theta_g = theta_min) draws no band count
+    and no band normals.  The Landau side draws nothing of its own: its
+    kicks are the standardized jump sums, so both sides consume identical
     companion indices and base draws in identical order.
 
     theta_min: bottom of the matching window, as in BoltzmannConfig.
@@ -280,8 +281,9 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
     z-map stays double, and ph = 2 pi u is rounded once to float32 before
     its cosine and sine.  The (1-cos th) terms are 2 sin^2(th/2), with no
     cancellation at grazing angles.  Each particle's sums are one
-    np.add.reduceat segment over its own contiguous terms, in double.  A segment depends on its own terms alone, so the bytes do not
-    depend on the blocks; a particle without draws keeps +0.0."""
+    np.add.reduceat segment over its own contiguous terms, in double.  A
+    segment depends on its own terms alone, so the bytes do not depend on
+    the blocks; a particle without draws keeps +0.0."""
     sums = np.zeros((5, n))
     blocks = list(_blocks(counts, int(np.sum(counts))))
     width = max((s1 - s0 for _, _, s0, s1 in blocks), default=0)
@@ -313,18 +315,17 @@ def _angle_sums(rng, counts, kernel, z_lo, mass, n):
 def _band_top(kernel, lo, hi, share):
     """theta_g in [lo, hi] with int_lo^theta_g theta^2 beta = share *
     int_lo^hi theta^2 beta, by bisection down to adjacent doubles (lo at
-    share 0).  The bisection reads window_moments uncached, so its points
-    do not flush the moments a run reads."""
+    share 0).  The bisection reads the closed forms alone, which neither
+    flush the cached moments a run reads nor form each point's mass."""
     if not share > 0.0:
         return lo
-    moments = window_moments.__wrapped__
-    target = share * moments(kernel, lo, hi).theta_sq
+    target = share * float(_closed_forms(kernel, lo, hi)[2])
     a, b = lo, hi
     while True:
         mid = 0.5 * (a + b)
         if not a < mid < b:
             return b
-        if moments(kernel, lo, mid).theta_sq < target:
+        if float(_closed_forms(kernel, lo, mid)[2]) < target:
             a = mid
         else:
             b = mid
@@ -340,16 +341,11 @@ class _Levels(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _level_table(kernel, mom, z_lo, lo, eta, share, cap, lam_max):
-    """The count-capped rule over the window [lo, eta] (moments mom, z_lo =
-    H(eta)): a pair whose rate is in (lam_top[l-1], lam_top[l]] expects at
-    most cap jumps in the exact band [theta_g[l], eta], z-mass mass_z[0] /
-    2^l.  theta_g[0] is _band_top's at `share`, theta_g[l] = G(z_lo +
-    mass_z[l]), up to lam_max's level or while it rises strictly below eta;
-    the top level takes every larger rate.  Moments are read uncached."""
-    moments = window_moments.__wrapped__
-    theta_g = [_band_top(kernel, lo, eta, share)]
-    mass_z = moments(kernel, theta_g[0], eta).mass
+def _level_zero(kernel, mom, z_lo, lo, eta, share, cap):
+    """Level 0 of _level_table: theta_g, the exact band's z-mass and the
+    largest rate whose pair expects at most cap exact jumps."""
+    theta_g = _band_top(kernel, lo, eta, share)
+    mass_z = window_moments.__wrapped__(kernel, theta_g, eta).mass
     # z_lo + mass_z can round one ulp past z_max at the Coulomb support
     # edge; the sampler's map stays within it, so tail.angles never masks
     while z_lo + mass_z > kernel.tail.z_max:
@@ -357,7 +353,23 @@ def _level_table(kernel, mom, z_lo, lo, eta, share, cap, lam_max):
     top = cap * mom.mass / mass_z
     while top * mass_z / mom.mass > cap:
         top = math.nextafter(top, 0.0)
-    while math.ldexp(top, len(theta_g) - 1) < lam_max:
+    return theta_g, mass_z, top
+
+
+@functools.lru_cache(maxsize=64)
+def _level_table(kernel, mom, z_lo, lo, eta, share, cap, count):
+    """The count-capped rule over the window [lo, eta] (moments mom, z_lo =
+    H(eta)): a pair whose rate is in (lam_top[l-1], lam_top[l]] expects at
+    most cap jumps in the exact band [theta_g[l], eta], z-mass mass_z[0] /
+    2^l.  theta_g[0] is _band_top's at `share`, theta_g[l] = G(z_lo +
+    mass_z[l]), for `count` levels or while it rises strictly below eta;
+    the top level takes every larger rate.  Level l reads nothing of the
+    count, so a longer table starts with a shorter one's levels.  Moments
+    are read uncached."""
+    moments = window_moments.__wrapped__
+    theta_0, mass_z, top = _level_zero(kernel, mom, z_lo, lo, eta, share, cap)
+    theta_g = [theta_0]
+    while len(theta_g) < count:
         g = float(kernel.tail.G(z_lo + math.ldexp(mass_z, -len(theta_g))))
         if not theta_g[-1] < g < eta:
             break
@@ -415,8 +427,13 @@ def _check_run(plan, initial_cloud, w2_mode="none"):
         window_moments(kernel, eta, sup_hi)
     width = float(np.max(np.diff(plan.subdivision.grid, prepend=0.0)))
     lam_max = width * float(kernel.phi(v_floor)) * 2.0 * np.pi * mom.mass
-    levels = _level_table(kernel, mom, mom_lg.mass, lo_win, eta, _GAUSS_SHARE,
-                          _EXACT_CAP, lam_max)
+    # the levels up to lam_max's; the cells of a sweep share a table where
+    # their floors need as many levels
+    rule = (kernel, mom, mom_lg.mass, lo_win, eta, _GAUSS_SHARE, _EXACT_CAP)
+    top, count = _level_zero(*rule)[2], 1
+    while math.ldexp(top, count - 1) < lam_max:
+        count += 1
+    levels = _level_table(*rule, count)
     # jumps above eta only where that band has mass (Coulomb)
     has_lg = mom_lg.mass > 1e-14
     one_cos_lg = mom_lg.one_cos if has_lg else 0.0
@@ -449,23 +466,25 @@ def _jump_sums(rng, lam, c, n):
     """One slab's window sums per particle, (5, n) in _angle_sums' rows
     with the longitudinal row centred by its compensator, the number of
     window jumps and the number sampled; c is the run's _RunConstants.
-    Each pair's Poisson(lam) window count is split binomially at its
-    level's band_p between the exact band, sampled (one mass when every
-    pair sits at level 0), and the Gaussian band (_normal_sums).  Stream
-    order as in CouplingPlan."""
+    At its level's band_p, each pair draws two independent Poisson counts,
+    which by Poisson thinning split a Poisson(lam) window count: exact
+    jumps at rate lam (1 - band_p), sampled (one mass when every pair sits
+    at level 0), and Gaussian-band jumps at rate lam band_p
+    (_normal_sums).  Stream order as in CouplingPlan."""
     t = c.levels
     lev = t.lam_top[:-1].searchsorted(lam)
-    counts = rng.poisson(lam)
-    band = rng.binomial(counts, t.band_p[lev])
-    exact = counts - band
+    band_p = t.band_p[lev]
+    exact = rng.poisson(lam * (1.0 - band_p))
+    band = rng.poisson(lam * band_p)
     sums = _angle_sums(rng, exact, c.kernel, c.z_lo,
                        t.mass_z[lev] if lev.any() else t.mass_z[0], n)
-    on = band > 0
-    g = rng.standard_normal((int(on.sum()), 3))
+    on = np.flatnonzero(band)
+    g = rng.standard_normal((on.size, 3))
     sums[:, on] += _normal_sums(band[on].astype(float),
                                 Moments(*(f[lev[on]] for f in t.band)), g)
     sums[0] -= lam * (c.mom.one_cos / c.mom.mass)
-    return sums, int(counts.sum()), int(exact.sum())
+    sampled = int(exact.sum())
+    return sums, sampled + int(band.sum()), sampled
 
 
 def _slab(V, Y, comp, rng, width, c, tanaka):

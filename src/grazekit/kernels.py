@@ -117,10 +117,12 @@ class TailInverse:
       with q = a u + b, a = mass / k_c, b = lo / k_c + 2, without a sine
       call.  Angles beyond z_max are zeroed only when lo + mass > z_max.
 
-    The map and the closed forms are evaluated in double; dtype is the
-    precision of the transcendental step after them (the power and both
-    sines, or the arcsin) and of the three arrays returned; in float32
-    each sits within 3e-7 relative of its double value.
+    The affine map is evaluated in double and its result (the power's base,
+    or q) is rounded once to dtype; everything after it runs in dtype, the
+    precision of the three arrays returned: the power and both sines, or
+    the Coulomb closed forms and the arcsin.  In float32 each sits within
+    3e-7 relative of its double value (Coulomb: theta 1.6e-7 and both sines
+    1.1e-7 on its acceptance windows, theta 3.8e-7 up near pi/2).
 
     Called as angles(z), without a window, u is the jump coordinate z
     itself, beyond z_max always zeroed, and theta = G(z) bitwise: G is the
@@ -180,21 +182,23 @@ def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
         out = np.where(theta < eps, z_max, out)
         return np.where(theta >= 0.5 * math.pi, 0.0, out)
 
-    def half_sin(u, lo, mass):
-        # H(theta) = z at sin(theta/2) = q^(-1/2), q = z/k_c + 2.  inside
-        # is None when no z can pass z_max, else the mask of those that do
-        # not; the others are computed at u = 0 and zeroed by _zeroed
+    def half_sin(u, lo, mass, dtype=np.float64):
+        # H(theta) = z at sin(theta/2) = q^(-1/2), q = z/k_c + 2, with q
+        # mapped in double and rounded once to dtype.  inside is None when
+        # no z can pass z_max, else the mask of those that do not; the
+        # others are computed at u = 0 and zeroed by _zeroed
         u = np.asarray(u, dtype=float)
         inside = None
         if mass is None:
             inside, mass = u <= z_max, 1.0
-        elif np.any(lo + mass > z_max):
+        elif lo + np.max(mass) > z_max:  # rounding keeps lo + m monotone
             inside = lo + mass * u <= z_max
         if inside is not None:
             u = np.where(inside, u, 0.0)
         q = np.multiply(u, mass / k_c, out=np.empty(u.shape))
         q += lo / k_c + 2.0
-        s = np.sqrt(q, out=np.empty(u.shape))
+        q = q.astype(dtype, copy=False)
+        s = np.sqrt(q, out=np.empty_like(q))
         np.divide(1.0, s, out=s)
         return inside, q, s
 
@@ -208,12 +212,13 @@ def _coulomb_tail(k_c: float, eps: float) -> TailInverse:
         return _zeroed(inside, double_arcsin(s))[0]
 
     def angles(u, lo=0.0, mass=None, dtype=np.float64):
-        inside, q, s = half_sin(u, lo, mass)
-        sin_t = np.subtract(q, 1.0, out=np.empty(q.shape))
+        inside, q, s = half_sin(u, lo, mass, dtype)
+        # sin theta = 2 sqrt(q - 1) / q; q - 1 is exact for 2 <= q < 2^24
+        # (q <= 1/sin^2(eps/2): in float32 too for eps above about 5e-4)
+        sin_t = np.subtract(q, 1.0, out=np.empty_like(q))
         np.sqrt(sin_t, out=sin_t)
         sin_t *= 2.0
         sin_t /= q
-        s, sin_t = s.astype(dtype, copy=False), sin_t.astype(dtype, copy=False)
         return _zeroed(inside, double_arcsin(s), s, sin_t)
 
     return TailInverse(H=H, G=G, z_max=z_max, angles=angles)
@@ -460,14 +465,23 @@ def _coulomb_antiderivatives(kernel, x):
                                   + 8.0 * log_s])
 
 
+def _closed_forms(kernel: Kernel, lo: float, hi: float) -> np.ndarray:
+    """integral((1 - cos), (1 - cos)^2, theta^2 against beta) over
+    [lo, hi], lo < hi inside the support: window_moments without the mass,
+    which costs two calls of H."""
+    F = (_coulomb_antiderivatives if isinstance(kernel, CoulombKernel)
+         else _power_law_antiderivatives)
+    return F(kernel, hi) - F(kernel, lo)
+
+
 @functools.lru_cache(maxsize=256)
 def window_moments(kernel: Kernel, lo: float, hi: float) -> Moments:
     """The beta-integrals over [lo, hi] clipped to the kernel support.
 
     The one place that integrates against beta for the simulators and the
     constants below.  The mass is H(lo) - H(hi) (inf for a window from 0);
-    the other moments are closed forms, with sin^2 = 2 (1 - cos) -
-    (1 - cos)^2.  An empty window gives zeros.
+    the other moments are closed forms (_closed_forms), with sin^2 =
+    2 (1 - cos) - (1 - cos)^2.  An empty window gives zeros.
     """
     s_lo, s_hi = kernel.support
     lo, hi = max(float(lo), s_lo), min(float(hi), s_hi)
@@ -475,9 +489,7 @@ def window_moments(kernel: Kernel, lo: float, hi: float) -> Moments:
         return Moments(0.0, 0.0, 0.0, 0.0, 0.0)
     H = kernel.tail.H
     mass = math.inf if lo == 0.0 else float(H(lo)) - float(H(hi))
-    F = (_coulomb_antiderivatives if isinstance(kernel, CoulombKernel)
-         else _power_law_antiderivatives)
-    one_cos, one_cos_sq, theta_sq = F(kernel, hi) - F(kernel, lo)
+    one_cos, one_cos_sq, theta_sq = _closed_forms(kernel, lo, hi)
     return Moments(mass, float(one_cos), float(one_cos_sq), float(theta_sq),
                    float(2.0 * one_cos - one_cos_sq))
 

@@ -53,6 +53,8 @@ _SPARSE_MAX_RHO = 1.6
 _BF_MAX_SWEEPS = 512
 _CERT_MAX_PAIRS = 1 << 17
 _CERT_MAX_ROUNDS = 16
+# rows per ball query of the certificate check
+_BALL_ROWS = 256
 # a pair violates the certificate when its reduced cost is below
 # -_CERT_RTOL x the largest squared certificate radius
 _CERT_RTOL = 1e-12
@@ -168,8 +170,16 @@ def _sparse_costs(A, B, tree, near):
         if total > _CERT_MAX_PAIRS:
             return None
         pr = np.repeat(ids, counts)
-        pc = np.fromiter(itertools.chain.from_iterable(
-            tree.query_ball_point(A, radius)), np.intp, total)
+        pc = np.empty(total, np.intp)
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        # the ball lists come as Python ints, so a block of rows at a time;
+        # a multi-row query sorts each row's list, as the whole query does
+        for r0 in range(0, n, _BALL_ROWS):
+            r1 = min(r0 + _BALL_ROWS, n)
+            pc[starts[r0]:starts[r1]] = np.fromiter(
+                itertools.chain.from_iterable(tree.query_ball_point(
+                    A[r0:r1], radius[r0:r1])), np.intp,
+                starts[r1] - starts[r0])
         reduced = _pair_costs(A, B, pr, pc) - u[pr] - v[pc]
         bad = reduced < -_CERT_RTOL * reach.max()
         if not bad.any():

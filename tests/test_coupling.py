@@ -135,13 +135,13 @@ def test_coupled_run_bytes_are_pinned(monkeypatch, setup):
         kern, sub, cloud = grazing_setup(512, eps=np.pi / 16, seed=7,
                                          n_sub=2)
         plan = CouplingPlan(kernel=kern, seed=7, subdivision=sub)
-        want = ("0x1.e2f70ff4882a6p-4", "0x1.09092747357d4p+2",
-                "0x1.0a9c639ac8a07p+2", "0x1.e09915c56188fp-4", 981353,
-                "3f81de2778c268f5df0d71ddd456a84c5a8e6c9d",
-                "af260fa1283feefca91deb4a3ff7ce3a74975912")
+        want = ("0x1.fc2323f3161a2p-4", "0x1.0454b4e38135dp+2",
+                "0x1.04d6043cf3e8ap+2", "0x1.fb93cc4a37ebbp-4", 992849,
+                "3b3edb22b3d44dc792174e13e3f7be7baf515221",
+                "985119c8936bcf6b6cbfbd1669b1278b5b665771")
     else:  # at cap 16, 121 and 125 of the 128 pairs leave level 0 in the
-        # two slabs, up to level 10; each slab also samples the band above
-        # eta = 1/log 100
+        # two slabs, up to levels 10 and 12; each slab also samples the band
+        # above eta = 1/log 100
         monkeypatch.setattr(coupling, "_EXACT_CAP", 16)
         cloud = sample_initial(GAUSS, 128,
                                rngstreams.stream(5, "coupled-init"))
@@ -150,10 +150,10 @@ def test_coupled_run_bytes_are_pinned(monkeypatch, setup):
                             subdivision=build_subdivision(sqrt_inv, 0.3, 2),
                             v_floor=floor, reg_delta=floor,
                             eta=1.0 / math.log(100.0))
-        want = ("0x1.a00111fd30c31p-4", "0x1.8324afdb59b6ap+1",
-                "0x1.864b2916cd816p+1", "0x1.a00111fd30c31p-4", 98697,
-                "e43c1270443e04c38c0622582b57057c904a2583",
-                "36d407f5dac682514a3d12179618f29666dca226")
+        want = ("0x1.2e5805ce0a9dcp-3", "0x1.8789a2dcc52e3p+1",
+                "0x1.8eb9477b8f414p+1", "0x1.230a8b5babfbfp-3", 184930,
+                "bd59a57459e282444f6d361d777276770e96c49a",
+                "7a91eed7d79236feaa5861f6fc0de2116ee2527e")
     assert terminal_bytes(coupled_run(plan, cloud, w2_mode="terminal")) \
         == want
 
@@ -163,8 +163,8 @@ def test_grazing_sweep_frozen_values(grazing_sweep):
     assert rep.family == "grazing"
     assert rep.verdict == "decreasing"
     assert np.all(np.diff(rep.means) < 0.0)
-    assert float(rep.means.sum()) == pytest.approx(1.8023348742021854, rel=1e-9)
-    assert rep.slope == pytest.approx(0.996543, rel=1e-4)
+    assert float(rep.means.sum()) == pytest.approx(1.8015949996278897, rel=1e-9)
+    assert rep.slope == pytest.approx(0.992583, rel=1e-4)
     assert rep.slope > 0.3
     assert rep.proven_exponent == pytest.approx(5.0 / 13.0, rel=1e-12)
     assert rep.conjectured_exponent == 1.0
@@ -188,7 +188,7 @@ def test_coulomb_mini_sweep_frozen_values():
                      T=0.3)
     assert rep.family == "coulomb"
     assert rep.verdict == "decreasing"
-    assert float(rep.means.sum()) == pytest.approx(0.772034418817834,
+    assert float(rep.means.sum()) == pytest.approx(0.786603662082914,
                                                    rel=1e-9)
     diffs = np.diff(rep.distances, axis=0)
     se = diffs.std(axis=1, ddof=1) / math.sqrt(10)
@@ -931,17 +931,18 @@ def test_jump_sums_follow_the_stream_order(monkeypatch):
     t = win.levels
     lev = np.array([np.count_nonzero(t.lam_top[:-1] < x) for x in lam])
     ref = rngstreams.stream(8, "slab-jump", 0)
-    counts = ref.poisson(lam)
-    band = ref.binomial(counts, t.band_p[lev])
-    want = one_shot_angle_sums(ref, counts - band, kernel, win.z_lo,
-                               t.mass_z[lev], n)
+    exact = np.array([ref.poisson(x * (1.0 - t.band_p[l]))
+                      for x, l in zip(lam, lev)])
+    band = np.array([ref.poisson(x * t.band_p[l]) for x, l in zip(lam, lev)])
+    want = one_shot_angle_sums(ref, exact, kernel, win.z_lo, t.mass_z[lev],
+                               n)
     on = band > 0
     g_band = ref.standard_normal((int(on.sum()), 3))
     assert same_state(rng.bit_generator.state, ref.bit_generator.state)
-    assert jumps == int(counts.sum())
-    assert sampled == int((counts - band).sum())
+    assert jumps == int(exact.sum() + band.sum())
+    assert sampled == int(exact.sum())
     assert np.unique(lev).size >= 4 and (lev == 0).any()
-    assert on.any() and (~on & (counts > 0)).any()
+    assert on.any() and (~on & (exact > 0)).any()
 
     k = band[on].astype(float)
     b = [f[lev[on]] for f in t.band]  # mass, one_cos, one_cos_sq, theta_sq,
@@ -956,6 +957,94 @@ def test_jump_sums_follow_the_stream_order(monkeypatch):
     assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
     # the exact-only pairs read the sampler's bytes
     assert np.array_equal(got[1:, ~on], want[1:, ~on])
+
+
+def split_counts(monkeypatch, lam, win, seed):
+    """Each pair's exact and Gaussian-band counts from one _jump_sums call,
+    and its generator: the sampler's spy keeps the exact counts and draws
+    nothing, and the band's spy writes each band count into every row."""
+    kept = []
+
+    def exact_spy(rng, counts, kernel, z_lo, mass, n):
+        kept.append(np.array(counts))
+        return np.zeros((5, n))
+
+    monkeypatch.setattr(coupling, "_angle_sums", exact_spy)
+    monkeypatch.setattr(coupling, "_normal_sums",
+                        lambda k, mom, g: np.tile(k, (5, 1)))
+    rng = rngstreams.stream(seed, "slab-jump", 0)
+    sums, jumps, sampled = coupling._jump_sums(rng, lam, win, lam.size)
+    exact, band = kept[0], sums[1]
+    assert sampled == exact.sum() and jumps == exact.sum() + band.sum()
+    return exact, band, rng
+
+
+def test_split_counts_follow_poisson_thinning(monkeypatch):
+    # at a fixed rate per level, 20 000 pairs each: the exact and band
+    # counts have means lam (1 - band_p) and lam band_p, and are uncorrelated
+    monkeypatch.setattr(coupling, "_EXACT_CAP", 16)
+    win = band_window("coulomb-0.01")
+    t, m = win.levels, 20000
+    levels = [0, 1, 3, t.lam_top.size - 1]
+    lam = np.repeat(0.75 * t.lam_top[levels], m)
+    exact, band, _ = split_counts(monkeypatch, lam, win, 10)
+    for i, l in enumerate(levels):
+        assert t.lam_top[:-1].searchsorted(lam[i * m]) == l
+        rows = slice(i * m, (i + 1) * m)
+        p = t.band_p[l]
+        for k, mean in ((exact[rows], lam[i * m] * (1.0 - p)),
+                        (band[rows], lam[i * m] * p)):
+            assert abs(k.mean() - mean) <= 3.0 * k.std(ddof=1) / math.sqrt(m)
+        corr = np.corrcoef(exact[rows], band[rows])[0, 1]
+        assert abs(corr) <= 3.0 / math.sqrt(m)
+
+    # without a Gaussian band at level 0, its pairs draw no band count: the
+    # stream holds the exact counts, then the other levels' band counts and
+    # the band normals
+    monkeypatch.setattr(coupling, "_GAUSS_SHARE", 0.0)
+    win = band_window("coulomb-0.01")
+    t = win.levels
+    lam = np.repeat(0.75 * t.lam_top[[0, 2]], 500)
+    exact, band, rng = split_counts(monkeypatch, lam, win, 10)
+    p = t.band_p[t.lam_top[:-1].searchsorted(lam)]
+    assert t.band_p[0] == 0.0 and np.all(p[500:] > 0.0)
+    assert not band[:500].any() and band[500:].any()
+    ref = rngstreams.stream(10, "slab-jump", 0)
+    assert np.array_equal(ref.poisson(lam * (1.0 - p)), exact)
+    assert np.array_equal(ref.poisson(lam[500:] * p[500:]), band[500:])
+    ref.standard_normal((np.count_nonzero(band), 3))  # the band normals
+    assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+def test_sweep_cells_share_a_level_table(monkeypatch):
+    # the ten seeds of a Coulomb sweep differ in their floors, so in the
+    # largest rate they can meet, but most share the table's level count
+    class Built(Exception):
+        pass
+
+    def stop(cells, order):
+        raise Built
+
+    monkeypatch.setattr(coupling, "_run_cells", stop)
+    eps_list = [0.1, 0.03, 0.01, 0.003]
+    coupling._level_table.cache_clear()
+    with pytest.raises(Built):
+        rate_sweep("coulomb", eps_list, range(10), n=2048, T=0.3)
+    info = coupling._level_table.cache_info()
+    assert info.hits + info.misses == 10 * len(eps_list)
+    assert info.misses <= 2 * len(eps_list)
+
+    # a longer table starts with a shorter one's levels, bit for bit
+    c = band_window("coulomb-0.003", LEVEL_WINDOWS)
+    kernel, lo, eta = LEVEL_WINDOWS["coulomb-0.003"]
+    rule = (kernel, c.mom, c.z_lo, lo, eta, coupling._GAUSS_SHARE,
+            coupling._EXACT_CAP)
+    short, long = (coupling._level_table.__wrapped__(*rule, count)
+                   for count in (3, 8))
+    assert short.lam_top.size == 3 and long.lam_top.size == 8
+    for a, b in zip(short[:4] + tuple(short.band), long[:4]
+                    + tuple(long.band)):
+        assert a.tobytes() == b[:3].tobytes()
 
 
 # ---------------------------------------------------------------------------

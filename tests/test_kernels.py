@@ -268,6 +268,54 @@ def test_coulomb_tail_edges():
     assert float(t.H(kern.eps)) == pytest.approx(t.z_max, rel=1e-15)
 
 
+def coulomb_float32_errors(kern, lo, mass, u):
+    """Largest relative error of tail.angles in float32 against double on
+    the same words, per returned array; also checks the float32 arrays are
+    zero exactly where the double ones are."""
+    ref = kern.tail.angles(u, lo, mass)
+    got = kern.tail.angles(u, lo, mass, np.float32)
+    errs = []
+    for g, r in zip(got, ref):
+        assert g.dtype == np.float32 and r.dtype == np.float64
+        assert np.array_equal(g == 0.0, r == 0.0)
+        on = r != 0.0
+        errs.append(float(np.max(np.abs(g[on] - r[on]) / r[on])))
+    return errs
+
+
+def test_coulomb_float32_angles_within_single_precision_of_double():
+    # q = z/k_c + 2 is mapped in double and rounded once to float32; then
+    # 1/sqrt(q), 2 sqrt(q - 1)/q and 2 arcsin run in float32.  The windows
+    # [eps, 1/log(1/eps)] of the criterion-12 grid and of eps = 0.003, their
+    # exact band at a level above 0, and the band above the window top
+    u = np.random.default_rng(11).random(20000)
+    u[:3] = 0.0, 0.5, 1.0  # u = 1 is the support edge z = z_max
+    worst = np.zeros(3)
+    for eps in (0.3, 0.1, 0.03, 0.01, 0.003):
+        kern = K.CoulombKernel(eps)
+        z_lo = float(kern.tail.H(1.0 / math.log(1.0 / eps)))
+        mass = kern.tail.z_max - z_lo
+        for window in ((z_lo, mass), (z_lo, mass / 8.0)):
+            worst = np.maximum(worst,
+                               coulomb_float32_errors(kern, *window, u))
+        top = coulomb_float32_errors(kern, 0.0, z_lo, u)
+        # measured 3.8e-7: the float32 arcsin near theta = pi/2; sines 1.1e-7
+        assert top[0] < 5e-7 and max(top[1:]) < 2e-7
+    # measured theta 1.6e-7, sin(theta/2) 1.1e-7, sin theta 1.1e-7
+    assert worst.max() < 2e-7
+    # the masked path: a window past z_max zeroes the draws beyond it in
+    # both precisions, and the others keep the bound
+    kern = K.CoulombKernel(0.01)
+    z_lo = float(kern.tail.H(1.0 / math.log(100.0)))
+    mass = 2.0 * (kern.tail.z_max - z_lo)
+    theta = kern.tail.angles(u, z_lo, mass, np.float32)[0]
+    assert np.count_nonzero(theta == 0.0) == np.count_nonzero(u > 0.5)
+    assert max(coulomb_float32_errors(kern, z_lo, mass, u)) < 2e-7
+    # the default stays double, and the double path is G's formula
+    z = np.array([0.0, 1.0, kern.tail.z_max])
+    assert np.array_equal(kern.tail.angles(z)[0], kern.tail.G(z))
+
+
 # ---------------------------------------------------------------------------
 # k constant and window integrals
 

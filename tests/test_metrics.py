@@ -148,6 +148,43 @@ def test_w2_certificate_rounds_start_warm(monkeypatch):
     assert sum(start is not None for _, start, _ in rounds) >= 2
 
 
+def test_w2_certificate_ball_pairs_do_not_depend_on_the_row_blocks(
+        monkeypatch):
+    # the certificate lists its ball pairs a block of rows at a time: the
+    # same pairs in the same order as one query over every row
+    import scipy.spatial
+    listed = []
+
+    class Tree(scipy.spatial.cKDTree):
+        def query_ball_point(self, x, r, **kw):
+            if not kw.get("return_length"):
+                listed.append(len(x))
+            return super().query_ball_point(x, r, **kw)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
+    monkeypatch.setattr(metrics, "_W2_NEIGHBOURS", 1)  # several rounds
+    A, B = coupled_clouds(np.pi / 16, 4096, 0)
+    pairs = {}
+    costs = metrics._pair_costs
+    for rows in (4096, metrics._BALL_ROWS, 7):
+        monkeypatch.setattr(metrics, "_BALL_ROWS", rows)
+        calls, listed[:] = [], []
+
+        def spy(A, B, r, c, _calls=calls):
+            _calls.append((r.copy(), c.copy()))
+            return costs(A, B, r, c)
+
+        monkeypatch.setattr(metrics, "_pair_costs", spy)
+        assert w2_exact(A, B) == dense_w2(A, B)
+        assert listed and max(listed) <= rows
+        pairs[rows] = calls
+    one, *blocked = pairs.values()
+    for calls in blocked:
+        assert len(calls) == len(one)
+        for (r0, c0), (r1, c1) in zip(one, calls):
+            assert np.array_equal(r0, r1) and np.array_equal(c0, c1)
+
+
 def test_w2_exact_memory_holds_no_cost_matrix():
     A, B = coupled_clouds(np.pi / 16, 4096, 0)
     tracemalloc.start()
